@@ -170,16 +170,28 @@ def multiplication_table(graph, psi):
     Rows and columns follow the canonical element order; entries are labels,
     None for absent products.
     """
-    inverse = {t: b for b, t in psi.items()}
-    domain = [b for b in graph.elements if not isinstance(b, EmptyElement)]
-    rows = []
-    for b1 in domain:
-        row = []
-        for b2 in domain:
-            prod = inverse.get(TensorElement(b1, b2))
-            row.append(None if prod is None else prod.label())
-        rows.append(row)
-    return {"order": [b.label() for b in domain], "rows": rows}
+    index = graph.index
+    inverse = {
+        (index.get(t.left), index.get(t.right)): b.label() for b, t in psi.items()
+    }
+    domain = [
+        k for k, b in enumerate(graph.elements) if not isinstance(b, EmptyElement)
+    ]
+    rows = [[inverse.get((l, r)) for r in domain] for l in domain]
+    return {"order": [graph.elements[k].label() for k in domain], "rows": rows}
+
+
+def _settle(tensor, h, queue, k, val, i):
+    """Assign val to pair k and queue it, or check it against the value
+    already there."""
+    if h[k] is None:
+        h[k] = val
+        queue.append(k)
+    elif h[k] != val:
+        raise ValueError(
+            f"inconsistent energy at {tensor.element(k).label()}: "
+            f"{h[k]} vs {val} via index {i}"
+        )
 
 
 def energy_propagate(tensor, anchor=None, anchor_value=0):
@@ -198,43 +210,31 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     start = tensor.pair_index(anchor)
     eps0 = base._eps[0]
     phi0 = base._phi[0]
-
-    def zero_step(src):
-        # value difference H(e_0(t)) - H(t) for the pair t = src
-        return 1 if phi0[src // m] >= eps0[src % m] else -1
-
     h = [None] * tensor.size
     h[start] = anchor_value
     queue = deque([start])
-    f_tabs = tensor.f
-    e_tabs = tensor.e
-    n_idx = tensor.n_indices
+    f0, e0 = tensor.f[0], tensor.e[0]
+    classical = [(tensor.f[i], tensor.e[i], i) for i in range(1, tensor.n_indices)]
     while queue:
         k = queue.popleft()
         hk = h[k]
-        for i in range(n_idx):
-            up = e_tabs[i][k]
-            if up >= 0:
-                val = hk + (zero_step(k) if i == 0 else 0)
-                if h[up] is None:
-                    h[up] = val
-                    queue.append(up)
-                elif h[up] != val:
-                    raise ValueError(
-                        f"inconsistent energy at {tensor.element(up).label()}: "
-                        f"{h[up]} vs {val} via index {i}"
-                    )
-            down = f_tabs[i][k]
-            if down >= 0:
-                val = hk - (zero_step(down) if i == 0 else 0)
-                if h[down] is None:
-                    h[down] = val
-                    queue.append(down)
-                elif h[down] != val:
-                    raise ValueError(
-                        f"inconsistent energy at {tensor.element(down).label()}: "
-                        f"{h[down]} vs {val} via index {i}"
-                    )
+        # across a 0-arrow, H(e_0(t)) - H(t) is 1 when e_0 acts on the left
+        # slot of t and -1 when it acts on the right slot
+        up = e0[k]
+        if up >= 0:
+            step = 1 if phi0[k // m] >= eps0[k % m] else -1
+            _settle(tensor, h, queue, up, hk + step, 0)
+        down = f0[k]
+        if down >= 0:
+            step = 1 if phi0[down // m] >= eps0[down % m] else -1
+            _settle(tensor, h, queue, down, hk - step, 0)
+        for f_tab, e_tab, i in classical:
+            up = e_tab[k]
+            if up >= 0 and h[up] != hk:
+                _settle(tensor, h, queue, up, hk, i)
+            down = f_tab[k]
+            if down >= 0 and h[down] != hk:
+                _settle(tensor, h, queue, down, hk, i)
     if any(v is None for v in h):
         raise ValueError("tensor square is not connected; energy is partial")
     return h
@@ -340,31 +340,29 @@ def energy_by_classification(tensor, psis=None):
     m = len(base)
     eps0 = base._eps[0]
     i_empty = base.index[EMPTY]
-    parts = tensor.components(omit_zero=True)
-    maximal = set(tensor.maximal_indices())
-    h = [0] * tensor.size
-    for part in parts:
-        heads = [k for k in part if k in maximal]
-        if len(heads) != 1:
+    labels, count = tensor.component_labels(omit_zero=True)
+    heads = [[] for _ in range(count)]
+    for k in tensor.maximal_indices():
+        heads[labels[k]].append(k)
+    value = []
+    for found in heads:
+        if len(found) != 1:
             raise ValueError(
-                f"component with {len(heads)} maximal vectors; not a crystal"
+                f"component with {len(found)} maximal vectors; not a crystal"
             )
-        l, r = heads[0] // m, heads[0] % m
+        l, r = divmod(found[0], m)
         if l == i_empty:
-            value = 0 if r == i_empty else 1
+            value.append(0 if r == i_empty else 1)
         else:
-            value = eps0[r]
-        for k in part:
-            h[k] = value
-    return h
+            value.append(eps0[r])
+    return [value[c] for c in labels]
 
 
 def energy_table_json(tensor, h):
     """JSON map '(left,right)' -> H, in canonical pair order."""
-    out = {}
-    for k in range(tensor.size):
-        t = tensor.element(k)
-        out[f"({t.left.label()},{t.right.label()})"] = h[k]
+    labels = [b.label() for b in tensor.base.elements]
+    m = len(labels)
+    out = {f"({labels[k // m]},{labels[k % m]})": v for k, v in enumerate(h)}
     return json.dumps(out, indent=2) + "\n"
 
 

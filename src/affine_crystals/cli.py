@@ -7,7 +7,6 @@ All output goes to stdout unless --out is given; runs are deterministic.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import (
     build_psi,
@@ -77,8 +76,7 @@ def _verify_one(type_name, corrupt=False):
 def cmd_verify(args):
     if args.all:
         types = [t.name for t in swept_types(args.max_rank, with_exceptional=False)]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            reports = list(pool.map(_verify_one, types))
+        reports = list(map(_verify_one, types))
     else:
         if not args.type:
             _usage_error("give a type or --all")
@@ -109,10 +107,12 @@ def cmd_energy(args):
     if args.format == "json":
         text = energy_table_json(tensor, h1)
     else:
+        labels = [b.label() for b in g.elements]
+        m = len(labels)
         lines = [f"# {d.type.name}: {tensor.size} pairs, methods agree: {agree}"]
-        for k in range(tensor.size):
-            t = tensor.element(k)
-            lines.append(f"{t.left.label()} (x) {t.right.label()}\t{h1[k]}")
+        lines += [
+            f"{labels[k // m]} (x) {labels[k % m]}\t{v}" for k, v in enumerate(h1)
+        ]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0 if agree else 1

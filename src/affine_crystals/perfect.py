@@ -7,7 +7,6 @@ failure.
 """
 
 import json
-import time
 from dataclasses import dataclass, field
 
 from .cartan import level, level_one_dominants
@@ -34,7 +33,6 @@ class PerfectReport:
     type_name: str
     axioms: dict = field(default_factory=dict)
     minimal_elements: dict = field(default_factory=dict)
-    elapsed: float = 0.0
 
     @property
     def all_passed(self):
@@ -47,7 +45,6 @@ class PerfectReport:
             "passed": self.all_passed,
             "axioms": {k: v.to_json_dict() for k, v in self.axioms.items()},
             "minimal_elements": self.minimal_elements,
-            "elapsed_seconds": round(self.elapsed, 3),
         }
 
     def to_json(self):
@@ -75,7 +72,6 @@ def minimal_elements(d, graph):
 
 def verify_perfect(d, graph=None, tensor=None):
     """Check the machine-checkable level-1 axioms for one family."""
-    start = time.time()
     if graph is None:
         graph = build_crystal(d)
     if tensor is None:
@@ -138,5 +134,4 @@ def verify_perfect(d, graph=None, tensor=None):
     except ValueError as err:
         report.axioms["minimal_elements"] = AxiomResult(False, str(err), str(err))
 
-    report.elapsed = time.time() - start
     return report

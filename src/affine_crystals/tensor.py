@@ -14,50 +14,49 @@ class TensorElement:
 
 
 class TensorCrystal:
-    """B (x) B with eagerly materialized lowering arrows.
+    """B (x) B with eagerly materialized lowering and raising arrows.
 
-    Pairs are indexed left-major; all arrow tables are flat lists, absent
-    entries marked -1.  Sizes stay below ~60k pairs for every family swept
-    here, so the eager build is cheap and keeps component search simple.
+    Pairs are indexed left-major, k = l * m + r; all arrow tables are flat
+    lists, absent entries marked -1.  The signature rule is applied one row
+    at a time: for each index i and left factor l, the row of pairs
+    (l, 0..m-1) is one list comprehension over the right factors' eps_i and
+    arrows, slice-assigned into a preallocated table.  Sizes stay below ~60k
+    pairs for every family swept here, so the eager build is cheap and keeps
+    component search simple.
     """
 
     def __init__(self, base):
         self.base = base
         m = len(base)
         self.size = m * m
-        n_idx = base.n_indices
-        self.n_indices = n_idx
-        eps = base._eps
-        phi = base._phi
+        self.n_indices = base.n_indices
         self.f = []
         self.e = []
-        for i in range(n_idx):
+        for i in range(self.n_indices):
             fi = base.f[i]
             ei = base.e[i]
-            eps_i = eps[i]
-            phi_i = phi[i]
+            phi_i = base._phi[i]
+            right = list(zip(
+                range(m), base._eps[i],
+                [fi.get(r, -1) for r in range(m)], [ei.get(r, -1) for r in range(m)],
+            ))
             f_flat = [-1] * self.size
             e_flat = [-1] * self.size
             for l in range(m):
+                row = l * m
                 pl = phi_i[l]
-                base_l = l * m
-                for r in range(m):
-                    if pl > eps_i[r]:
-                        dst = fi.get(l, -1)
-                        if dst >= 0:
-                            f_flat[base_l + r] = dst * m + r
-                    else:
-                        dst = fi.get(r, -1)
-                        if dst >= 0:
-                            f_flat[base_l + r] = base_l + dst
-                    if pl >= eps_i[r]:
-                        src = ei.get(l, -1)
-                        if src >= 0:
-                            e_flat[base_l + r] = src * m + r
-                    else:
-                        src = ei.get(r, -1)
-                        if src >= 0:
-                            e_flat[base_l + r] = base_l + src
+                # f_i acts on the left only when phi_i(l) > 0, so f_i(l)
+                # exists there; e_i acts on the right only when eps_i(r) > 0
+                f_left = fi.get(l, 0) * m
+                e_left = ei[l] * m if l in ei else -1
+                f_flat[row:row + m] = [
+                    f_left + r if pl > eps_r else (row + f_r if f_r >= 0 else -1)
+                    for r, eps_r, f_r, _ in right
+                ]
+                e_flat[row:row + m] = [
+                    row + e_r if pl < eps_r else (e_left + r if e_left >= 0 else -1)
+                    for r, eps_r, _, e_r in right
+                ]
             self.f.append(f_flat)
             self.e.append(e_flat)
 
@@ -97,34 +96,33 @@ class TensorCrystal:
 
     def maximal_indices(self):
         """Pairs killed by every raising operator with index != 0."""
-        out = []
         e_tabs = self.e[1:]
-        for k in range(self.size):
-            if all(tab[k] < 0 for tab in e_tabs):
-                out.append(k)
-        return out
+        if not e_tabs:
+            return list(range(self.size))
+        return [k for k, col in enumerate(zip(*e_tabs)) if max(col) < 0]
 
     def maximal_vectors(self):
         return [self.element(k) for k in self.maximal_indices()]
 
     def component_labels(self, omit_zero):
-        """Component id per pair index, by BFS in index order."""
-        indices = range(1, self.n_indices) if omit_zero else range(self.n_indices)
-        tables = [(self.f[i], self.e[i]) for i in indices]
+        """Component id per pair index; ids follow each component's smallest
+        pair index."""
+        first = 1 if omit_zero else 0
+        tables = self.f[first:] + self.e[first:]
         labels = [-1] * self.size
         comp = 0
         for start in range(self.size):
             if labels[start] >= 0:
                 continue
             labels[start] = comp
-            queue = deque([start])
-            while queue:
-                k = queue.popleft()
-                for f_tab, e_tab in tables:
-                    for nb in (f_tab[k], e_tab[k]):
-                        if nb >= 0 and labels[nb] < 0:
-                            labels[nb] = comp
-                            queue.append(nb)
+            stack = [start]
+            while stack:
+                k = stack.pop()
+                for tab in tables:
+                    nb = tab[k]
+                    if nb >= 0 and labels[nb] < 0:
+                        labels[nb] = comp
+                        stack.append(nb)
             comp += 1
         return labels, comp
 
@@ -155,18 +153,6 @@ class TensorCrystal:
     def is_connected(self):
         _, count = self.component_labels(omit_zero=False)
         return count == 1
-
-
-def tensor_f(tensor, t, i):
-    return tensor.f_tilde(t, i)
-
-
-def tensor_e(tensor, t, i):
-    return tensor.e_tilde(t, i)
-
-
-def tensor_stats(tensor, t, i):
-    return tensor.string_stats(t, i)
 
 
 def component_report(tensor):

@@ -265,6 +265,20 @@ def test_three_box_fixture():
     assert labels[(2, 2)] == 1
 
 
+def test_classification_rejects_component_without_single_head():
+    # box 2 is reached by a 1-arrow from box 1 and a 2-arrow from box 3, so
+    # the classical component of 2 (x) 2 has four maximal vectors: the
+    # pairs of boxes 1 and 3
+    from affine_crystals.crystal import CrystalGraph
+    from affine_crystals.algebra import Box
+
+    a, b, c = Box(1), Box(2), Box(3)
+    arrows = [(1, a, b), (2, c, b), (0, b, EMPTY), (0, EMPTY, a)]
+    t = TensorCrystal(CrystalGraph([a, b, c, EMPTY], arrows, 3))
+    with pytest.raises(ValueError, match="component with 4 maximal vectors"):
+        energy_by_classification(t)
+
+
 def test_propagation_rejects_inconsistent_loop():
     # rewiring the three-box loop's 0-arrow into a chord makes two routes
     # around the square disagree, which the per-edge re-derivation catches

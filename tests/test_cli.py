@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+from affine_crystals.cartan import build_datum
 from affine_crystals.cli import main
+from affine_crystals.crystal import build_crystal
+from affine_crystals.tensor import TensorCrystal
 
 
 def run(capsys, *argv):
@@ -53,6 +58,12 @@ def test_verify_all(capsys):
     assert "A2-2: pass" in out
 
 
+def test_verify_json_deterministic(capsys):
+    _, first, _ = run(capsys, "verify", "--all", "--max-rank", "3", "--json")
+    _, second, _ = run(capsys, "verify", "--all", "--max-rank", "3", "--json")
+    assert first == second
+
+
 def test_verify_corrupt_hook(capsys):
     code, out, _ = run(capsys, "verify", "A2-1", "--corrupt")
     assert code == 1
@@ -66,6 +77,19 @@ def test_energy(capsys):
     assert len(table) == 81
     assert table["(x[1,1],x[1,1])"] == 2
     assert table["(empty,empty)"] == 0
+
+
+@pytest.mark.parametrize("ty", ["A2-1", "C2-1", "A4-2", "D4-3"])
+def test_energy_labels_follow_pair_order(capsys, ty):
+    t = TensorCrystal(build_crystal(build_datum(ty)))
+    pairs = [t.element(k) for k in range(t.size)]
+    _, text, _ = run(capsys, "energy", ty)
+    lines = text.splitlines()[1:]
+    assert [line.split("\t")[0] for line in lines] == [p.label() for p in pairs]
+    _, blob, _ = run(capsys, "energy", ty, "--format", "json")
+    assert list(json.loads(blob)) == [
+        f"({p.left.label()},{p.right.label()})" for p in pairs
+    ]
 
 
 def test_multiply_table(capsys):

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from affine_crystals.algebra import three_box_crystal
 from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import EMPTY, EmptyElement, XRoot, YElement, build_crystal
 from affine_crystals.roots import RootVector, lambda_weights, theta
@@ -10,6 +13,45 @@ def _setup(name):
     d = build_datum(name)
     g = build_crystal(d)
     return d, g, TensorCrystal(g)
+
+
+def _reference_tables(g):
+    """The signature rule applied pair by pair: flat f and e tables per
+    index, -1 for absent arrows."""
+    m = len(g)
+    f_tabs, e_tabs = [], []
+    for i in range(g.n_indices):
+        f_flat = [-1] * (m * m)
+        e_flat = [-1] * (m * m)
+        for l in range(m):
+            for r in range(m):
+                k = l * m + r
+                if g._phi[i][l] > g._eps[i][r]:
+                    dst = g.f[i].get(l, -1)
+                    if dst >= 0:
+                        f_flat[k] = dst * m + r
+                else:
+                    dst = g.f[i].get(r, -1)
+                    if dst >= 0:
+                        f_flat[k] = l * m + dst
+                if g._phi[i][l] >= g._eps[i][r]:
+                    src = g.e[i].get(l, -1)
+                    if src >= 0:
+                        e_flat[k] = src * m + r
+                else:
+                    src = g.e[i].get(r, -1)
+                    if src >= 0:
+                        e_flat[k] = l * m + src
+        f_tabs.append(f_flat)
+        e_tabs.append(e_flat)
+    return f_tabs, e_tabs
+
+
+@pytest.mark.parametrize("ty", [t.name for t in swept_types(4)] + ["three-box"])
+def test_row_tables_match_pairwise_rule(ty):
+    g = three_box_crystal() if ty == "three-box" else build_crystal(build_datum(ty))
+    t = TensorCrystal(g)
+    assert (t.f, t.e) == _reference_tables(g)
 
 
 def test_tensor_f_example():

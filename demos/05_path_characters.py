@@ -4,10 +4,11 @@
 A path is a semi-infinite tensor word that settles into the periodic
 ground state; only the finite override prefix is stored.  Lowering
 operators act through the tensor rule, the energy function grades paths
-by an integer delta degree, and breadth-first generation yields character
-coefficients.  For the simply-laced untwisted families at the basic
-weight the coefficients are checked against the lattice partition-series
-oracle, which never touches the path machinery.
+by an integer delta degree, and a transfer matrix over positions counts
+paths by weight without building them (breadth-first generation of the
+paths is its oracle in the tests).  For the simply-laced untwisted
+families the coefficients are checked against the lattice
+partition-series oracle, which never touches the path machinery.
 """
 
 from affine_crystals import (

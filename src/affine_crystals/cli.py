@@ -76,6 +76,8 @@ def _verify_one(type_name, corrupt=False):
 def cmd_verify(args):
     if args.all:
         types = [t.name for t in swept_types(args.max_rank, with_exceptional=False)]
+        if not types:
+            _usage_error(f"no families of rank <= {args.max_rank}")
         reports = list(map(_verify_one, types))
     else:
         if not args.type:
@@ -158,8 +160,11 @@ def _parse_weight(text, d):
 def cmd_character(args):
     d = _datum(args.type)
     lam = _parse_weight(args.weight, d)
+    if args.max_degree < 0:
+        _usage_error(f"--max-degree must be >= 0 (got {args.max_degree})")
     model = PathModel(d, lam)
-    counts = model.character(args.max_degree)
+    rc = model.root_character(args.max_degree)
+    counts = model.by_weight(rc)
     rows = [
         {"classical_weight": list(coeffs), "delta_degree": delta, "multiplicity": m}
         for (coeffs, delta), m in counts.items()
@@ -174,11 +179,11 @@ def cmd_character(args):
             "reason": f"no independent oracle for {d.type.name}",
         }
     elif args.oracle:
-        rc = model.root_character(args.max_degree)
+        node = lam.coeffs.index(1)
         diffs = []
-        for beta in lattice_points_up_to(d, 2 * args.max_degree):
+        for beta in lattice_points_up_to(d, 2 * args.max_degree, node=node):
             for deg in range(args.max_degree + 1):
-                want = oracle_multiplicity(d, beta, deg)
+                want = oracle_multiplicity(d, beta, deg, node=node)
                 got = rc.get((beta.twice, deg), 0)
                 if want != got:
                     diffs.append(

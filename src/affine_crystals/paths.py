@@ -1,12 +1,18 @@
 """Path realization of the level-1 highest weight crystals.
 
-Paths are semi-infinite tensor words agreeing with a periodic ground state
+Paths are semi-infinite tensor words agreeing with a period-1 ground state
 far out; only the finite override prefix is stored.  The energy function
-turns path statistics into affine weights, and breadth-first generation
-yields character coefficients, cross-checkable against a lattice
-generating-function oracle in the simply-laced untwisted case.
+turns path statistics into affine weights.  Character coefficients come
+from a transfer matrix over positions, which counts paths by entry, degree
+and root offset without building any; breadth-first generation of the
+paths themselves is kept as its oracle.  A lattice generating-function
+oracle cross-checks the simply-laced untwisted families at every level-1
+weight.
 """
 
+import functools
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -85,6 +91,67 @@ class PathModel:
         self.lam = lam
         self.ground = ground_state(d, lam, self.graph)
         self.ground_path = Path(lam.coeffs, ())
+        self._set_up_transfer()
+
+    def _set_up_transfer(self):
+        """Energy rows, climb costs and zero-energy run of the transfer matrix.
+
+        dh[b][u] = H(u (x) b) - H(g (x) g) is the energy of entry u over
+        entry b relative to the ground pair.  It must be >= 0, so that the
+        degree only grows along positions and the matrix may prune on it.
+        zero_run is the longest run of dh = 0 pairs descending from the
+        ground entry: a path of degree D has its top nonzero pair at or
+        below position D - 1 and only such a run above it, so its override
+        prefix ends by position D + zero_run - 1.  climb[b] is the least
+        total dh of a way up from b to the ground entry (Dijkstra).
+        """
+        g, d = self.graph, self.datum
+        if self.ground.period != 1 or len(self.ground.entries) != 1:
+            raise ValueError("characters need a period-1 ground state without a head")
+        m = len(g)
+        top = g.index[self.ground.entries[0]]
+        base = self.energy[top * m + top]
+        dh = [[self.energy[u * m + b] - base for u in range(m)] for b in range(m)]
+        if min(map(min, dh)) < 0:
+            raise ValueError("an energy lies below the ground pair; degrees are unbounded")
+        # by_weight reads classical weights off root offsets
+        for b in g.elements:
+            root = g.root_weight(b)
+            if g.weight_of(b).coeffs != tuple(root.pairing(d, j) for j in range(d.n + 1)):
+                raise ValueError(f"the weight of {b.label()} is not the pairing of its root")
+
+        depth = {}
+
+        def run(u):
+            if u in depth:
+                if depth[u] is None:
+                    raise ValueError(
+                        f"zero-energy cycle through {g.elements[u].label()}; "
+                        "path lengths are unbounded"
+                    )
+                return depth[u]
+            depth[u] = None
+            below = [b for b in range(m) if dh[b][u] == 0 and (b, u) != (top, top)]
+            depth[u] = max((1 + run(b) for b in below), default=0)
+            return depth[u]
+
+        self.zero_run = run(top)
+        climb = [math.inf] * m
+        climb[top] = 0
+        heap = [(0, top)]
+        while heap:
+            cost, u = heapq.heappop(heap)
+            if cost > climb[u]:
+                continue
+            for b in range(m):
+                if cost + dh[b][u] < climb[b]:
+                    climb[b] = cost + dh[b][u]
+                    heapq.heappush(heap, (climb[b], b))
+        self._climb = climb
+        self._ground_index = top
+        self._rows = [sorted((dh[b][u], u) for u in range(m)) for b in range(m)]
+        ground_root = g.root_weight(self.ground.entries[0])
+        self._offsets = [(g.root_weight(b) - ground_root).twice for b in g.elements]
 
     def _canonical(self, entries):
         n = len(entries)
@@ -180,7 +247,8 @@ class PathModel:
         return total
 
     def generate(self, max_depth, order=None, lifo=False):
-        """All paths with delta degree down to -max_depth, breadth-first.
+        """All paths with delta degree down to -max_depth, breadth-first;
+        the tests' oracle for the transfer matrix of `root_character`.
 
         order permutes the operator indices, and lifo switches the frontier
         discipline; the returned set must not depend on either (generation
@@ -205,42 +273,74 @@ class PathModel:
                 frontier.append((q, q_depth))
         return out
 
-    def character(self, max_degree, order=None, lifo=False):
+    def character(self, max_degree):
         """Multiplicities of affine weights down to delta degree -max_degree.
 
         Returns a map (classical Lambda-coordinates, delta) -> multiplicity.
         """
+        return self.by_weight(self.root_character(max_degree))
+
+    def by_weight(self, root_counts):
+        """Re-key `root_character` counts by (classical Lambda-coordinates,
+        delta); the classical weight is Lambda plus the pairing of the
+        root offset with each coroot."""
+        d = self.datum
+        out = {}
+        for (twice, degree), count in root_counts.items():
+            beta = RootVector(twice)
+            coeffs = tuple(c + beta.pairing(d, j) for j, c in enumerate(self.lam.coeffs))
+            out[(coeffs, -degree)] = out.get((coeffs, -degree), 0) + count
+        return out
+
+    def root_character(self, max_degree, length=None):
+        """Multiplicities keyed by (root-lattice offset, energy degree).
+
+        A transfer matrix over positions 0..length-1, with position `length`
+        held at the ground entry.  The state is (entry, degree) with a
+        count per root offset; putting entry u at position k over entry b
+        adds k * dh[b][u] to the degree.  The default length
+        max_degree + zero_run + 1 holds every path of degree at most
+        max_degree (see `_set_up_transfer`).
+        """
+        if max_degree < 0:
+            raise ValueError(f"max_degree must be >= 0 (got {max_degree})")
+        if length is None:
+            length = max_degree + self.zero_run + 1
+        rows, climb, top = self._rows, self._climb, self._ground_index
+        # Offsets are packed one balanced digit per coordinate, so adding an
+        # entry's offset to a state is one integer addition.
+        widest = max(abs(x) for offset in self._offsets for x in offset)
+        radix = 2 * (length + 1) * widest + 2
+        half = radix // 2
+        packed = [sum(x * radix**j for j, x in enumerate(t)) for t in self._offsets]
+        layer = {
+            (b, 0): {packed[b]: 1} for b in range(len(rows)) if climb[b] <= max_degree
+        }
+        for k in range(1, length + 1):
+            nxt = {}
+            for (b, degree), offsets in layer.items():
+                for cost, u in rows[b]:
+                    reached = degree + k * cost
+                    if reached > max_degree:
+                        break
+                    if reached + (k + 1) * climb[u] > max_degree or (k == length and u != top):
+                        continue
+                    shift = packed[u]
+                    bucket = nxt.setdefault((u, reached), {})
+                    for key, count in offsets.items():
+                        key += shift
+                        bucket[key] = bucket.get(key, 0) + count
+            layer = nxt
         counts = {}
-        for p in self.generate(max_degree, order=order, lifo=lifo):
-            w = self.weight(p)
-            key = (w.coeffs, w.delta)
-            counts[key] = counts.get(key, 0) + 1
+        for (_, degree), offsets in layer.items():
+            for key, count in offsets.items():
+                twice = []
+                for _ in range(self.datum.n):
+                    digit = (key + half) % radix - half
+                    twice.append(digit)
+                    key = (key - digit) // radix
+                counts[(tuple(twice), degree)] = count
         return counts
-
-    def root_character(self, max_degree):
-        """Multiplicities keyed by (root-lattice offset, energy degree)."""
-        counts = {}
-        for p in self.generate(max_degree):
-            w = self.weight(p)
-            beta = self.root_offset(p)
-            counts[(beta.twice, -w.delta)] = counts.get((beta.twice, -w.delta), 0) + 1
-        return counts
-
-
-def path_f(model, p, i):
-    return model.f(p, i)
-
-
-def path_e(model, p, i):
-    return model.e(p, i)
-
-
-def path_stats(model, p, i):
-    return model.stats(p, i)
-
-
-def affine_weight(model, p):
-    return model.weight(p)
 
 
 def character(d, lam, max_degree, model=None):
@@ -263,56 +363,71 @@ def partition_series(colors, max_degree):
     return c
 
 
-def oracle_multiplicity(d, beta, degree, _series_cache={}):
-    """Multiplicity of the weight at lattice point beta and energy degree.
+@functools.lru_cache(maxsize=None)
+def _series(colors, max_degree):
+    """partition_series, kept for the process: the oracle asks it per cell."""
+    return tuple(partition_series(colors, max_degree))
 
-    Only valid for the simply-laced untwisted families at the basic weight:
-    the multiplicity of Lambda_0 + beta - degree * delta is the coefficient
-    of q^(degree - (beta,beta)/2) in the rank-colored partition series.
-    """
+
+def _lattice_node(d, node):
+    """Check that the lattice oracle covers Lambda_node of d."""
     t = d.type
     if t.twist != 1 or t.family not in ("A", "D", "E"):
         raise OracleUnsupported(f"no independent oracle for {t.name}")
+    if not 0 <= node <= d.n or d.comarks[node] != 1:
+        raise ValueError(f"Lambda_{node} is not a level-1 weight of {t.name}")
+
+
+def _shifted_norm2(fc, coeffs, node):
+    """|w + beta|^2 - |w|^2 for beta = sum coeffs[j] alpha_{j+1} and w the
+    classical part of Lambda_node; (w, alpha_j) is 1 at j = node, else 0."""
+    n = len(coeffs)
+    norm2 = sum(coeffs[i] * coeffs[j] * fc[i][j] for i in range(n) for j in range(n))
+    return norm2 + (2 * coeffs[node - 1] if node else 0)
+
+
+def oracle_multiplicity(d, beta, degree, node=0):
+    """Multiplicity of Lambda_node + beta at energy degree `degree`.
+
+    Only valid for the simply-laced untwisted families at a level-1 weight
+    (Frenkel-Kac): the multiplicity is the coefficient of
+    q^(degree - (|w + beta|^2 - |w|^2)/2) in the rank-colored partition
+    series, w the classical part of Lambda_node.
+    """
+    _lattice_node(d, node)
+    if any(x % 2 for x in beta.twice):
+        raise ValueError("lattice point has non-integral coefficients")
     if degree < 0:
         return 0
-    fc = d.finite_cartan()
-    n = d.n
-    raw = sum(
-        beta.twice[i] * beta.twice[j] * fc[i][j] for i in range(n) for j in range(n)
-    )
-    if raw % 4 != 0:
-        raise ValueError("lattice point has non-integral coefficients")
-    norm2 = raw // 4
-    exponent = degree - norm2 // 2
+    coeffs = [x // 2 for x in beta.twice]
+    exponent = degree - _shifted_norm2(d.finite_cartan(), coeffs, node) // 2
     if exponent < 0:
         return 0
-    key = (n, degree)
-    if key not in _series_cache:
-        _series_cache[key] = partition_series(n, degree)
-    return _series_cache[key][exponent]
+    return _series(d.n, degree)[exponent]
 
 
-def lattice_points_up_to(d, max_norm2):
-    """Finite root-lattice vectors with squared norm at most max_norm2.
+def lattice_points_up_to(d, max_norm2, node=0):
+    """Root-lattice vectors beta with |w + beta|^2 - |w|^2 <= max_norm2, w
+    the classical part of Lambda_node, in ascending coefficient order.
 
-    Enumerates a coefficient box wide enough for the tree-climb bound on
-    bounded-norm vectors.
+    A walk from 0 by steps of +-alpha_i that stays in the ball.  It reaches
+    every point: a simple reflection s_i is a run of such steps whose norms
+    never exceed the end points', and a weight that is not minuscule has a
+    Weyl conjugate with (., alpha_i) >= 2 for some i, whose step -alpha_i
+    shortens it; the only minuscule weights of the coset are the orbit of w.
     """
+    _lattice_node(d, node)
     n = d.n
     fc = d.finite_cartan()
-    bound = int((max_norm2 * (n + 1)) ** 0.5) + 2
-    out = []
-
-    def norm2(c):
-        return sum(c[i] * c[j] * fc[i][j] for i in range(n) for j in range(n))
-
-    def rec(prefix):
-        if len(prefix) == n:
-            if norm2(prefix) <= max_norm2:
-                out.append(RootVector(tuple(2 * x for x in prefix)))
-            return
-        for v in range(-bound, bound + 1):
-            rec(prefix + [v])
-
-    rec([])
-    return out
+    start = (0,) * n
+    seen = {start} if max_norm2 >= 0 else set()
+    todo = list(seen)
+    while todo:
+        c = todo.pop()
+        for j in range(n):
+            for step in (1, -1):
+                nxt = c[:j] + (c[j] + step,) + c[j + 1 :]
+                if nxt not in seen and _shifted_norm2(fc, nxt, node) <= max_norm2:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return [RootVector(tuple(2 * x for x in c)) for c in sorted(seen)]

@@ -126,6 +126,28 @@ def test_character_oracle_unsupported(capsys):
     assert data["rows"]
 
 
+def test_character_oracle_shifted_lattice(capsys):
+    code, out, _ = run(capsys, "character", "D4-1", "L1", "--max-degree", "3", "--oracle")
+    assert code == 0
+    data = json.loads(out)
+    assert data["oracle"] == {"supported": True, "differences": []}
+    top = {"classical_weight": [0, 1, 0, 0, 0], "delta_degree": 0, "multiplicity": 1}
+    assert top in data["rows"]
+
+
+def test_character_negative_degree_rejected(capsys):
+    for degree in ("-1", "-5"):
+        code, out, err = run(capsys, "character", "A1-1", "L0", "--max-degree", degree)
+        assert code == 2 and out == ""
+        assert "--max-degree" in err
+
+
+def test_verify_all_without_families_rejected(capsys):
+    code, out, err = run(capsys, "verify", "--all", "--max-rank", "0")
+    assert code == 2 and out == ""
+    assert "no families" in err
+
+
 def test_character_bad_weight(capsys):
     code, _, _ = run(capsys, "character", "A2-1", "W9", "--max-degree", "1")
     assert code == 2

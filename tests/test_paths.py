@@ -1,8 +1,11 @@
+import math
 import random
+from collections import Counter
 
 import pytest
+from conftest import family
 
-from affine_crystals.cartan import AffineWeight, build_datum, level_one_dominants
+from affine_crystals.cartan import AffineWeight, build_datum, level_one_dominants, swept_types
 from affine_crystals.crystal import EMPTY, YElement
 from affine_crystals.paths import (
     OracleUnsupported,
@@ -166,12 +169,80 @@ def test_a2_rank_multiplicity_at_first_level():
     assert ch[((1, 0, 0), -1)] == 2
 
 
+def _generated_character(pm, max_degree, **kwargs):
+    """Weight counts over the breadth-first path set, the transfer matrix's oracle."""
+    weights = map(pm.weight, pm.generate(max_degree, **kwargs))
+    return dict(Counter((w.coeffs, w.delta) for w in weights))
+
+
 def test_generation_order_independence():
     for name in ["A2-1", "C2-1", "A4-2"]:
         d, pm = _model(name)
-        base = pm.character(3)
-        shuffled = pm.character(3, order=list(reversed(range(d.n + 1))), lifo=True)
-        assert base == shuffled
+        base = _generated_character(pm, 3)
+        shuffled = _generated_character(
+            pm, 3, order=list(reversed(range(d.n + 1))), lifo=True
+        )
+        assert base == shuffled == pm.character(3)
+
+
+TRANSFER_CASES = [(t.name, 2) for t in swept_types(4)] + [("C5-1", 1), ("A7-1", 1)]
+
+
+@pytest.mark.parametrize("name,max_degree", TRANSFER_CASES)
+def test_transfer_matrix_matches_generation(name, max_degree):
+    ctx = family(name)
+    for lam in level_one_dominants(ctx.datum):
+        pm = PathModel(ctx.datum, lam, graph=ctx.graph, tensor=ctx.tensor)
+        assert pm.character(max_degree) == _generated_character(pm, max_degree)
+        # the derived length is long enough: one more position adds nothing
+        length = max_degree + pm.zero_run + 1
+        longer = pm.root_character(max_degree, length=length + 1)
+        assert pm.root_character(max_degree) == longer
+
+
+def test_fixed_length_misses_paths():
+    # a length of max_degree + 3 cuts off paths whose zero-energy run below
+    # the ground entry is longer than 2
+    for name, lam_i, run in [("C5-1", 5, 5), ("A7-1", 4, 4)]:
+        d, pm = _model(name, lam_i)
+        assert pm.zero_run == run
+        assert pm.root_character(1, length=1 + 3) != pm.root_character(1)
+
+
+def test_zero_energy_cycle_rejected():
+    d, pm = _model("A1-1")
+    m = len(pm.graph)
+    top = pm.graph.index[pm.ground.entries[0]]
+    other = pm.graph.index[pm.graph.elements[0]]
+    energy = list(pm.energy)
+    base = energy[top * m + top]
+    # ground -> x -> ground with zero energy on both pairs
+    energy[top * m + other] = energy[other * m + top] = base
+    with pytest.raises(ValueError, match="zero-energy cycle"):
+        PathModel(d, pm.lam, graph=pm.graph, tensor=pm.tensor, energy=energy)
+
+
+def test_negative_degree_rejected():
+    d, pm = _model("A2-1")
+    with pytest.raises(ValueError, match="max_degree"):
+        pm.character(-1)
+    with pytest.raises(ValueError, match="max_degree"):
+        pm.root_character(-1)
+
+
+@pytest.mark.parametrize("name,max_degree", [("A1-1", 30), ("D4-1", 8)])
+def test_deep_characters_match_oracle(name, max_degree):
+    d = build_datum(name)
+    for lam in level_one_dominants(d):
+        node = lam.coeffs.index(1)
+        rc = PathModel(d, lam).root_character(max_degree)
+        points = lattice_points_up_to(d, 2 * max_degree, node=node)
+        for beta in points:
+            for n in range(max_degree + 1):
+                assert rc.get((beta.twice, n), 0) == oracle_multiplicity(d, beta, n, node=node)
+        assert {beta for beta, _ in rc} <= {beta.twice for beta in points}
+    if name == "A1-1":
+        assert rc[((0,), 30)] == 5604  # p(30)
 
 
 def test_partition_series():
@@ -198,6 +269,91 @@ def test_lattice_point_enumeration():
     pts = {p.twice for p in lattice_points_up_to(d, 8)}
     # norm^2 = 2 c^2 <= 8 means c in -2..2
     assert pts == {(2 * c,) for c in range(-2, 3)}
+
+
+def _norm2(fc, coeffs, node):
+    """|w + beta|^2 - |w|^2 with w = omega_node, so (w, alpha_j) = [j == node]."""
+    n = len(coeffs)
+    raw = sum(coeffs[i] * coeffs[j] * fc[i][j] for i in range(n) for j in range(n))
+    return raw + (2 * coeffs[node - 1] if node else 0)
+
+
+def _box_points(d, max_norm2, node=0):
+    """The former enumeration: a full coefficient box (here widened by 2
+    for the shift) filtered by the norm."""
+    n = d.n
+    fc = d.finite_cartan()
+    bound = int((max_norm2 * (n + 1)) ** 0.5) + 4
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == n:
+            if _norm2(fc, prefix, node) <= max_norm2:
+                out.append(tuple(prefix))
+            return
+        for v in range(-bound, bound + 1):
+            rec(prefix + [v])
+
+    rec([])
+    return out
+
+
+def _ellipsoid_points(d, max_norm2, node=0):
+    """The same ball by Fincke-Pohst: |w + beta|^2 is a sum of squares
+    q_ii (x_i + sum_{j>i} q_ij x_j)^2 of x = beta + w, each fixing a range
+    for the next coordinate down; floats widened, then checked exactly."""
+    n = d.n
+    fc = d.finite_cartan()
+    q = [[float(x) for x in row] for row in fc]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] /= q[i][i]
+        for k in range(i + 1, n):
+            for m in range(k, n):
+                q[k][m] -= q[k][i] * q[i][m]
+    # w solves fc w = e_node, with fc = U^T diag(q_ii) U
+    y = [0.0] * n
+    for i in range(n):
+        y[i] = (1.0 if i == node - 1 else 0.0) - sum(q[j][i] * y[j] for j in range(i))
+    w = [0.0] * n
+    for i in reversed(range(n)):
+        w[i] = y[i] / q[i][i] - sum(q[i][j] * w[j] for j in range(i + 1, n))
+    out = []
+    c = [0] * n
+
+    def rec(i, rest):
+        if i < 0:
+            if _norm2(fc, c, node) <= max_norm2:
+                out.append(tuple(c))
+            return
+        center = -w[i] - sum(q[i][j] * (c[j] + w[j]) for j in range(i + 1, n))
+        width = (max(rest, 0.0) / q[i][i]) ** 0.5
+        for v in range(math.floor(center - width) - 1, math.ceil(center + width) + 2):
+            c[i] = v
+            term = q[i][i] * (v - center) ** 2
+            if term <= rest + 1e-6:
+                rec(i - 1, rest - term)
+        c[i] = 0
+
+    rec(n - 1, max_norm2 + (w[node - 1] if node else 0.0))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    [t.name for t in swept_types(6, with_exceptional=False) if t.twist == 1 and t.family in "ADE"],
+)
+def test_lattice_walk_matches_enumeration(name):
+    d = build_datum(name)
+    for lam in level_one_dominants(d):
+        node = lam.coeffs.index(1)
+        walk = [beta.twice for beta in lattice_points_up_to(d, 8, node=node)]
+        assert walk == sorted(walk)
+        coeffs = [tuple(x // 2 for x in t) for t in walk]
+        assert coeffs == sorted(_ellipsoid_points(d, 8, node))
+        if d.n <= 3:
+            assert coeffs == sorted(_box_points(d, 8, node))
 
 
 @pytest.mark.parametrize("name,deg", [("A1-1", 5), ("A2-1", 5)])

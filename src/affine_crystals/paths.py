@@ -238,14 +238,6 @@ class PathModel:
             delta -= (k + 1) * (h_path - h_ground)
         return AffineWeight(tuple(coeffs), delta)
 
-    def root_offset(self, p):
-        """Finite root-lattice displacement of a path from its ground state."""
-        g = self.graph
-        total = RootVector.zero(self.datum.n)
-        for k, b in enumerate(p.prefix):
-            total = total + g.root_weight(b) - g.root_weight(self.ground.entry(k))
-        return total
-
     def generate(self, max_depth, order=None, lifo=False):
         """All paths with delta degree down to -max_depth, breadth-first;
         the tests' oracle for the transfer matrix of `root_character`.
@@ -292,20 +284,18 @@ class PathModel:
             out[(coeffs, -degree)] = out.get((coeffs, -degree), 0) + count
         return out
 
-    def root_character(self, max_degree, length=None):
+    def root_character(self, max_degree):
         """Multiplicities keyed by (root-lattice offset, energy degree).
 
-        A transfer matrix over positions 0..length-1, with position `length`
-        held at the ground entry.  The state is (entry, degree) with a
-        count per root offset; putting entry u at position k over entry b
-        adds k * dh[b][u] to the degree.  The default length
-        max_degree + zero_run + 1 holds every path of degree at most
-        max_degree (see `_set_up_transfer`).
+        A transfer matrix over positions 0..L-1, with position L held at the
+        ground entry and L = max_degree + zero_run + 1, long enough for every
+        path of degree at most max_degree (see `_set_up_transfer`).  The
+        state is (entry, degree) with a count per root offset; putting entry
+        u at position k over entry b adds k * dh[b][u] to the degree.
         """
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0 (got {max_degree})")
-        if length is None:
-            length = max_degree + self.zero_run + 1
+        length = max_degree + self.zero_run + 1
         rows, climb, top = self._rows, self._climb, self._ground_index
         # Offsets are packed one balanced digit per coordinate, so adding an
         # entry's offset to a state is one integer addition.

@@ -9,12 +9,10 @@ always the empty element for Lambda_0 and y_i for the other level-1
 fundamental weights.
 """
 
-import time
-
 from affine_crystals import build_datum, swept_types, verify_perfect
 
-start = time.time()
-for t in swept_types(max_rank=5):
+families = swept_types(max_rank=5)
+for t in families:
     report = verify_perfect(build_datum(t))
     marks = " ".join(
         f"{k}={'ok' if v.passed else 'FAIL'}" for k, v in report.axioms.items()
@@ -25,4 +23,4 @@ for t in swept_types(max_rank=5):
         for lam, v in report.minimal_elements.items()
     )
     print(f"        minimal elements: {table}")
-print(f"\nswept everything including E8-1 in {time.time() - start:.1f}s")
+print(f"\nswept {len(families)} families, E8-1 included")

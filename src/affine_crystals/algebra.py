@@ -2,8 +2,8 @@
 
 Builds the embedding of the little adjoint crystal into its tensor square,
 inverts it into a multiplication, and computes the energy function twice:
-once by propagating the defining recurrence over the whole tensor square,
-once from the closed component classification.
+once by propagating the defining recurrence across the 0-arrows between
+classical components, once from the closed component classification.
 """
 
 import json
@@ -181,62 +181,52 @@ def multiplication_table(graph, psi):
     return {"order": [graph.elements[k].label() for k in domain], "rows": rows}
 
 
-def _settle(tensor, h, queue, k, val, i):
-    """Assign val to pair k and queue it, or check it against the value
-    already there."""
-    if h[k] is None:
-        h[k] = val
-        queue.append(k)
-    elif h[k] != val:
-        raise ValueError(
-            f"inconsistent energy at {tensor.element(k).label()}: "
-            f"{h[k]} vs {val} via index {i}"
-        )
-
-
 def energy_propagate(tensor, anchor=None, anchor_value=0):
-    """Energy by breadth-first propagation of the defining recurrence.
+    """Energy by propagation of the defining recurrence over the component
+    quotient.
 
-    Starts from empty (x) empty at level 0 unless another anchor is given,
-    copies values across classical arrows, shifts by one across 0-arrows
-    according to which slot the raising operator selects, and re-derives
-    the value across every edge touching an already-assigned pair so that
-    an inconsistent assignment cannot survive.
+    H is one value on each classical component (``component_labels``), and
+    across a 0-arrow H(e_0(t)) - H(t) is 1 when e_0 acts on the left slot of
+    t and -1 when it acts on the right slot.  Values spread breadth first
+    from the anchor's component (empty (x) empty at level 0 unless another
+    anchor is given) along the distinct (lower, upper, step) links between
+    components; then every 0-arrow is checked against the result, so an
+    inconsistent assignment cannot survive.
     """
-    base = tensor.base
-    m = len(base)
     if anchor is None:
         anchor = TensorElement(EMPTY, EMPTY)
-    start = tensor.pair_index(anchor)
-    eps0 = base._eps[0]
-    phi0 = base._phi[0]
-    h = [None] * tensor.size
-    h[start] = anchor_value
+    labels, count = tensor.component_labels(omit_zero=True)
+    base = tensor.base
+    # step[t] = H(e_0(t)) - H(t); a phi_0 = eps_0 tie sends e_0 to the left
+    step = [1 if p >= e else -1 for p in base._phi[0] for e in base._eps[0]]
+    e0 = tensor.e[0]
+    links = [[] for _ in range(count)]
+    for lo, hi, s in sorted(
+        {(labels[t], labels[u], step[t]) for t, u in enumerate(e0) if u >= 0}
+    ):
+        links[lo].append((hi, s))
+        links[hi].append((lo, -s))
+    value = [None] * count
+    start = labels[tensor.pair_index(anchor)]
+    value[start] = anchor_value
     queue = deque([start])
-    f0, e0 = tensor.f[0], tensor.e[0]
-    classical = [(tensor.f[i], tensor.e[i], i) for i in range(1, tensor.n_indices)]
     while queue:
-        k = queue.popleft()
-        hk = h[k]
-        # across a 0-arrow, H(e_0(t)) - H(t) is 1 when e_0 acts on the left
-        # slot of t and -1 when it acts on the right slot
-        up = e0[k]
-        if up >= 0:
-            step = 1 if phi0[k // m] >= eps0[k % m] else -1
-            _settle(tensor, h, queue, up, hk + step, 0)
-        down = f0[k]
-        if down >= 0:
-            step = 1 if phi0[down // m] >= eps0[down % m] else -1
-            _settle(tensor, h, queue, down, hk - step, 0)
-        for f_tab, e_tab, i in classical:
-            up = e_tab[k]
-            if up >= 0 and h[up] != hk:
-                _settle(tensor, h, queue, up, hk, i)
-            down = f_tab[k]
-            if down >= 0 and h[down] != hk:
-                _settle(tensor, h, queue, down, hk, i)
-    if any(v is None for v in h):
+        c = queue.popleft()
+        for nb, s in links[c]:
+            if value[nb] is None:
+                value[nb] = value[c] + s
+                queue.append(nb)
+    if None in value:
         raise ValueError("tensor square is not connected; energy is partial")
+    h = [value[c] for c in labels]
+    bad = next(
+        (t for t, u in enumerate(e0) if u >= 0 and h[u] - h[t] != step[t]), None
+    )
+    if bad is not None:
+        raise ValueError(
+            f"inconsistent energy at {tensor.element(e0[bad]).label()}: "
+            f"{h[e0[bad]]} vs {h[bad] + step[bad]} via index 0"
+        )
     return h
 
 

@@ -51,26 +51,9 @@ def cmd_build(args):
     return 0
 
 
-def _verify_one(type_name, corrupt=False):
+def _verify_one(type_name):
     d = _datum(type_name)
-    g = build_crystal(d)
-    if corrupt:
-        # test hook: drop one classical arrow so an axiom check trips
-        for i in range(1, g.n_indices):
-            if g.f[i]:
-                src = sorted(g.f[i])[0]
-                dst = g.f[i].pop(src)
-                g.e[i].pop(dst)
-                break
-        g._eps = [
-            [g._walk(g.e[i], k) for k in range(len(g.elements))]
-            for i in range(g.n_indices)
-        ]
-        g._phi = [
-            [g._walk(g.f[i], k) for k in range(len(g.elements))]
-            for i in range(g.n_indices)
-        ]
-    return verify_perfect(d, g)
+    return verify_perfect(d, build_crystal(d))
 
 
 def cmd_verify(args):
@@ -82,7 +65,7 @@ def cmd_verify(args):
     else:
         if not args.type:
             _usage_error("give a type or --all")
-        reports = [_verify_one(args.type, corrupt=args.corrupt)]
+        reports = [_verify_one(args.type)]
     lines = []
     worst = 0
     for rep in reports:
@@ -217,7 +200,6 @@ def main(argv=None):
     p.add_argument("--all", action="store_true")
     p.add_argument("--max-rank", type=int, default=5)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

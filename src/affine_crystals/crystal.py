@@ -62,22 +62,25 @@ class CrystalGraph:
             self.f[i][si] = di
             self.e[i][di] = si
         self._eps = [
-            [self._walk(self.e[i], k) for k in range(len(self.elements))]
+            [self._walk(i, self.e[i], k) for k in range(len(self.elements))]
             for i in range(n_indices)
         ]
         self._phi = [
-            [self._walk(self.f[i], k) for k in range(len(self.elements))]
+            [self._walk(i, self.f[i], k) for k in range(len(self.elements))]
             for i in range(n_indices)
         ]
 
-    @staticmethod
-    def _walk(arrow, k):
+    def _walk(self, i, arrow, k):
+        """Length of the i-string from k along arrow (e_i or f_i); a walk of
+        more steps than arrows has entered a cycle, and k then lies on it."""
         count = 0
         while k in arrow:
             k = arrow[k]
             count += 1
-            if count > 10000:
-                raise ValueError("arrow cycle inside a single index")
+            if count > len(arrow):
+                raise ValueError(
+                    f"{i}-arrows form a cycle through {self.elements[k].label()}"
+                )
         return count
 
     def __len__(self):

@@ -21,8 +21,15 @@ class TensorCrystal:
     at a time: for each index i and left factor l, the row of pairs
     (l, 0..m-1) is one list comprehension over the right factors' eps_i and
     arrows, slice-assigned into a preallocated table.  Sizes stay below ~60k
-    pairs for every family swept here, so the eager build is cheap and keeps
-    component search simple.
+    pairs for every family swept here, so the eager build is cheap.
+
+    The classical components (no 0-arrows) are labelled once, on first use,
+    and cached.  Each pair points up along its first raising arrow; the pairs
+    with none are the maximal vectors, and pointer jumping carries every
+    other pair to the head of its chain.  A closure check over every
+    classical lowering arrow then merges heads joined by an arrow, and chains
+    that never reach a head (classical cycles), so the labels are the exact
+    components of any graph; for a crystal it merges nothing.
     """
 
     def __init__(self, base):
@@ -32,6 +39,7 @@ class TensorCrystal:
         self.n_indices = base.n_indices
         self.f = []
         self.e = []
+        self._classical = None
         for i in range(self.n_indices):
             fi = base.f[i]
             ei = base.e[i]
@@ -94,37 +102,54 @@ class TensorCrystal:
             phi += 1
         return eps, phi
 
+    def _classical_components(self):
+        """(labels, count, maximal indices) without 0-arrows, computed once."""
+        if self._classical is None:
+            top = [-1] * self.size
+            for e_tab in reversed(self.e[1:]):
+                top = [u if u >= 0 else t for u, t in zip(e_tab, top)]
+            heads = [k for k, t in enumerate(top) if t < 0]
+            for k in heads:
+                top[k] = k
+            # chains are shorter than size, so this many doublings reach
+            # every head; only pairs led into a classical cycle stay unsettled
+            for _ in range(self.size.bit_length()):
+                jumped = [top[t] for t in top]
+                if jumped == top:
+                    break
+                top = jumped
+            merges = [
+                (t, top[d])
+                for f_tab in self.f[1:]
+                for t, d in zip(top, f_tab)
+                if d >= 0 and t != top[d]
+            ]
+            if merges:
+                top = list(map(_union_find(self.size, merges), top))
+            ids = {}
+            labels = [ids.setdefault(t, len(ids)) for t in top]
+            self._classical = labels, len(ids), heads
+        return self._classical
+
     def maximal_indices(self):
         """Pairs killed by every raising operator with index != 0."""
-        e_tabs = self.e[1:]
-        if not e_tabs:
-            return list(range(self.size))
-        return [k for k, col in enumerate(zip(*e_tabs)) if max(col) < 0]
+        return list(self._classical_components()[2])
 
     def maximal_vectors(self):
         return [self.element(k) for k in self.maximal_indices()]
 
     def component_labels(self, omit_zero):
         """Component id per pair index; ids follow each component's smallest
-        pair index."""
-        first = 1 if omit_zero else 0
-        tables = self.f[first:] + self.e[first:]
-        labels = [-1] * self.size
-        comp = 0
-        for start in range(self.size):
-            if labels[start] >= 0:
-                continue
-            labels[start] = comp
-            stack = [start]
-            while stack:
-                k = stack.pop()
-                for tab in tables:
-                    nb = tab[k]
-                    if nb >= 0 and labels[nb] < 0:
-                        labels[nb] = comp
-                        stack.append(nb)
-            comp += 1
-        return labels, comp
+        pair index.  With 0-arrows, the classical components are merged
+        along the distinct pairs of components that a 0-arrow joins."""
+        labels, count, _ = self._classical_components()
+        if omit_zero:
+            return list(labels), count
+        links = {(labels[k], labels[d]) for k, d in enumerate(self.f[0]) if d >= 0}
+        find = _union_find(count, links)
+        ids = {}
+        merged = [ids.setdefault(find(c), len(ids)) for c in range(count)]
+        return [merged[c] for c in labels], len(ids)
 
     def components(self, omit_zero):
         """Partition into connected components, deterministic order."""
@@ -153,6 +178,24 @@ class TensorCrystal:
     def is_connected(self):
         _, count = self.component_labels(omit_zero=False)
         return count == 1
+
+
+def _union_find(n, links):
+    """Merge the classes of nodes 0..n-1 joined by each link; returns the
+    lookup node -> the smallest node of its class."""
+    parent = list(range(n))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for a, b in links:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return find
 
 
 def component_report(tensor):

@@ -171,11 +171,15 @@ def test_energy_methods_agree(ty):
 
 
 def test_energy_constant_on_classical_components():
+    # arrow by arrow, so that the check does not read the component labels
+    # that propagation itself is built on
     for name in ["A2-1", "C2-1", "G2-1", "A4-2"]:
         d, g, t = _setup(name)
         h = energy_propagate(t)
-        for part in t.components(omit_zero=True):
-            assert len({h[k] for k in part}) == 1
+        for i in range(1, t.n_indices):
+            for k, down in enumerate(t.f[i]):
+                if down >= 0:
+                    assert h[k] == h[down], (name, i, t.element(k).label())
 
 
 def test_zero_energy_components_beyond_named_classes():
@@ -360,12 +364,24 @@ def test_classification_rejects_component_without_single_head():
 
 def test_propagation_rejects_inconsistent_loop():
     # rewiring the three-box loop's 0-arrow into a chord makes two routes
-    # around the square disagree, which the per-edge re-derivation catches
+    # around the square disagree, which the check of every 0-arrow catches
     from affine_crystals.crystal import CrystalGraph
     from affine_crystals.algebra import Box
 
     boxes = [Box(1), Box(2), Box(3)]
     arrows = [(1, boxes[0], boxes[1]), (2, boxes[1], boxes[2]), (0, boxes[0], boxes[2])]
     t = TensorCrystal(CrystalGraph(boxes, arrows, 3))
-    with pytest.raises(ValueError, match="inconsistent energy"):
+    with pytest.raises(
+        ValueError, match=r"^inconsistent energy at \d \(x\) \d: -?\d+ vs -?\d+ via index 0$"
+    ):
         energy_propagate(t, anchor=TensorElement(boxes[0], boxes[0]), anchor_value=0)
+
+
+def test_propagation_rejects_disconnected_square():
+    from affine_crystals.crystal import CrystalGraph
+    from affine_crystals.algebra import Box
+
+    boxes = [Box(1), Box(2)]
+    t = TensorCrystal(CrystalGraph(boxes, [(1, boxes[0], boxes[1])], 2))
+    with pytest.raises(ValueError, match="not connected; energy is partial"):
+        energy_propagate(t, anchor=TensorElement(boxes[0], boxes[0]))

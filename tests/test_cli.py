@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from affine_crystals import cli
 from affine_crystals.cartan import build_datum
 from affine_crystals.cli import main
-from affine_crystals.crystal import build_crystal
+from affine_crystals.crystal import CrystalGraph, build_crystal
 from affine_crystals.tensor import TensorCrystal
 
 
@@ -64,10 +65,33 @@ def test_verify_json_deterministic(capsys):
     assert first == second
 
 
-def test_verify_corrupt_hook(capsys):
-    code, out, _ = run(capsys, "verify", "A2-1", "--corrupt")
+def test_verify_fails_with_witness_on_corrupted_graph(capsys, monkeypatch):
+    # drop the first classical arrow, x[1,0] -> y_1, through the public
+    # constructor: y_1 is then left with eps of level 0
+    d = build_datum("A2-1")
+    g = build_crystal(d)
+    arrows = g.arrows()
+    dropped = next(a for a in arrows if a[0] >= 1)
+    broken = CrystalGraph(
+        g.elements, [a for a in arrows if a != dropped], g.n_indices, datum=d
+    )
+    monkeypatch.setattr(cli, "build_crystal", lambda datum: broken)
+    code, out, _ = run(capsys, "verify", "A2-1")
     assert code == 1
-    assert "FAIL" in out
+    assert out == "A2-1: FAIL\n"
+    code, blob, _ = run(capsys, "verify", "A2-1", "--json")
+    assert code == 1
+    [report] = json.loads(blob)
+    assert report["passed"] is False
+    failing = {k: v for k, v in report["axioms"].items() if not v["passed"]}
+    assert list(failing) == ["eps_level_bound"]
+    assert failing["eps_level_bound"]["witness"] == "y_1"
+
+
+def test_verify_corrupt_flag_is_gone(capsys):
+    code, _, err = run(capsys, "verify", "A2-1", "--corrupt")
+    assert code == 2
+    assert "--corrupt" in err
 
 
 def test_energy(capsys):

@@ -191,3 +191,22 @@ def test_canonical_element_order():
         "x[0,1]", "x[1,0]", "x[1,1]", "y_1", "y_2",
         "x[0,-1]", "x[-1,0]", "x[-1,-1]", "empty",
     ]
+
+
+def test_arrow_cycle_inside_one_index_rejected():
+    # boxes 1 -> 2 -> 3 -> 1 under index 1: every 1-string would be endless;
+    # box 4 hangs off box 3 under index 2, off the cycle
+    from affine_crystals.algebra import Box
+    from affine_crystals.crystal import CrystalGraph
+
+    boxes = [Box(1), Box(2), Box(3), Box(4)]
+    arrows = [
+        (1, boxes[0], boxes[1]), (1, boxes[1], boxes[2]), (1, boxes[2], boxes[0]),
+        (2, boxes[2], boxes[3]),
+    ]
+    with pytest.raises(ValueError, match=r"^1-arrows form a cycle through [123]$"):
+        CrystalGraph(boxes, arrows, 3)
+    # a cycle that mixes indices is not an i-string and is accepted
+    mixed = [(1, boxes[0], boxes[1]), (2, boxes[1], boxes[2]), (1, boxes[2], boxes[0])]
+    g = CrystalGraph(boxes, mixed, 3)
+    assert g.string_stats(boxes[1], 1) == (2, 0)

@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from affine_crystals.algebra import three_box_crystal
+from affine_crystals.algebra import Box, three_box_crystal
 from affine_crystals.cartan import build_datum, swept_types
-from affine_crystals.crystal import EMPTY, EmptyElement, XRoot, YElement, build_crystal
+from affine_crystals.crystal import (
+    EMPTY,
+    CrystalGraph,
+    EmptyElement,
+    XRoot,
+    YElement,
+    build_crystal,
+)
 from affine_crystals.roots import RootVector, lambda_weights, theta
 from affine_crystals.tensor import TensorCrystal, TensorElement, component_report
 
@@ -45,6 +52,78 @@ def _reference_tables(g):
         f_tabs.append(f_flat)
         e_tabs.append(e_flat)
     return f_tabs, e_tabs
+
+
+def _reference_labels(t, omit_zero):
+    """Components by depth-first search over every arrow table, ids in
+    order of each component's smallest pair index."""
+    first = 1 if omit_zero else 0
+    tables = t.f[first:] + t.e[first:]
+    labels = [-1] * t.size
+    comp = 0
+    for start in range(t.size):
+        if labels[start] >= 0:
+            continue
+        labels[start] = comp
+        stack = [start]
+        while stack:
+            k = stack.pop()
+            for tab in tables:
+                nb = tab[k]
+                if nb >= 0 and labels[nb] < 0:
+                    labels[nb] = comp
+                    stack.append(nb)
+        comp += 1
+    return labels, comp
+
+
+def _reference_maximal(t):
+    """Pairs whose every classical raising entry is absent."""
+    if t.n_indices == 1:
+        return list(range(t.size))
+    return [k for k, col in enumerate(zip(*t.e[1:])) if max(col) < 0]
+
+
+def _hand_built(name):
+    a, b, c = Box(1), Box(2), Box(3)
+    arrows = {
+        "three-box": None,
+        # box 2 is reached from boxes 1 and 3, so the component of 2 (x) 2
+        # has four maximal vectors
+        "four-heads": [(1, a, b), (2, c, b), (0, b, EMPTY), (0, EMPTY, a)],
+        # classical cycles of length 2 and 3 that mix indices
+        "cycle-2": [(1, a, b), (2, b, a), (0, a, c)],
+        "cycle-3": [(1, a, b), (2, b, c), (1, c, a)],
+    }[name]
+    if arrows is None:
+        return three_box_crystal()
+    boxes = [a, b, c] + ([EMPTY] if name == "four-heads" else [])
+    return CrystalGraph(boxes, arrows, 3)
+
+
+HAND_BUILT = ["three-box", "four-heads", "cycle-2", "cycle-3"]
+
+
+@pytest.mark.parametrize("ty", [t.name for t in swept_types(4)] + HAND_BUILT)
+def test_component_labels_match_search(ty):
+    g = _hand_built(ty) if ty in HAND_BUILT else build_crystal(build_datum(ty))
+    t = TensorCrystal(g)
+    for omit_zero in (True, False):
+        assert t.component_labels(omit_zero) == _reference_labels(t, omit_zero)
+    assert t.maximal_indices() == _reference_maximal(t)
+    if ty.startswith("cycle"):
+        # some classical component has no maximal vector at all
+        labels, count = t.component_labels(omit_zero=True)
+        assert len({labels[k] for k in t.maximal_indices()}) < count
+
+
+def test_component_labels_are_cached_copies():
+    t = TensorCrystal(three_box_crystal())
+    labels, count = t.component_labels(omit_zero=True)
+    labels[0] = -1
+    t.maximal_indices().clear()
+    assert t.component_labels(omit_zero=True) == _reference_labels(t, True)
+    assert t.maximal_indices() == _reference_maximal(t)
 
 
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4)] + ["three-box"])

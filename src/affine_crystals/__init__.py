@@ -55,7 +55,7 @@ from .roots import (
     leq,
     theta,
 )
-from .tensor import TensorCrystal, TensorElement, component_report
+from .tensor import TensorCrystal, TensorElement
 
 __all__ = [
     "AffineDatum",
@@ -80,7 +80,6 @@ __all__ = [
     "character",
     "classify_component",
     "classify_components",
-    "component_report",
     "connect_support",
     "dynkin_path",
     "energy_by_classification",

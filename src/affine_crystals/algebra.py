@@ -126,7 +126,10 @@ def verify_psi(d, graph, tensor, psi, i):
     Confirms weight and string statistics are preserved, every classical
     lowering operator commutes with the map (absent matching absent), the
     map is injective, and the image is exactly the classical component of
-    x_theta (x) y_i.  Returns (ok, witness) with witness None on success.
+    x_theta (x) y_i.  Every pair is read from its two factors by the
+    signature rule (``TensorCrystal.f_tilde``, ``string_stats`` and
+    ``component_of``), so no arrow table of the square is built.  Returns
+    (ok, witness) with witness None on success.
     """
     th = theta(d)
     domain = [b for b in graph.elements if not isinstance(b, EmptyElement)]

@@ -105,6 +105,25 @@ class CrystalGraph:
         k = self.index[b]
         return self._eps[i][k], self._phi[i][k]
 
+    def pair_f(self, l, r, i):
+        """f_i on the pair l (x) r of element indices, by the signature rule
+        (Kashiwara, Duke Math. J. 71, 1993): it acts on the left factor when
+        phi_i(l) > eps_i(r), else on the right.  Returns the image pair, or
+        None when f_i kills the pair."""
+        if self._phi[i][l] > self._eps[i][r]:
+            return self.f[i][l], r
+        k = self.f[i].get(r)
+        return None if k is None else (l, k)
+
+    def pair_e(self, l, r, i):
+        """e_i on the pair l (x) r: it acts on the right factor when
+        phi_i(l) < eps_i(r), else on the left, so a phi_i = eps_i tie sends
+        e_i left and f_i right.  Returns the image pair or None."""
+        if self._phi[i][l] < self._eps[i][r]:
+            return l, self.e[i][r]
+        k = self.e[i].get(l)
+        return None if k is None else (k, r)
+
     def eps_vec(self, b):
         k = self.index[b]
         return AffineWeight(tuple(self._eps[i][k] for i in range(self.n_indices)))

@@ -6,6 +6,7 @@ that the half-integral weights appearing for A_{2n}^(2) stay exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 
 @dataclass(frozen=True)
@@ -144,12 +145,15 @@ def finite_roots(d):
     return out
 
 
+@cache
 def lambda_weights(d):
-    """Weight data of the little adjoint crystal.
+    """Weight data of the little adjoint crystal, computed once per datum.
 
     Returns (lambda_plus, has_y, contains_zero): the positive part of the
-    weight set, the indices i with alpha_i in it, and whether 0 is a weight.
-    lambda_plus is sorted by height then lexicographically.
+    weight set as a tuple, the indices i with alpha_i in it as a frozenset,
+    and whether 0 is a weight.  lambda_plus is sorted by height then
+    lexicographically.  Every part is immutable, so the cached result is
+    safe to share.
     """
     n = d.n
     if d.d0 == 2:
@@ -162,7 +166,7 @@ def lambda_weights(d):
             twice[n - 1] = 1
             plus.append(RootVector(tuple(twice)))
         plus.sort(key=lambda r: (r.height2(), r.twice))
-        return plus, frozenset(), False
+        return tuple(plus), frozenset(), False
     roots = finite_roots(d)
     if d.type.twist == 1:
         plus = [r for r, _ in roots if r.is_nonneg()]
@@ -173,7 +177,7 @@ def lambda_weights(d):
     has_y = frozenset(
         i for i in range(1, n + 1) if RootVector.simple(i, n) in members
     )
-    return plus, has_y, True
+    return tuple(plus), has_y, True
 
 
 def _finite_adjacency(d):

@@ -14,20 +14,25 @@ class TensorElement:
 
 
 class TensorCrystal:
-    """B (x) B with eagerly materialized lowering and raising arrows.
+    """B (x) B, with its arrow tables built on demand.
 
-    Pairs are indexed left-major, k = l * m + r; all arrow tables are flat
-    lists, absent entries marked -1.  The signature rule is applied one row
-    at a time: for each index i and left factor l, the row of pairs
+    Pairs are indexed left-major, k = l * m + r.  The arrow tables are flat
+    lists, absent entries marked -1, one per index, and each kind is built
+    on first read: the raising tables ``e`` by the classical labelling and
+    by energy propagation, which read nothing else, and the lowering tables
+    ``f`` only when a caller reads them.  The signature rule is applied one
+    row at a time: for each index i and left factor l, the row of pairs
     (l, 0..m-1) is one list comprehension over the right factors' eps_i and
-    arrows, slice-assigned into a preallocated table.  Sizes stay below ~60k
-    pairs for every family swept here, so the eager build is cheap.
+    arrows, slice-assigned into a preallocated table.  The per-pair queries
+    (``f_tilde``, ``e_tilde``, ``string_stats``, ``component_of``) apply
+    ``CrystalGraph.pair_f`` and ``pair_e`` to the two factors and build no
+    table.
 
     The classical components (no 0-arrows) are labelled once, on first use,
     and cached.  Each pair points up along its first raising arrow; the pairs
     with none are the maximal vectors, and pointer jumping carries every
     other pair to the head of its chain.  A closure check over every
-    classical lowering arrow then merges heads joined by an arrow, and chains
+    classical raising arrow then merges heads joined by an arrow, and chains
     that never reach a head (classical cycles), so the labels are the exact
     components of any graph; for a crystal it merges nothing.
     """
@@ -37,36 +42,56 @@ class TensorCrystal:
         m = len(base)
         self.size = m * m
         self.n_indices = base.n_indices
-        self.f = []
-        self.e = []
+        self._f = None
+        self._e = None
         self._classical = None
-        for i in range(self.n_indices):
-            fi = base.f[i]
-            ei = base.e[i]
-            phi_i = base._phi[i]
-            right = list(zip(
-                range(m), base._eps[i],
-                [fi.get(r, -1) for r in range(m)], [ei.get(r, -1) for r in range(m)],
-            ))
-            f_flat = [-1] * self.size
-            e_flat = [-1] * self.size
-            for l in range(m):
-                row = l * m
-                pl = phi_i[l]
-                # f_i acts on the left only when phi_i(l) > 0, so f_i(l)
-                # exists there; e_i acts on the right only when eps_i(r) > 0
-                f_left = fi.get(l, 0) * m
-                e_left = ei[l] * m if l in ei else -1
-                f_flat[row:row + m] = [
-                    f_left + r if pl > eps_r else (row + f_r if f_r >= 0 else -1)
-                    for r, eps_r, f_r, _ in right
-                ]
-                e_flat[row:row + m] = [
-                    row + e_r if pl < eps_r else (e_left + r if e_left >= 0 else -1)
-                    for r, eps_r, _, e_r in right
-                ]
-            self.f.append(f_flat)
-            self.e.append(e_flat)
+
+    @property
+    def f(self):
+        """Lowering tables, one flat list per index, built on first read."""
+        if self._f is None:
+            self._f = [self._f_table(i) for i in range(self.n_indices)]
+        return self._f
+
+    @property
+    def e(self):
+        """Raising tables, one flat list per index, built on first read."""
+        if self._e is None:
+            self._e = [self._e_table(i) for i in range(self.n_indices)]
+        return self._e
+
+    def _f_table(self, i):
+        base = self.base
+        m = len(base)
+        fi = base.f[i]
+        right = list(zip(range(m), base._eps[i], [fi.get(r, -1) for r in range(m)]))
+        flat = [-1] * self.size
+        for l, pl in enumerate(base._phi[i]):
+            row = l * m
+            # f_i acts on the left only when phi_i(l) > 0, so f_i(l) exists there
+            f_left = fi.get(l, 0) * m
+            flat[row:row + m] = [
+                f_left + r if pl > eps_r else (row + f_r if f_r >= 0 else -1)
+                for r, eps_r, f_r in right
+            ]
+        return flat
+
+    def _e_table(self, i):
+        base = self.base
+        m = len(base)
+        ei = base.e[i]
+        right = list(zip(range(m), base._eps[i], [ei.get(r, -1) for r in range(m)]))
+        flat = [-1] * self.size
+        for l, pl in enumerate(base._phi[i]):
+            row = l * m
+            # e_i acts on the right only when eps_i(r) > phi_i(l) >= 0, so
+            # e_i(r) exists there
+            e_left = ei[l] * m if l in ei else -1
+            flat[row:row + m] = [
+                row + e_r if pl < eps_r else (e_left + r if e_left >= 0 else -1)
+                for r, eps_r, e_r in right
+            ]
+        return flat
 
     def pair_index(self, t):
         m = len(self.base)
@@ -76,31 +101,33 @@ class TensorCrystal:
         m = len(self.base)
         return TensorElement(self.base.elements[k // m], self.base.elements[k % m])
 
-    def all_elements(self):
-        return [self.element(k) for k in range(self.size)]
+    def _apply(self, op, t, i):
+        base = self.base
+        pair = op(base.index[t.left], base.index[t.right], i)
+        if pair is None:
+            return None
+        return TensorElement(base.elements[pair[0]], base.elements[pair[1]])
 
     def f_tilde(self, t, i):
-        k = self.f[i][self.pair_index(t)]
-        return None if k < 0 else self.element(k)
+        return self._apply(self.base.pair_f, t, i)
 
     def e_tilde(self, t, i):
-        k = self.e[i][self.pair_index(t)]
-        return None if k < 0 else self.element(k)
+        return self._apply(self.base.pair_e, t, i)
 
     def string_stats(self, t, i):
-        """(eps_i, phi_i) of a pair, by walking the product strings."""
-        k0 = self.pair_index(t)
-        eps = 0
-        k = k0
-        while self.e[i][k] >= 0:
-            k = self.e[i][k]
-            eps += 1
-        phi = 0
-        k = k0
-        while self.f[i][k] >= 0:
-            k = self.f[i][k]
-            phi += 1
-        return eps, phi
+        """(eps_i, phi_i) of a pair, by walking the product strings one
+        signature-rule step at a time."""
+        base = self.base
+        start = base.index[t.left], base.index[t.right]
+        lengths = []
+        for op in (base.pair_e, base.pair_f):
+            count = 0
+            pair = op(*start, i)
+            while pair is not None:
+                count += 1
+                pair = op(*pair, i)
+            lengths.append(count)
+        return tuple(lengths)
 
     def _classical_components(self):
         """(labels, count, maximal indices) without 0-arrows, computed once."""
@@ -119,10 +146,10 @@ class TensorCrystal:
                     break
                 top = jumped
             merges = [
-                (t, top[d])
-                for f_tab in self.f[1:]
-                for t, d in zip(top, f_tab)
-                if d >= 0 and t != top[d]
+                (t, top[u])
+                for e_tab in self.e[1:]
+                for t, u in zip(top, e_tab)
+                if u >= 0 and t != top[u]
             ]
             if merges:
                 top = list(map(_union_find(self.size, merges), top))
@@ -135,17 +162,15 @@ class TensorCrystal:
         """Pairs killed by every raising operator with index != 0."""
         return list(self._classical_components()[2])
 
-    def maximal_vectors(self):
-        return [self.element(k) for k in self.maximal_indices()]
-
     def component_labels(self, omit_zero):
         """Component id per pair index; ids follow each component's smallest
         pair index.  With 0-arrows, the classical components are merged
-        along the distinct pairs of components that a 0-arrow joins."""
+        along the distinct pairs of components that a 0-arrow joins (read
+        from the raising table; the union is symmetric)."""
         labels, count, _ = self._classical_components()
         if omit_zero:
             return list(labels), count
-        links = {(labels[k], labels[d]) for k, d in enumerate(self.f[0]) if d >= 0}
+        links = {(labels[k], labels[u]) for k, u in enumerate(self.e[0]) if u >= 0}
         find = _union_find(count, links)
         ids = {}
         merged = [ids.setdefault(find(c), len(ids)) for c in range(count)]
@@ -160,24 +185,22 @@ class TensorCrystal:
         return parts
 
     def component_of(self, t, omit_zero=True):
-        """Set of pair indices in the component of t."""
-        start = self.pair_index(t)
-        indices = range(1, self.n_indices) if omit_zero else range(self.n_indices)
-        tables = [(self.f[i], self.e[i]) for i in indices]
+        """Set of pair indices in the component of t, searched pair by pair
+        through the signature rule; no table is built."""
+        base = self.base
+        indices = range(1 if omit_zero else 0, self.n_indices)
+        start = base.index[t.left], base.index[t.right]
         seen = {start}
         queue = deque([start])
         while queue:
-            k = queue.popleft()
-            for f_tab, e_tab in tables:
-                for nb in (f_tab[k], e_tab[k]):
-                    if nb >= 0 and nb not in seen:
+            l, r = queue.popleft()
+            for i in indices:
+                for nb in (base.pair_f(l, r, i), base.pair_e(l, r, i)):
+                    if nb is not None and nb not in seen:
                         seen.add(nb)
                         queue.append(nb)
-        return seen
-
-    def is_connected(self):
-        _, count = self.component_labels(omit_zero=False)
-        return count == 1
+        m = len(base)
+        return {l * m + r for l, r in seen}
 
 
 def _union_find(n, links):
@@ -196,21 +219,3 @@ def _union_find(n, links):
         if a != b:
             parent[max(a, b)] = min(a, b)
     return find
-
-
-def component_report(tensor):
-    """JSON-ready description of the classical components.
-
-    Each entry carries the representative maximal vector, the size, and a
-    stable label (the maximal vector's text form).
-    """
-    parts = tensor.components(omit_zero=True)
-    maximal = set(tensor.maximal_indices())
-    report = []
-    for part in parts:
-        reps = sorted(k for k in part if k in maximal)
-        rep = tensor.element(reps[0]).label() if reps else None
-        report.append(
-            {"representative_maximal_vector": rep, "size": len(part), "label": rep}
-        )
-    return report

@@ -49,6 +49,15 @@ def test_lambda_weights_examples():
     assert {r.twice for r in plus} == {(2, 1), (0, 1)}
 
 
+def test_lambda_weights_cached_and_immutable():
+    # one computation per datum, shared by every caller, so no part of it
+    # may be mutable
+    first = lambda_weights(build_datum("E6-1"))
+    assert lambda_weights(build_datum("E6-1")) is first
+    plus, has_y, _ = first
+    assert isinstance(plus, tuple) and isinstance(has_y, frozenset)
+
+
 def test_theta_is_extremal():
     for t in swept_types(5):
         d = build_datum(t)
@@ -74,7 +83,7 @@ def test_theta_matches_highest_short_root():
 def test_leq_partial_order():
     d = build_datum("C2-1")
     plus, _, _ = lambda_weights(d)
-    lam = plus + [-r for r in plus]
+    lam = list(plus) + [-r for r in plus]
     for a in lam:
         assert leq(a, a)
         for b in lam:

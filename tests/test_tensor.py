@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from affine_crystals.algebra import Box, three_box_crystal
+from affine_crystals.algebra import (
+    Box,
+    build_psi,
+    three_box_crystal,
+    valid_psi_indices,
+    verify_psi,
+)
 from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import (
     EMPTY,
@@ -13,7 +19,9 @@ from affine_crystals.crystal import (
     build_crystal,
 )
 from affine_crystals.roots import RootVector, lambda_weights, theta
-from affine_crystals.tensor import TensorCrystal, TensorElement, component_report
+from affine_crystals.tensor import TensorCrystal, TensorElement
+
+from conftest import SWEPT_NAMES
 
 
 def _setup(name):
@@ -52,6 +60,24 @@ def _reference_tables(g):
         f_tabs.append(f_flat)
         e_tabs.append(e_flat)
     return f_tabs, e_tabs
+
+
+def _helper_tables(g):
+    """Flat f and e tables per index from ``CrystalGraph.pair_f`` and
+    ``pair_e``, -1 for absent arrows."""
+    m = len(g)
+    tables = []
+    for op in (g.pair_f, g.pair_e):
+        per_index = []
+        for i in range(g.n_indices):
+            flat = []
+            for l in range(m):
+                for r in range(m):
+                    pair = op(l, r, i)
+                    flat.append(-1 if pair is None else pair[0] * m + pair[1])
+            per_index.append(flat)
+        tables.append(per_index)
+    return tuple(tables)
 
 
 def _reference_labels(t, omit_zero):
@@ -126,11 +152,43 @@ def test_component_labels_are_cached_copies():
     assert t.maximal_indices() == _reference_maximal(t)
 
 
-@pytest.mark.parametrize("ty", [t.name for t in swept_types(4)] + ["three-box"])
+@pytest.mark.parametrize("ty", SWEPT_NAMES + HAND_BUILT)
 def test_row_tables_match_pairwise_rule(ty):
-    g = three_box_crystal() if ty == "three-box" else build_crystal(build_datum(ty))
+    # the row kernel, the per-pair helper and the reference rule agree on
+    # every pair and index
+    g = _hand_built(ty) if ty in HAND_BUILT else build_crystal(build_datum(ty))
+    want = _reference_tables(g)
+    assert _helper_tables(g) == want
     t = TensorCrystal(g)
-    assert (t.f, t.e) == _reference_tables(g)
+    assert (t.f, t.e) == want
+
+
+@pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A4-2", "D4-3"])
+def test_signature_ties(name):
+    # phi_i(l) = eps_i(r): e_i acts on the left factor, f_i on the right
+    g = build_crystal(build_datum(name))
+    m = len(g)
+    both_act = 0
+    for i in range(g.n_indices):
+        for l in range(m):
+            for r in range(m):
+                if g._phi[i][l] != g._eps[i][r]:
+                    continue
+                up = g.e[i].get(l)
+                down = g.f[i].get(r)
+                assert g.pair_e(l, r, i) == (None if up is None else (up, r))
+                assert g.pair_f(l, r, i) == (None if down is None else (l, down))
+                both_act += up is not None and down is not None
+    assert both_act > 0
+
+
+def test_verify_psi_builds_no_table():
+    d = build_datum("C8-1")
+    g = build_crystal(d)
+    t = TensorCrystal(g)
+    i = valid_psi_indices(d)[0]
+    assert verify_psi(d, g, t, build_psi(d, g, i), i) == (True, None)
+    assert t._f is None and t._e is None
 
 
 def test_tensor_f_example():
@@ -247,7 +305,7 @@ def test_no_theta_y_maximal_for_half_weight_families():
 def test_full_square_connected():
     for ty in swept_types(4, with_exceptional=False):
         d, g, t = _setup(ty.name)
-        assert t.is_connected()
+        assert t.component_labels(omit_zero=False)[1] == 1
 
 
 def test_classical_components_partition_with_unique_maximal():
@@ -279,13 +337,6 @@ def test_named_components():
         if not isinstance(b, EmptyElement)
     }
     assert right == expect
-
-
-def test_component_report_shape():
-    d, g, t = _setup("A2-1")
-    rep = component_report(t)
-    assert sum(r["size"] for r in rep) == t.size
-    assert all(r["representative_maximal_vector"] for r in rep)
 
 
 def test_string_stats_match_closed_formulas():

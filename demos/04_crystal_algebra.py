@@ -27,7 +27,7 @@ for name in ["A2-1", "B3-1", "C2-1", "D4-3", "A4-2"]:
 
 d = build_datum("D4-3")
 g = build_crystal(d)
-psi = build_psi(d, g, 1)
+psi = build_psi(d, 1)
 ok, witness = verify_psi(d, g, TensorCrystal(g), psi, 1)
 print(f"\nD4-3 embedding at node 1 verified as a crystal morphism: {ok}")
 
@@ -46,6 +46,6 @@ for label, row in zip(order, table["rows"]):
 
 # products are recovered by inverting the embedding
 left = [b for b in g.elements if not isinstance(b, EmptyElement)]
-sample = multiply(g, psi, left[2], left[5])
+sample = multiply(psi, left[2], left[5])
 print(f"\nmultiply({left[2].label()}, {left[5].label()}) = ",
       sample.label() if sample else None)

@@ -9,7 +9,6 @@ coefficients.
 
 from .algebra import (
     build_psi,
-    classify_component,
     classify_components,
     energy_by_classification,
     energy_propagate,
@@ -39,7 +38,6 @@ from .paths import (
     OracleUnsupported,
     Path,
     PathModel,
-    character,
     ground_state,
     lattice_points_up_to,
     oracle_multiplicity,
@@ -52,7 +50,6 @@ from .roots import (
     dynkin_path,
     finite_roots,
     lambda_weights,
-    leq,
     theta,
 )
 from .tensor import TensorCrystal, TensorElement
@@ -77,8 +74,6 @@ __all__ = [
     "build_crystal",
     "build_datum",
     "build_psi",
-    "character",
-    "classify_component",
     "classify_components",
     "connect_support",
     "dynkin_path",
@@ -89,7 +84,6 @@ __all__ = [
     "ground_state",
     "lambda_weights",
     "lattice_points_up_to",
-    "leq",
     "level",
     "level_one_dominants",
     "minimal_elements",

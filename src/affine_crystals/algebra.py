@@ -42,7 +42,7 @@ def _x_or_y(vec, i):
     return XRoot(vec)
 
 
-def build_psi(d, graph, i):
+def build_psi(d, i):
     """Embedding of the little adjoint crystal onto the component of
     x_theta (x) y_i.
 
@@ -153,14 +153,14 @@ def verify_psi(d, graph, tensor, psi, i):
                 return False, f"operator domain differs at ({b.label()}, {k})"
             if fb is not None and psi[fb] != ft:
                 return False, f"operators do not commute at ({b.label()}, {k})"
-    comp = tensor.component_of(TensorElement(XRoot(th), YElement(i)), omit_zero=True)
+    comp = tensor.component_of(TensorElement(XRoot(th), YElement(i)))
     image_idx = {tensor.pair_index(t) for t in images}
     if image_idx != comp:
         return False, "image is not the component of x_theta (x) y_i"
     return True, None
 
 
-def multiply(graph, psi, b1, b2):
+def multiply(psi, b1, b2):
     """Product on the little adjoint crystal: the inverse of the embedding
     on its image, absent elsewhere."""
     inverse = {t: b for b, t in psi.items()}
@@ -189,24 +189,27 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     quotient.
 
     H is one value on each classical component (``component_labels``), and
-    across a 0-arrow H(e_0(t)) - H(t) is 1 when e_0 acts on the left slot of
-    t and -1 when it acts on the right slot.  Values spread breadth first
-    from the anchor's component (empty (x) empty at level 0 unless another
-    anchor is given) along the distinct (lower, upper, step) links between
-    components; then every 0-arrow is checked against the result, so an
-    inconsistent assignment cannot survive.
+    across a 0-arrow t -> u = e_0(t) the step H(u) - H(t) is 1 when e_0
+    moved the left factor of t and -1 when it moved the right one.  Which
+    factor moved is read off the raising table (u and t differ in their left
+    factor), so the signature rule is applied only where that table is
+    built.  Values spread breadth first from the anchor's component (empty
+    (x) empty at level 0 unless another anchor is given) along the distinct
+    (lower, upper, step) links between components; then every 0-arrow is
+    checked against the result, so an inconsistent assignment cannot
+    survive.
     """
     if anchor is None:
         anchor = TensorElement(EMPTY, EMPTY)
     labels, count = tensor.component_labels(omit_zero=True)
-    base = tensor.base
-    # step[t] = H(e_0(t)) - H(t); a phi_0 = eps_0 tie sends e_0 to the left
-    step = [1 if p >= e else -1 for p in base._phi[0] for e in base._eps[0]]
-    e0 = tensor.e[0]
+    m = len(tensor.base)
+    arrows = [
+        (t, u, 1 if u // m != t // m else -1)
+        for t, u in enumerate(tensor.e[0])
+        if u >= 0
+    ]
     links = [[] for _ in range(count)]
-    for lo, hi, s in sorted(
-        {(labels[t], labels[u], step[t]) for t, u in enumerate(e0) if u >= 0}
-    ):
+    for lo, hi, s in sorted({(labels[t], labels[u], s) for t, u, s in arrows}):
         links[lo].append((hi, s))
         links[hi].append((lo, -s))
     value = [None] * count
@@ -222,13 +225,12 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     if None in value:
         raise ValueError("tensor square is not connected; energy is partial")
     h = [value[c] for c in labels]
-    bad = next(
-        (t for t, u in enumerate(e0) if u >= 0 and h[u] - h[t] != step[t]), None
-    )
+    bad = next(((t, u, s) for t, u, s in arrows if h[u] - h[t] != s), None)
     if bad is not None:
+        t, u, s = bad
         raise ValueError(
-            f"inconsistent energy at {tensor.element(e0[bad]).label()}: "
-            f"{h[e0[bad]]} vs {h[bad] + step[bad]} via index 0"
+            f"inconsistent energy at {tensor.element(u).label()}: "
+            f"{h[u]} vs {h[t] + s} via index 0"
         )
     return h
 
@@ -379,20 +381,18 @@ def two_theta_indices(tensor):
     """The classical component of x_theta (x) x_theta (exact, by search)."""
     d = tensor.base.datum
     th = theta(d)
-    return tensor.component_of(TensorElement(XRoot(th), XRoot(th)), omit_zero=True)
+    return tensor.component_of(TensorElement(XRoot(th), XRoot(th)))
 
 
-def classify_components(tensor, psis=None):
+def classify_components(tensor):
     """Label every pair of the tensor square by its component class.
 
-    psis maps each valid node i to a built embedding; when omitted the
-    embeddings are built on the fly.  Pairs outside the named classes are
-    labelled Generic.
+    The ThetaComp(i) classes are the images of the embeddings ``build_psi``
+    at every valid node i.  Pairs outside the named classes are labelled
+    Generic.
     """
     base = tensor.base
     d = base.datum
-    if psis is None:
-        psis = {i: build_psi(d, base, i) for i in valid_psi_indices(d)}
     m = len(base)
     th = theta(d)
     i_empty = base.index[EMPTY]
@@ -408,18 +408,14 @@ def classify_components(tensor, psis=None):
     labels[i_top * m + i_bot] = THETA_MINUS_THETA
     for k in two_theta_indices(tensor):
         labels[k] = TWO_THETA
-    for i, psi in sorted(psis.items()):
+    for i in valid_psi_indices(d):
         tag = theta_comp(i)
-        for t in psi.values():
+        for t in build_psi(d, i).values():
             labels[tensor.pair_index(t)] = tag
     return labels
 
 
-def classify_component(tensor, t, psis=None):
-    return classify_components(tensor, psis)[tensor.pair_index(t)]
-
-
-def energy_by_classification(tensor, psis=None):
+def energy_by_classification(tensor):
     """Energy from the classical component structure alone.
 
     Every classical component of the tensor square holds exactly one

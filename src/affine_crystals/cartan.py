@@ -5,6 +5,7 @@ families X_n^(r), computes comarks and symmetrizers from the matrix, and
 exposes the level machinery for classical weights.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,15 +140,6 @@ class AffineDatum:
     @property
     def d0(self):
         return self.marks[0]
-
-    def a(self, i, j):
-        return self.cartan[i][j]
-
-    def neighbors(self, i):
-        """Nodes adjacent to i in the affine Dynkin diagram."""
-        return tuple(
-            j for j in range(self.n + 1) if j != i and self.cartan[i][j] != 0
-        )
 
     def finite_cartan(self):
         """The Cartan matrix of g (rows and columns 1..n)."""
@@ -302,22 +294,12 @@ def _left_null_vector(matrix, size):
     sol[free[0]] = Fraction(1)
     for k, col in enumerate(pivots):
         sol[col] = -rows[k][free[0]]
-    scale = 1
-    for x in sol:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for x in sol))
     ints = [int(x * scale) for x in sol]
     if ints[0] < 0:
         ints = [-x for x in ints]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _symmetrizers(cartan, size):
@@ -331,13 +313,9 @@ def _symmetrizers(cartan, size):
             if j != i and cartan[i][j] != 0 and s[j] is None:
                 s[j] = s[i] * cartan[i][j] / cartan[j][i]
                 queue.append(j)
-    scale = 1
-    for x in s:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for x in s))
     ints = [int(x * scale) for x in s]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
 
 

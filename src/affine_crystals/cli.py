@@ -19,7 +19,13 @@ from .algebra import (
 )
 from .cartan import AffineWeight, build_datum, parse_type, swept_types
 from .crystal import build_crystal
-from .paths import PathModel, lattice_points_up_to, oracle_multiplicity
+from .paths import (
+    OracleUnsupported,
+    PathModel,
+    check_lattice_node,
+    lattice_points_up_to,
+    oracle_multiplicity,
+)
 from .perfect import verify_perfect
 from .tensor import TensorCrystal
 
@@ -111,7 +117,7 @@ def cmd_multiply(args):
         _usage_error(f"{d.type.name} has no node adjacent to 0 carrying a y element")
     i = args.node if args.node is not None else choices[0]
     try:
-        psi = build_psi(d, g, i)
+        psi = build_psi(d, i)
     except ValueError as err:
         _usage_error(err)
     tensor = TensorCrystal(g)
@@ -155,14 +161,14 @@ def cmd_character(args):
     rows.sort(key=lambda r: (-r["delta_degree"], r["classical_weight"]))
     result = {"type": d.type.name, "weight": args.weight.upper(), "rows": rows}
     status = 0
-    supported = d.type.twist == 1 and d.type.family in ("A", "D", "E")
-    if not supported:
-        result["oracle"] = {
-            "supported": False,
-            "reason": f"no independent oracle for {d.type.name}",
-        }
-    elif args.oracle:
-        node = lam.coeffs.index(1)
+    node = lam.coeffs.index(1)
+    try:
+        check_lattice_node(d, node)
+    except OracleUnsupported as err:
+        result["oracle"] = {"supported": False, "reason": str(err)}
+    else:
+        result["oracle"] = {"supported": True, "checked": False}
+    if args.oracle and result["oracle"]["supported"]:
         diffs = []
         for beta in lattice_points_up_to(d, 2 * args.max_degree, node=node):
             for deg in range(args.max_degree + 1):
@@ -175,8 +181,6 @@ def cmd_character(args):
         result["oracle"] = {"supported": True, "differences": diffs}
         if diffs:
             status = 1
-    else:
-        result["oracle"] = {"supported": True, "checked": False}
     _emit(json.dumps(result, indent=2) + "\n", args.out)
     return status
 

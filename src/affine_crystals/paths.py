@@ -79,15 +79,28 @@ def ground_state(d, lam, graph=None):
 class PathModel:
     """Crystal operations on the set of lam-paths for one family.
 
-    Holds the base crystal, its tensor square with the propagated energy
-    table, and the ground state; all path operations go through here.
+    Holds the base crystal, the energy table of its tensor square (by
+    default propagated over a square built here and then dropped), and the
+    ground state; all path operations go through here.
+
+    ``_window``, ``f``, ``e`` and ``stats`` fold the tensor-product rule
+    over all n factors of a path at once, which the two-factor
+    ``CrystalGraph.pair_f``/``pair_e`` cannot express, so the rule's tie
+    is restated here: with eps_below[k] the eps_i of the word below
+    position k, f_i acts at the highest k with phi_i(b_k) > eps_below[k]
+    and e_i at the highest k with phi_i(b_k) >= eps_below[k].  The tests
+    pin both ties: flipping the one in ``e`` fails
+    ``test_path_inverse_pairs``, and flipping the one in ``f``, alone or
+    with ``e``'s, fails ``test_generation_order_independence`` and
+    ``test_transfer_matrix_matches_generation``.
     """
 
-    def __init__(self, d, lam, graph=None, tensor=None, energy=None):
+    def __init__(self, d, lam, graph=None, energy=None):
         self.datum = d
         self.graph = graph if graph is not None else build_crystal(d)
-        self.tensor = tensor if tensor is not None else TensorCrystal(self.graph)
-        self.energy = energy if energy is not None else energy_propagate(self.tensor)
+        if energy is None:
+            energy = energy_propagate(TensorCrystal(self.graph))
+        self.energy = energy
         self.lam = lam
         self.ground = ground_state(d, lam, self.graph)
         self.ground_path = Path(lam.coeffs, ())
@@ -333,12 +346,6 @@ class PathModel:
         return counts
 
 
-def character(d, lam, max_degree, model=None):
-    if model is None:
-        model = PathModel(d, lam)
-    return model.character(max_degree)
-
-
 class OracleUnsupported(ValueError):
     """The lattice generating-function oracle does not cover this family."""
 
@@ -359,8 +366,9 @@ def _series(colors, max_degree):
     return tuple(partition_series(colors, max_degree))
 
 
-def _lattice_node(d, node):
-    """Check that the lattice oracle covers Lambda_node of d."""
+def check_lattice_node(d, node):
+    """Check that the lattice oracle covers Lambda_node of d; raises
+    OracleUnsupported off the simply-laced untwisted families."""
     t = d.type
     if t.twist != 1 or t.family not in ("A", "D", "E"):
         raise OracleUnsupported(f"no independent oracle for {t.name}")
@@ -384,7 +392,7 @@ def oracle_multiplicity(d, beta, degree, node=0):
     q^(degree - (|w + beta|^2 - |w|^2)/2) in the rank-colored partition
     series, w the classical part of Lambda_node.
     """
-    _lattice_node(d, node)
+    check_lattice_node(d, node)
     if any(x % 2 for x in beta.twice):
         raise ValueError("lattice point has non-integral coefficients")
     if degree < 0:
@@ -406,7 +414,7 @@ def lattice_points_up_to(d, max_norm2, node=0):
     Weyl conjugate with (., alpha_i) >= 2 for some i, whose step -alpha_i
     shortens it; the only minuscule weights of the coset are the orbit of w.
     """
-    _lattice_node(d, node)
+    check_lattice_node(d, node)
     n = d.n
     fc = d.finite_cartan()
     start = (0,) * n

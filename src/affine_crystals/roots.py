@@ -81,11 +81,6 @@ class RootVector:
         return "[" + ",".join(parts) + "]"
 
 
-def leq(a, b):
-    """Dominance order: a <= b iff b - a has nonnegative coefficients."""
-    return (b - a).is_nonneg()
-
-
 def theta(d):
     """The weight theta: marks over the finite nodes, halved for A_{2n}^(2)."""
     twice = [2 * m for m in d.marks[1:]]
@@ -222,32 +217,11 @@ def connect_support(d, gamma, i):
     """
     if gamma.coeff(i) != 0:
         raise ValueError(f"alpha_{i} lies in the support of {gamma.label()}")
-    supp = set(gamma.support())
+    supp = gamma.support()
     if not supp:
         raise ValueError("empty support")
-    adj = _finite_adjacency(d)
-    # BFS out from i; the first support node reached is the nearest one.
-    prev = {i: None}
-    frontier = [i]
-    hit = i if i in supp else None
-    while frontier and hit is None:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    if v in supp:
-                        hit = v
-                        break
-                    nxt.append(v)
-            if hit is not None:
-                break
-        frontier = nxt
-    if hit is None:
-        raise ValueError("support is disconnected from node")
-    path = []
-    node = prev[hit]  # first node outside the support
-    while node is not None:
-        path.append(node)
-        node = prev[node]
-    return tuple(path)
+    # supp(gamma) is a subtree of the Dynkin tree, so a path from i to any
+    # support node enters the support at the node nearest to i
+    path = dynkin_path(d, i, supp[0])
+    first = next(k for k, node in enumerate(path) if node in supp)
+    return path[first - 1::-1]

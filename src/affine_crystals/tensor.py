@@ -18,15 +18,15 @@ class TensorCrystal:
 
     Pairs are indexed left-major, k = l * m + r.  The arrow tables are flat
     lists, absent entries marked -1, one per index, and each kind is built
-    on first read: the raising tables ``e`` by the classical labelling and
-    by energy propagation, which read nothing else, and the lowering tables
-    ``f`` only when a caller reads them.  The signature rule is applied one
-    row at a time: for each index i and left factor l, the row of pairs
-    (l, 0..m-1) is one list comprehension over the right factors' eps_i and
-    arrows, slice-assigned into a preallocated table.  The per-pair queries
-    (``f_tilde``, ``e_tilde``, ``string_stats``, ``component_of``) apply
-    ``CrystalGraph.pair_f`` and ``pair_e`` to the two factors and build no
-    table.
+    on first read.  There is one row kernel, for the raising tables ``e``,
+    which the classical labelling and energy propagation read: for each
+    index i and left factor l, the row of pairs (l, 0..m-1) is one list
+    comprehension over the right factors' eps_i and arrows, slice-assigned
+    into a preallocated table.  The lowering tables ``f`` are ``e``
+    inverted, so no second copy of the signature rule decides them.  The
+    per-pair queries (``f_tilde``, ``e_tilde``, ``string_stats``,
+    ``component_of``) apply ``CrystalGraph.pair_f`` and ``pair_e`` to the
+    two factors and build no table.
 
     The classical components (no 0-arrows) are labelled once, on first use,
     and cached.  Each pair points up along its first raising arrow; the pairs
@@ -48,9 +48,16 @@ class TensorCrystal:
 
     @property
     def f(self):
-        """Lowering tables, one flat list per index, built on first read."""
+        """Lowering tables, one flat list per index, built on first read:
+        f_i(u) = t for every raising arrow e_i(t) = u."""
         if self._f is None:
-            self._f = [self._f_table(i) for i in range(self.n_indices)]
+            self._f = []
+            for e_tab in self.e:
+                flat = [-1] * self.size
+                for t, u in enumerate(e_tab):
+                    if u >= 0:
+                        flat[u] = t
+                self._f.append(flat)
         return self._f
 
     @property
@@ -59,22 +66,6 @@ class TensorCrystal:
         if self._e is None:
             self._e = [self._e_table(i) for i in range(self.n_indices)]
         return self._e
-
-    def _f_table(self, i):
-        base = self.base
-        m = len(base)
-        fi = base.f[i]
-        right = list(zip(range(m), base._eps[i], [fi.get(r, -1) for r in range(m)]))
-        flat = [-1] * self.size
-        for l, pl in enumerate(base._phi[i]):
-            row = l * m
-            # f_i acts on the left only when phi_i(l) > 0, so f_i(l) exists there
-            f_left = fi.get(l, 0) * m
-            flat[row:row + m] = [
-                f_left + r if pl > eps_r else (row + f_r if f_r >= 0 else -1)
-                for r, eps_r, f_r in right
-            ]
-        return flat
 
     def _e_table(self, i):
         base = self.base
@@ -184,11 +175,12 @@ class TensorCrystal:
             parts[c].append(k)
         return parts
 
-    def component_of(self, t, omit_zero=True):
-        """Set of pair indices in the component of t, searched pair by pair
-        through the signature rule; no table is built."""
+    def component_of(self, t):
+        """Set of pair indices in the classical component of t (no
+        0-arrows), searched pair by pair through the signature rule; no
+        table is built."""
         base = self.base
-        indices = range(1 if omit_zero else 0, self.n_indices)
+        indices = range(1, self.n_indices)
         start = base.index[t.left], base.index[t.right]
         seen = {start}
         queue = deque([start])

@@ -127,7 +127,7 @@ def test_criterion_5_embedding_and_multiplication():
     by_label = {b.label(): b for b in ctx.graph.elements}
     for r, row in enumerate(G2_TABLE_ROWS):
         for c, col in enumerate(G2_TABLE_COLS):
-            got = multiply(ctx.graph, psi, by_label[row], by_label[col])
+            got = multiply(psi, by_label[row], by_label[col])
             assert (got.label() if got else None) == G2_TABLE[r][c], (row, col)
     listed = {(r, c) for r in G2_TABLE_ROWS for c in G2_TABLE_COLS}
     domain = [b for b in ctx.graph.elements if not isinstance(b, EmptyElement)]
@@ -139,7 +139,7 @@ def test_criterion_5_embedding_and_multiplication():
     ]
     rng = random.Random(11)
     for a, b in rng.sample(unlisted, 20):
-        assert multiply(ctx.graph, psi, a, b) is None, (a.label(), b.label())
+        assert multiply(psi, a, b) is None, (a.label(), b.label())
     print(
         f"\nACCEPTANCE 5: PASS - {count} embeddings verified; 16-cell table and "
         f"20 sampled absent products match"
@@ -172,7 +172,7 @@ def test_criterion_7_characters_vs_oracle():
             ctx.datum,
             AffineWeight.fundamental(0, ctx.datum.n),
             graph=ctx.graph,
-            tensor=ctx.tensor,
+            energy=energy_propagate(ctx.tensor),
         )
         got = model.root_character(max_degree)
         for beta in lattice_points_up_to(ctx.datum, 2 * max_degree):
@@ -244,10 +244,9 @@ def test_criterion_8_property_suites():
     path_names = ["A1-1", "A2-1", "C2-1", "A2-2", "A4-2", "D4-3", "D3-2", "B3-1"]
     for name in path_names:
         ctx = family(name)
+        energy = energy_propagate(ctx.tensor)
         for lam in level_one_dominants(ctx.datum):
-            model = PathModel(
-                ctx.datum, lam, graph=ctx.graph, tensor=ctx.tensor
-            )
+            model = PathModel(ctx.datum, lam, graph=ctx.graph, energy=energy)
             paths = model.generate(2)
             sample = rng.sample(paths, min(30, len(paths)))
             for p in sample:

@@ -6,7 +6,6 @@ from affine_crystals.algebra import (
     GENERIC,
     TWO_THETA,
     build_psi,
-    classify_component,
     classify_components,
     demazure_crystals,
     energy_by_classification,
@@ -46,15 +45,15 @@ def test_valid_embedding_nodes():
 
 def test_psi_fixed_images():
     d, g, t = _setup("A1-1")
-    psi = build_psi(d, g, 1)
+    psi = build_psi(d, 1)
     assert psi[YElement(1)] == TensorElement(YElement(1), YElement(1))
     d, g, t = _setup("D4-3")
-    psi = build_psi(d, g, 1)
+    psi = build_psi(d, 1)
     th = theta(d)
     assert psi[XRoot(-th)] == TensorElement(YElement(1), XRoot(-th))
     assert psi[XRoot(th)] == TensorElement(XRoot(th), YElement(1))
     d, g, t = _setup("C3-1")
-    psi = build_psi(d, g, 1)
+    psi = build_psi(d, 1)
     a1 = RootVector.simple(1, 3)
     assert psi[XRoot(a1)] == TensorElement(XRoot(a1), YElement(1))
 
@@ -62,27 +61,27 @@ def test_psi_fixed_images():
 def test_psi_rejects_bad_node():
     d, g, _ = _setup("B3-1")
     with pytest.raises(ValueError, match="valid choices"):
-        build_psi(d, g, 1)
+        build_psi(d, 1)
 
 
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4, with_exceptional=False)])
 def test_psi_verifies_small_sweep(ty):
     d, g, t = _setup(ty)
     for i in valid_psi_indices(d):
-        ok, witness = verify_psi(d, g, t, build_psi(d, g, i), i)
+        ok, witness = verify_psi(d, g, t, build_psi(d, i), i)
         assert ok, witness
 
 
 def test_psi_verifies_e6():
     d, g, t = _setup("E6-1")
     assert len(g) == 79
-    ok, witness = verify_psi(d, g, t, build_psi(d, g, 6), 6)
+    ok, witness = verify_psi(d, g, t, build_psi(d, 6), 6)
     assert ok, witness
 
 
 def test_corrupted_psi_rejected():
     d, g, t = _setup("A2-1")
-    psi = build_psi(d, g, 1)
+    psi = build_psi(d, 1)
     th = XRoot(theta(d))
     a1 = XRoot(RootVector.simple(1, 2))
     psi[th], psi[a1] = psi[a1], psi[th]
@@ -94,8 +93,8 @@ def test_corrupted_psi_rejected():
 def test_disjoint_embeddings_for_type_a():
     for name in ["A2-1", "A3-1", "A4-1"]:
         d, g, t = _setup(name)
-        psi1 = build_psi(d, g, 1)
-        psin = build_psi(d, g, d.n)
+        psi1 = build_psi(d, 1)
+        psin = build_psi(d, d.n)
         img1 = {t.pair_index(v) for v in psi1.values()}
         imgn = {t.pair_index(v) for v in psin.values()}
         assert not img1 & imgn
@@ -105,9 +104,9 @@ def test_multiply_round_trip():
     for name in ["A2-1", "C2-1", "D4-3", "B3-1"]:
         d, g, t = _setup(name)
         for i in valid_psi_indices(d):
-            psi = build_psi(d, g, i)
+            psi = build_psi(d, i)
             for b, pair in psi.items():
-                assert multiply(g, psi, pair.left, pair.right) == b
+                assert multiply(psi, pair.left, pair.right) == b
 
 
 G2_TABLE_ROWS = ["x[2,1]", "x[1,1]", "x[1,0]", "y_1"]
@@ -122,18 +121,18 @@ G2_TABLE = [
 
 def test_g2_octonion_multiplication_table():
     d, g, _ = _setup("D4-3")
-    psi = build_psi(d, g, 1)
+    psi = build_psi(d, 1)
     by_label = {b.label(): b for b in g.elements}
     for r, row_label in enumerate(G2_TABLE_ROWS):
         for c, col_label in enumerate(G2_TABLE_COLS):
-            got = multiply(g, psi, by_label[row_label], by_label[col_label])
+            got = multiply(psi, by_label[row_label], by_label[col_label])
             want = G2_TABLE[r][c]
             assert (got.label() if got else None) == want, (row_label, col_label)
 
 
 def test_g2_unlisted_products_absent():
     d, g, _ = _setup("D4-3")
-    psi = build_psi(d, g, 1)
+    psi = build_psi(d, 1)
     table = multiplication_table(g, psi)
     order = table["order"]
     listed = {(r, c) for r in G2_TABLE_ROWS for c in G2_TABLE_COLS}
@@ -196,14 +195,14 @@ def test_classification_labels():
     d, g, t = _setup("A2-1")
     th = XRoot(theta(d))
     a1 = XRoot(RootVector.simple(1, 2))
-    assert classify_component(t, TensorElement(a1, th)) == TWO_THETA
-    assert classify_component(t, TensorElement(YElement(1), th)) == TWO_THETA
-    assert classify_component(t, TensorElement(th, XRoot(-theta(d)))) == "ThetaMinusTheta"
-    assert classify_component(t, TensorElement(EMPTY, EMPTY)) == "EmptyEmpty"
-    assert classify_component(t, TensorElement(th, EMPTY)) == "RightEmpty"
-    assert classify_component(t, TensorElement(EMPTY, th)) == "LeftEmpty"
-    assert classify_component(t, TensorElement(th, YElement(1))) == theta_comp(1)
     labels = classify_components(t)
+    assert labels[t.pair_index(TensorElement(a1, th))] == TWO_THETA
+    assert labels[t.pair_index(TensorElement(YElement(1), th))] == TWO_THETA
+    assert labels[t.pair_index(TensorElement(th, XRoot(-theta(d))))] == "ThetaMinusTheta"
+    assert labels[t.pair_index(TensorElement(EMPTY, EMPTY))] == "EmptyEmpty"
+    assert labels[t.pair_index(TensorElement(th, EMPTY))] == "RightEmpty"
+    assert labels[t.pair_index(TensorElement(EMPTY, th))] == "LeftEmpty"
+    assert labels[t.pair_index(TensorElement(th, YElement(1)))] == theta_comp(1)
     assert GENERIC in labels
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from conftest import family
 
+from affine_crystals.algebra import energy_propagate
 from affine_crystals.cartan import AffineWeight, build_datum, level_one_dominants, swept_types
 from affine_crystals.crystal import EMPTY, YElement
 from affine_crystals.paths import (
@@ -191,8 +192,9 @@ TRANSFER_CASES = [(t.name, 2) for t in swept_types(4)] + [("C5-1", 1), ("A7-1", 
 @pytest.mark.parametrize("name,max_degree", TRANSFER_CASES)
 def test_transfer_matrix_matches_generation(name, max_degree):
     ctx = family(name)
+    energy = energy_propagate(ctx.tensor)
     for lam in level_one_dominants(ctx.datum):
-        pm = PathModel(ctx.datum, lam, graph=ctx.graph, tensor=ctx.tensor)
+        pm = PathModel(ctx.datum, lam, graph=ctx.graph, energy=energy)
         assert pm.character(max_degree) == _generated_character(pm, max_degree)
         # the derived length is long enough: one more position adds nothing
         derived = pm.root_character(max_degree)
@@ -221,7 +223,7 @@ def test_zero_energy_cycle_rejected():
     # ground -> x -> ground with zero energy on both pairs
     energy[top * m + other] = energy[other * m + top] = base
     with pytest.raises(ValueError, match="zero-energy cycle"):
-        PathModel(d, pm.lam, graph=pm.graph, tensor=pm.tensor, energy=energy)
+        PathModel(d, pm.lam, graph=pm.graph, energy=energy)
 
 
 def test_negative_degree_rejected():

@@ -7,7 +7,6 @@ from affine_crystals.roots import (
     dynkin_path,
     finite_roots,
     lambda_weights,
-    leq,
     theta,
 )
 
@@ -65,7 +64,7 @@ def test_theta_is_extremal():
         plus, _, _ = lambda_weights(d)
         assert th in plus
         for gamma in plus:
-            assert leq(gamma, th)
+            assert (th - gamma).is_nonneg()
         assert len(plus) * 2 == len(plus) + len([-r for r in plus])
 
 
@@ -77,24 +76,7 @@ def test_theta_matches_highest_short_root():
         top = max(shorts, key=lambda r: sum(r.twice))
         assert theta(d) == top
         for s in shorts:
-            assert leq(s, top)
-
-
-def test_leq_partial_order():
-    d = build_datum("C2-1")
-    plus, _, _ = lambda_weights(d)
-    lam = list(plus) + [-r for r in plus]
-    for a in lam:
-        assert leq(a, a)
-        for b in lam:
-            if leq(a, b) and leq(b, a):
-                assert a == b
-            for c in lam:
-                if leq(a, b) and leq(b, c):
-                    assert leq(a, c)
-    th = theta(d)
-    assert leq(-th, th)
-    assert not leq(th, -th)
+            assert (top - s).is_nonneg()
 
 
 def test_dynkin_path():
@@ -113,6 +95,24 @@ def test_connect_support_examples():
     assert connect_support(d6, RootVector.from_coeffs([1, 1, 0, 0, 0, 0]), 6) == (3, 6)
     d3 = build_datum("A3-1")
     assert connect_support(d3, RootVector.simple(3, 3), 1) == (2, 1)
+
+
+def test_connect_support_walks_to_the_support():
+    # (j_1, ..., j_t = i) is a walk in the Dynkin tree that avoids the
+    # support and starts next to it, so it is the geodesic from the support
+    for t in swept_types(8):
+        d = build_datum(t)
+        adjacent = lambda a, b: a != b and d.cartan[a][b] != 0
+        for gamma, _ in finite_roots(d):
+            if not gamma.is_nonneg():
+                continue
+            supp = set(gamma.support())
+            for i in set(range(1, d.n + 1)) - supp:
+                walk = connect_support(d, gamma, i)
+                assert walk[-1] == i and len(set(walk)) == len(walk)
+                assert not supp & set(walk)
+                assert all(adjacent(a, b) for a, b in zip(walk, walk[1:]))
+                assert any(adjacent(walk[0], s) for s in supp)
 
 
 def test_connect_support_rejects_overlap():

@@ -187,7 +187,7 @@ def test_verify_psi_builds_no_table():
     g = build_crystal(d)
     t = TensorCrystal(g)
     i = valid_psi_indices(d)[0]
-    assert verify_psi(d, g, t, build_psi(d, g, i), i) == (True, None)
+    assert verify_psi(d, g, t, build_psi(d, i), i) == (True, None)
     assert t._f is None and t._e is None
 
 

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Paths: realize the basic highest weight crystals and count weights.
 
-A path is a semi-infinite tensor word that settles into the periodic
-ground state; only the finite override prefix is stored.  Lowering
-operators act through the tensor rule, the energy function grades paths
-by an integer delta degree, and a transfer matrix over positions counts
-paths by weight without building them (breadth-first generation of the
-paths is its oracle in the tests).  For the simply-laced untwisted
-families the coefficients are checked against the lattice
-partition-series oracle, which never touches the path machinery.
+A path is a semi-infinite tensor word that settles into the homogeneous
+ground state b_lam (x) b_lam (x) ...; only the finite override prefix is
+stored.  Lowering operators act through the tensor rule, the energy
+function grades paths by an integer delta degree, and a transfer matrix
+over positions counts paths by weight without building them
+(breadth-first generation of the paths is its oracle in the tests).  For
+the simply-laced untwisted families the coefficients are checked against
+the lattice partition-series oracle, which never touches the path
+machinery.
 """
 
 from affine_crystals import (
@@ -21,7 +22,7 @@ from affine_crystals import (
 
 d = build_datum("A1-1")
 model = PathModel(d, AffineWeight.fundamental(0, d.n))
-print("ground state entries:", [b.label() for b in model.ground.entries])
+print("ground state entries:", [model.ground.label()])
 
 p = model.ground_path
 print("\nlowering the ground state step by step:")

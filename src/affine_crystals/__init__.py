@@ -34,7 +34,6 @@ from .cartan import (
 )
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, build_crystal
 from .paths import (
-    GroundState,
     OracleUnsupported,
     Path,
     PathModel,
@@ -61,7 +60,6 @@ __all__ = [
     "CrystalGraph",
     "EMPTY",
     "EmptyElement",
-    "GroundState",
     "OracleUnsupported",
     "Path",
     "PathModel",

@@ -1,8 +1,8 @@
 """Cartan data for the affine Lie algebra families.
 
 Hard-codes the affine Cartan matrix and marks for each of the fourteen
-families X_n^(r), computes comarks and symmetrizers from the matrix, and
-exposes the level machinery for classical weights.
+families X_n^(r), computes symmetrizers from the matrix and comarks from
+them and the marks, and exposes the level machinery for classical weights.
 """
 
 import math
@@ -116,10 +116,6 @@ class AffineWeight:
         if not 0 <= i <= n:
             raise ValueError(f"Lambda_{i} is out of range for rank {n}")
         return AffineWeight(tuple(1 if j == i else 0 for j in range(n + 1)))
-
-    @staticmethod
-    def zero(n):
-        return AffineWeight((0,) * (n + 1))
 
 
 @dataclass(frozen=True)
@@ -269,39 +265,6 @@ def _finite_type_name(t):
     return "G2"
 
 
-def _left_null_vector(matrix, size):
-    """Minimal positive integer vector c with c . A = 0 (corank-1 matrix)."""
-    # Gaussian elimination on A^T over the rationals.
-    rows = [[Fraction(matrix[i][j]) for i in range(size)] for j in range(size)]
-    pivots = []
-    r = 0
-    for col in range(size):
-        piv = next((k for k in range(r, size) if rows[k][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for k in range(size):
-            if k != r and rows[k][col] != 0:
-                fac = rows[k][col]
-                rows[k] = [a - fac * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(size) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError("affine Cartan matrix must have corank 1")
-    sol = [Fraction(0)] * size
-    sol[free[0]] = Fraction(1)
-    for k, col in enumerate(pivots):
-        sol[col] = -rows[k][free[0]]
-    scale = math.lcm(*(x.denominator for x in sol))
-    ints = [int(x * scale) for x in sol]
-    if ints[0] < 0:
-        ints = [-x for x in ints]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
 def _symmetrizers(cartan, size):
     """Positive integers s_i with s_i a_ij = s_j a_ji, minimal."""
     s = [None] * size
@@ -336,8 +299,15 @@ def build_datum(t):
         a[j][i] = aji
     cartan = tuple(tuple(row) for row in a)
     marks = tuple(_marks(t))
-    comarks = _left_null_vector(cartan, size)
     sym = _symmetrizers(cartan, size)
+    # diag(s) A is symmetric, so c A = 0 exactly when A (c / s) = 0: the
+    # comarks are the marks times the symmetrizers, reduced.  No corank check
+    # is needed: a connected diagram with a positive null vector (the marks,
+    # asserted below) is of affine type and so has corank 1 (Kac,
+    # Infinite-Dimensional Lie Algebras, ch. 4).
+    scaled = [s_i * a_i for s_i, a_i in zip(sym, marks)]
+    common = math.gcd(*scaled)
+    comarks = tuple(x // common for x in scaled)
 
     for i in range(size):
         if sum(cartan[i][j] * marks[j] for j in range(size)) != 0:

@@ -31,11 +31,14 @@ from .tensor import TensorCrystal
 
 
 def _emit(text, out):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        _usage_error(f"cannot write {out}: {err.strerror}")
 
 
 def _usage_error(message):
@@ -63,6 +66,8 @@ def _verify_one(type_name):
 
 
 def cmd_verify(args):
+    if args.all and args.type:
+        _usage_error("give a type or --all, not both")
     if args.all:
         types = [t.name for t in swept_types(args.max_rank, with_exceptional=False)]
         if not types:

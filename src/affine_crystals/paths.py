@@ -1,8 +1,9 @@
 """Path realization of the level-1 highest weight crystals.
 
-Paths are semi-infinite tensor words agreeing with a period-1 ground state
-far out; only the finite override prefix is stored.  The energy function
-turns path statistics into affine weights.  Character coefficients come
+Paths are semi-infinite tensor words agreeing far out with the homogeneous
+ground state b_lam (x) b_lam (x) ... of their level-1 weight lam; only the
+finite override prefix is stored.  The energy function turns path
+statistics into affine weights.  Character coefficients come
 from a transfer matrix over positions, which counts paths by entry, degree
 and root offset without building any; breadth-first generation of the
 paths themselves is kept as its oracle.  A lattice generating-function
@@ -25,24 +26,11 @@ from .tensor import TensorCrystal
 
 
 @dataclass(frozen=True)
-class GroundState:
-    lam: AffineWeight
-    entries: tuple  # b_0, b_1, ... up to one full period
-    period: int
-
-    def entry(self, k):
-        if k < len(self.entries):
-            return self.entries[k]
-        head = len(self.entries) - self.period
-        return self.entries[head + (k - head) % self.period]
-
-
-@dataclass(frozen=True)
 class Path:
     """A level-1 path in canonical form: the minimal override prefix.
 
-    prefix[k] is the path entry at position k; beyond the prefix the path
-    follows the ground state of lam.
+    prefix[k] is the path entry at position k; beyond the prefix every
+    entry is the ground element b_lam.
     """
 
     lam: tuple  # Lambda-coordinates of the dominant weight
@@ -53,27 +41,26 @@ class Path:
 
 
 def ground_state(d, lam, graph=None):
-    """Iterate the minimal-element recursion from b_lam until it repeats."""
+    """The homogeneous ground state of lam: the element b_lam with
+    eps(b_lam) = phi(b_lam) = lam, so that b_lam (x) b_lam (x) ... is the
+    ground path."""
     if graph is None:
         graph = build_crystal(d)
     table = minimal_elements(d, graph)
-    seen = {}
-    seq = []
-    cur = lam
-    while True:
-        key = cur.coeffs
-        if key in seen:
-            period = len(seq) - seen[key]
-            return GroundState(lam, tuple(seq), period)
-        seen[key] = len(seq)
-        if sum(key) != 1 or 1 not in key or key.index(1) not in table:
-            raise ValueError(
-                f"no minimal element for weight {key}; ground states exist "
-                "only for the level-1 fundamental weights"
-            )
-        b = table[key.index(1)][1]  # the phi-preimage b_lam
-        seq.append(b)
-        cur = graph.eps_vec(b)
+    key = lam.coeffs
+    if sum(key) != 1 or 1 not in key or key.index(1) not in table:
+        raise ValueError(
+            f"no minimal element for weight {key}; ground states exist "
+            "only for the level-1 fundamental weights"
+        )
+    i = key.index(1)
+    up, down = table[i]
+    if up != down:
+        raise ValueError(
+            f"no homogeneous ground state for Lambda_{i}: its phi-preimage "
+            f"{down.label()} is not its eps-preimage {up.label()}"
+        )
+    return down
 
 
 class PathModel:
@@ -81,7 +68,8 @@ class PathModel:
 
     Holds the base crystal, the energy table of its tensor square (by
     default propagated over a square built here and then dropped), and the
-    ground state; all path operations go through here.
+    homogeneous ground state ``ground`` = b_lam; all path operations go
+    through here.
 
     ``_window``, ``f``, ``e`` and ``stats`` fold the tensor-product rule
     over all n factors of a path at once, which the two-factor
@@ -119,10 +107,8 @@ class PathModel:
         total dh of a way up from b to the ground entry (Dijkstra).
         """
         g, d = self.graph, self.datum
-        if self.ground.period != 1 or len(self.ground.entries) != 1:
-            raise ValueError("characters need a period-1 ground state without a head")
         m = len(g)
-        top = g.index[self.ground.entries[0]]
+        top = g.index[self.ground]
         base = self.energy[top * m + top]
         dh = [[self.energy[u * m + b] - base for u in range(m)] for b in range(m)]
         if min(map(min, dh)) < 0:
@@ -163,12 +149,12 @@ class PathModel:
         self._climb = climb
         self._ground_index = top
         self._rows = [sorted((dh[b][u], u) for u in range(m)) for b in range(m)]
-        ground_root = g.root_weight(self.ground.entries[0])
+        ground_root = g.root_weight(self.ground)
         self._offsets = [(g.root_weight(b) - ground_root).twice for b in g.elements]
 
     def _canonical(self, entries):
         n = len(entries)
-        while n > 0 and entries[n - 1] == self.ground.entry(n - 1):
+        while n > 0 and entries[n - 1] == self.ground:
             n -= 1
         return Path(self.lam.coeffs, tuple(entries[:n]))
 
@@ -180,7 +166,7 @@ class PathModel:
         position k; index N is the appended ground slot.
         """
         g = self.graph
-        entries = list(p.prefix) + [self.ground.entry(len(p.prefix))]
+        entries = list(p.prefix) + [self.ground]
         eps_below = [0]
         phi_below = [0]
         for k, b in enumerate(entries[:-1]):
@@ -232,22 +218,20 @@ class PathModel:
     def weight(self, p):
         """Affine weight: classical part plus the energy-graded delta part."""
         g = self.graph
-        n_idx = g.n_indices
+        gw = g.weight_of(self.ground).coeffs
         coeffs = list(self.lam.coeffs)
-        for k, b in enumerate(p.prefix):
-            w = g.weight_of(b)
-            gw = g.weight_of(self.ground.entry(k))
-            for j in range(n_idx):
-                coeffs[j] += w.coeffs[j] - gw.coeffs[j]
+        for b in p.prefix:
+            w = g.weight_of(b).coeffs
+            for j in range(g.n_indices):
+                coeffs[j] += w[j] - gw[j]
         m = len(g)
+        top = self._ground_index
+        h_ground = self.energy[top * m + top]
         delta = 0
-        entries = list(p.prefix) + [self.ground.entry(len(p.prefix))]
+        entries = list(p.prefix) + [self.ground]
         for k in range(len(p.prefix)):
             upper, lower = entries[k + 1], entries[k]
-            gk = self.ground.entry(k)
-            gk1 = self.ground.entry(k + 1)
             h_path = self.energy[g.index[upper] * m + g.index[lower]]
-            h_ground = self.energy[g.index[gk1] * m + g.index[gk]]
             delta -= (k + 1) * (h_path - h_ground)
         return AffineWeight(tuple(coeffs), delta)
 

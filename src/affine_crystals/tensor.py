@@ -167,14 +167,6 @@ class TensorCrystal:
         merged = [ids.setdefault(find(c), len(ids)) for c in range(count)]
         return [merged[c] for c in labels], len(ids)
 
-    def components(self, omit_zero):
-        """Partition into connected components, deterministic order."""
-        labels, count = self.component_labels(omit_zero)
-        parts = [[] for _ in range(count)]
-        for k, c in enumerate(labels):
-            parts[c].append(k)
-        return parts
-
     def component_of(self, t):
         """Set of pair indices in the classical component of t (no
         0-arrows), searched pair by pair through the signature rule; no

@@ -172,6 +172,12 @@ def test_verify_all_without_families_rejected(capsys):
     assert "no families" in err
 
 
+def test_verify_type_with_all_rejected(capsys):
+    code, out, err = run(capsys, "verify", "A2-1", "--all", "--max-rank", "3")
+    assert code == 2 and out == ""
+    assert "not both" in err
+
+
 def test_character_bad_weight(capsys):
     code, _, _ = run(capsys, "character", "A2-1", "W9", "--max-degree", "1")
     assert code == 2
@@ -185,3 +191,13 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("digraph")
+
+
+def test_out_file_unwritable(tmp_path, capsys):
+    # a missing directory and a directory in place of the file: usage
+    # errors (exit 2), not a traceback or the verification-failure exit 1
+    for target in (tmp_path / "missing" / "graph.dot", tmp_path):
+        code, out, err = run(capsys, "build", "A2-1", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}")
+    assert list(tmp_path.iterdir()) == []

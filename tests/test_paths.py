@@ -5,9 +5,10 @@ from collections import Counter
 import pytest
 from conftest import family
 
+from affine_crystals import paths
 from affine_crystals.algebra import energy_propagate
 from affine_crystals.cartan import AffineWeight, build_datum, level_one_dominants, swept_types
-from affine_crystals.crystal import EMPTY, YElement
+from affine_crystals.crystal import EMPTY, YElement, build_crystal
 from affine_crystals.paths import (
     OracleUnsupported,
     PathModel,
@@ -16,6 +17,7 @@ from affine_crystals.paths import (
     oracle_multiplicity,
     partition_series,
 )
+from affine_crystals.perfect import minimal_elements
 from affine_crystals.roots import RootVector
 
 
@@ -26,16 +28,28 @@ def _model(name, lam_index=0):
 
 def test_ground_state_fixed_points():
     d = build_datum("A2-1")
-    gs0 = ground_state(d, AffineWeight.fundamental(0, 2))
-    assert gs0.entries == (EMPTY,) and gs0.period == 1
-    gs1 = ground_state(d, AffineWeight.fundamental(1, 2))
-    assert gs1.entries == (YElement(1),) and gs1.period == 1
-    for name in ["C2-1", "D4-3", "A4-2", "B3-1"]:
-        dn = build_datum(name)
-        for lam in level_one_dominants(dn):
-            gs = ground_state(dn, lam)
-            assert gs.period == 1
-            assert gs.period <= len(level_one_dominants(dn))
+    assert ground_state(d, AffineWeight.fundamental(0, 2)) == EMPTY
+    assert ground_state(d, AffineWeight.fundamental(1, 2)) == YElement(1)
+    # the homogeneous ground state exists at every level-1 weight
+    for t in swept_types(8):
+        ctx = family(t.name)
+        g = ctx.graph
+        for lam in level_one_dominants(ctx.datum):
+            b = ground_state(ctx.datum, lam, g)
+            assert g.eps_vec(b) == g.phi_vec(b) == lam
+
+
+def test_ground_state_rejects_inhomogeneous(monkeypatch):
+    # a minimal-element table whose eps- and phi-preimages differ, as in a
+    # perfect crystal whose ground states are periodic
+    d = build_datum("A2-1")
+    g = build_crystal(d)
+    table = minimal_elements(d, g)
+    table[1] = (YElement(2), YElement(1))  # (eps-preimage, phi-preimage)
+    monkeypatch.setattr(paths, "minimal_elements", lambda d, graph: table)
+    assert ground_state(d, AffineWeight.fundamental(0, 2), g) == EMPTY
+    with pytest.raises(ValueError, match="homogeneous"):
+        ground_state(d, AffineWeight.fundamental(1, 2), g)
 
 
 def test_path_f_first_excitation():
@@ -76,16 +90,12 @@ def test_path_stats_window_independent():
             for i in range(d.n + 1):
                 base = pm.stats(p, i)
                 for extra in range(2, 5):
-                    word = list(p.prefix) + [
-                        pm.ground.entry(k)
-                        for k in range(len(p.prefix), len(p.prefix) + extra - 1)
-                    ]
+                    word = list(p.prefix) + [pm.ground] * (extra - 1)
                     E, P = 0, 0
                     for b in word:
                         e_b, p_b = g.string_stats(b, i)
                         E, P = e_b + max(0, E - p_b), P + max(0, p_b - E)
-                    top = pm.ground.entry(len(p.prefix) + extra - 1)
-                    e_t, p_t = g.string_stats(top, i)
+                    e_t, p_t = g.string_stats(pm.ground, i)
                     widened = (max(E - p_t, 0), P + max(p_t - E, 0))
                     assert widened == base
 
@@ -216,7 +226,7 @@ def test_fixed_length_misses_paths():
 def test_zero_energy_cycle_rejected():
     d, pm = _model("A1-1")
     m = len(pm.graph)
-    top = pm.graph.index[pm.ground.entries[0]]
+    top = pm.graph.index[pm.ground]
     other = pm.graph.index[pm.graph.elements[0]]
     energy = list(pm.energy)
     base = energy[top * m + top]

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -18,10 +20,10 @@ from affine_crystals.crystal import (
     YElement,
     build_crystal,
 )
-from affine_crystals.roots import RootVector, lambda_weights, theta
+from affine_crystals.roots import RootVector, finite_roots, lambda_weights, theta
 from affine_crystals.tensor import TensorCrystal, TensorElement
 
-from conftest import SWEPT_NAMES
+from conftest import SWEPT_NAMES, family
 
 
 def _setup(name):
@@ -311,11 +313,44 @@ def test_full_square_connected():
 def test_classical_components_partition_with_unique_maximal():
     for name in ["A2-1", "C2-1", "D4-3", "A4-2", "B3-1"]:
         d, g, t = _setup(name)
-        parts = t.components(omit_zero=True)
-        assert sum(len(p) for p in parts) == t.size
-        mv = set(t.maximal_indices())
-        for p in parts:
-            assert len([k for k in p if k in mv]) == 1
+        labels, count = t.component_labels(omit_zero=True)
+        assert len(labels) == t.size and set(labels) == set(range(count))
+        # one maximal vector in each component
+        assert sorted(labels[k] for k in t.maximal_indices()) == list(range(count))
+
+
+@pytest.mark.parametrize("ty", SWEPT_NAMES)
+def test_component_sizes_match_weyl_dimension(ty):
+    """Every classical component of B (x) B is the crystal of an irreducible
+    g-module, so its size is the Weyl dimension of its head's weight lam:
+    prod over positive roots alpha of (lam + rho, alpha^v) / (rho, alpha^v).
+    With alpha = sum k_j alpha_j, (mu, alpha^v) is proportional to
+    sum k_j s_j mu(h_j), the factor cancelling in each ratio.
+
+    The formula shares `finite_roots` and the symmetrizers of nodes 1..n
+    with the construction of B; tests/test_roots.py pins the root counts
+    independently."""
+    ctx = family(ty)
+    d, g, t = ctx.datum, ctx.graph, ctx.tensor
+    sym = d.symmetrizers[1:]
+    positives = [r.twice for r, _ in finite_roots(d) if r.is_nonneg()]
+    labels, _ = t.component_labels(omit_zero=True)
+    sizes = Counter(labels)
+    m = len(g)
+    for k in t.maximal_indices():
+        left, right = g.weight_of(g.elements[k // m]), g.weight_of(g.elements[k % m])
+        lam = (left + right).coeffs[1:]
+        dim = Fraction(1)
+        for twice in positives:
+            dim *= Fraction(
+                sum(c * s * (x + 1) for c, s, x in zip(twice, sym, lam)),
+                sum(c * s for c, s in zip(twice, sym)),
+            )
+        assert dim == sizes[labels[k]]
+    if ty == "E8-1":
+        # (248 + 1)^2: 248 (x) 248 = 1 + 248 + 3875 + 27000 + 30380, plus
+        # 248 twice and 1 once from the trivial factor
+        assert sorted(sizes.values()) == [1, 1, 248, 248, 248, 3875, 27000, 30380]
 
 
 def test_named_components():

@@ -190,14 +190,15 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
 
     H is one value on each classical component (``component_labels``), and
     across a 0-arrow t -> u = e_0(t) the step H(u) - H(t) is 1 when e_0
-    moved the left factor of t and -1 when it moved the right one.  Which
-    factor moved is read off the raising table (u and t differ in their left
-    factor), so the signature rule is applied only where that table is
-    built.  Values spread breadth first from the anchor's component (empty
-    (x) empty at level 0 unless another anchor is given) along the distinct
-    (lower, upper, step) links between components; then every 0-arrow is
-    checked against the result, so an inconsistent assignment cannot
-    survive.
+    moved the left factor of t and -1 when it moved the right one.  The
+    0-arrows are the pairs that the loop-form raising map ``up[0]`` moves
+    (u != t), and which factor moved is read off u (u and t differ in their
+    left factor), so the signature rule is applied only in the kernel that
+    builds that map.  Values spread breadth first from the anchor's
+    component (empty (x) empty at level 0 unless another anchor is given)
+    along the distinct (lower, upper, step) links between components; then
+    every 0-arrow is checked against the result, so an inconsistent
+    assignment cannot survive.
     """
     if anchor is None:
         anchor = TensorElement(EMPTY, EMPTY)
@@ -205,8 +206,8 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     m = len(tensor.base)
     arrows = [
         (t, u, 1 if u // m != t // m else -1)
-        for t, u in enumerate(tensor.e[0])
-        if u >= 0
+        for t, u in enumerate(tensor.up[0])
+        if u != t
     ]
     links = [[] for _ in range(count)]
     for lo, hi, s in sorted({(labels[t], labels[u], s) for t, u, s in arrows}):

@@ -2,6 +2,8 @@
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, itemgetter
 
 
 @dataclass(frozen=True)
@@ -14,26 +16,29 @@ class TensorElement:
 
 
 class TensorCrystal:
-    """B (x) B, with its arrow tables built on demand.
+    """B (x) B, with its raising maps built on demand.
 
-    Pairs are indexed left-major, k = l * m + r.  The arrow tables are flat
-    lists, absent entries marked -1, one per index, and each kind is built
-    on first read.  There is one row kernel, for the raising tables ``e``,
-    which the classical labelling and energy propagation read: for each
-    index i and left factor l, the row of pairs (l, 0..m-1) is one list
-    comprehension over the right factors' eps_i and arrows, slice-assigned
-    into a preallocated table.  The lowering tables ``f`` are ``e``
-    inverted, so no second copy of the signature rule decides them.  The
+    Pairs are indexed left-major, k = l * m + r.  The raising maps ``up``
+    are built on first read, one flat list per index, in loop form:
+    ``up[i][t]`` is e_i(t), or t itself where e_i kills t.  The encoding is
+    unambiguous because ``CrystalGraph`` rejects every i-cycle, self-loops
+    included, so e_i(t) = t never happens in a product.  One kernel builds
+    each map from slices of a shared ``list(range(m * m))``: rows of left
+    factors that e_i raises, then columns of right factors with eps_i > 0,
+    then a small fix-up where the signature rule sends e_i left after all.
+    The ``e`` and ``f`` tables (absent arrows marked -1, ``f`` the inverse
+    of ``up``) are derived views that nothing in the library reads.  The
     per-pair queries (``f_tilde``, ``e_tilde``, ``string_stats``,
     ``component_of``) apply ``CrystalGraph.pair_f`` and ``pair_e`` to the
-    two factors and build no table.
+    two factors and build no map.
 
     The classical components (no 0-arrows) are labelled once, on first use,
-    and cached.  Each pair points up along its first raising arrow; the pairs
-    with none are the maximal vectors, and pointer jumping carries every
-    other pair to the head of its chain.  A closure check over every
-    classical raising arrow then merges heads joined by an arrow, and chains
-    that never reach a head (classical cycles), so the labels are the exact
+    and cached, with whole-map gathers instead of loops over pairs.  The
+    classical maps are composed into one raising map, which pointer
+    doubling carries to its fixpoints; the heads (maximal vectors) are the
+    fixpoints that every classical map fixes.  A closure check over every
+    classical map then merges heads joined by an arrow, and chains that
+    never reach a head (classical cycles), so the labels are the exact
     components of any graph; for a crystal it merges nothing.
     """
 
@@ -42,46 +47,63 @@ class TensorCrystal:
         m = len(base)
         self.size = m * m
         self.n_indices = base.n_indices
-        self._f = None
+        self._up = None
         self._e = None
+        self._f = None
         self._classical = None
 
     @property
+    def up(self):
+        """Raising maps in loop form, one flat list per index, built on
+        first read."""
+        if self._up is None:
+            ident = list(range(self.size))
+            self._up = [self._e_table(i, ident) for i in range(self.n_indices)]
+        return self._up
+
+    @property
+    def e(self):
+        """Raising tables, absent arrows marked -1 (a view of ``up``)."""
+        if self._e is None:
+            self._e = [
+                [-1 if u == t else u for t, u in enumerate(up)] for up in self.up
+            ]
+        return self._e
+
+    @property
     def f(self):
-        """Lowering tables, one flat list per index, built on first read:
-        f_i(u) = t for every raising arrow e_i(t) = u."""
+        """Lowering tables, absent arrows marked -1: f_i(u) = t for every
+        raising arrow e_i(t) = u."""
         if self._f is None:
             self._f = []
-            for e_tab in self.e:
+            for up in self.up:
                 flat = [-1] * self.size
-                for t, u in enumerate(e_tab):
-                    if u >= 0:
+                for t, u in enumerate(up):
+                    if u != t:
                         flat[u] = t
                 self._f.append(flat)
         return self._f
 
-    @property
-    def e(self):
-        """Raising tables, one flat list per index, built on first read."""
-        if self._e is None:
-            self._e = [self._e_table(i) for i in range(self.n_indices)]
-        return self._e
-
-    def _e_table(self, i):
+    def _e_table(self, i, ident):
+        """The loop-form map of e_i, made of slices of ``ident`` (the
+        identity map on pairs), so that only the fix-up allocates ints."""
         base = self.base
         m = len(base)
         ei = base.e[i]
-        right = list(zip(range(m), base._eps[i], [ei.get(r, -1) for r in range(m)]))
-        flat = [-1] * self.size
+        flat = ident[:]
+        for l, src in ei.items():
+            flat[l * m:(l + 1) * m] = ident[src * m:(src + 1) * m]
+        # e_i(r) exists exactly where eps_i(r) > 0; these columns act on the
+        # right unless phi_i(l) >= eps_i(r), which the fix-up restores
+        for r, src in ei.items():
+            flat[r::m] = ident[src::m]
+        raised = [(r, eps_r) for r, eps_r in enumerate(base._eps[i]) if eps_r]
         for l, pl in enumerate(base._phi[i]):
-            row = l * m
-            # e_i acts on the right only when eps_i(r) > phi_i(l) >= 0, so
-            # e_i(r) exists there
-            e_left = ei[l] * m if l in ei else -1
-            flat[row:row + m] = [
-                row + e_r if pl < eps_r else (e_left + r if e_left >= 0 else -1)
-                for r, eps_r, e_r in right
-            ]
+            if pl:
+                row, dst = l * m, ei.get(l, l) * m
+                for r, eps_r in raised:
+                    if eps_r <= pl:
+                        flat[row + r] = dst + r
         return flat
 
     def pair_index(self, t):
@@ -123,46 +145,43 @@ class TensorCrystal:
     def _classical_components(self):
         """(labels, count, maximal indices) without 0-arrows, computed once."""
         if self._classical is None:
-            top = [-1] * self.size
-            for e_tab in reversed(self.e[1:]):
-                top = [u if u >= 0 else t for u, t in zip(e_tab, top)]
-            heads = [k for k, t in enumerate(top) if t < 0]
-            for k in heads:
-                top[k] = k
+            ups = self.up[1:]
+            top = tuple(range(self.size))
+            for up in ups:
+                top = _gather(up, top)
+            fixed = compress(range(self.size), map(eq, top, range(self.size)))
+            heads = [k for k in fixed if all(up[k] == k for up in ups)]
             # chains are shorter than size, so this many doublings reach
             # every head; only pairs led into a classical cycle stay unsettled
             for _ in range(self.size.bit_length()):
-                jumped = [top[t] for t in top]
+                jumped = _gather(top, top)
                 if jumped == top:
                     break
                 top = jumped
-            merges = [
-                (t, top[u])
-                for e_tab in self.e[1:]
-                for t, u in zip(top, e_tab)
-                if u >= 0 and t != top[u]
-            ]
+            merges = []
+            for up in ups:
+                moved = _gather(top, up)
+                if moved != top:
+                    merges += [(a, b) for a, b in zip(top, moved) if a != b]
             if merges:
-                top = list(map(_union_find(self.size, merges), top))
-            ids = {}
-            labels = [ids.setdefault(t, len(ids)) for t in top]
-            self._classical = labels, len(ids), heads
+                top = tuple(map(_union_find(self.size, merges), top))
+            ids = {c: k for k, c in enumerate(dict.fromkeys(top))}
+            self._classical = _gather(ids, top), len(ids), heads
         return self._classical
 
     def maximal_indices(self):
-        """Pairs killed by every raising operator with index != 0."""
+        """Pairs fixed by every raising map with index != 0."""
         return list(self._classical_components()[2])
 
     def component_labels(self, omit_zero):
         """Component id per pair index; ids follow each component's smallest
         pair index.  With 0-arrows, the classical components are merged
-        along the distinct pairs of components that a 0-arrow joins (read
-        from the raising table; the union is symmetric)."""
+        along the distinct pairs of components that e_0 joins (a pair that
+        e_0 fixes joins its own component; the union is symmetric)."""
         labels, count, _ = self._classical_components()
         if omit_zero:
             return list(labels), count
-        links = {(labels[k], labels[u]) for k, u in enumerate(self.e[0]) if u >= 0}
-        find = _union_find(count, links)
+        find = _union_find(count, set(zip(labels, _gather(labels, self.up[0]))))
         ids = {}
         merged = [ids.setdefault(find(c), len(ids)) for c in range(count)]
         return [merged[c] for c in labels], len(ids)
@@ -185,6 +204,14 @@ class TensorCrystal:
                         queue.append(nb)
         m = len(base)
         return {l * m + r for l, r in seen}
+
+
+def _gather(seq, idx):
+    """(seq[k] for k in idx) as a tuple, by one C-level itemgetter call;
+    itemgetter returns a bare item, not a tuple, for a single index."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
+    return tuple(seq[k] for k in idx)
 
 
 def _union_find(n, links):

@@ -7,6 +7,8 @@ import pytest
 from affine_crystals.algebra import (
     Box,
     build_psi,
+    energy_by_classification,
+    energy_propagate,
     three_box_crystal,
     valid_psi_indices,
     verify_psi,
@@ -20,6 +22,7 @@ from affine_crystals.crystal import (
     YElement,
     build_crystal,
 )
+from affine_crystals.perfect import verify_perfect
 from affine_crystals.roots import RootVector, finite_roots, lambda_weights, theta
 from affine_crystals.tensor import TensorCrystal, TensorElement
 
@@ -162,7 +165,45 @@ def test_row_tables_match_pairwise_rule(ty):
     want = _reference_tables(g)
     assert _helper_tables(g) == want
     t = TensorCrystal(g)
+    # loop form: up[i][k] == k exactly where pair_e kills the pair
+    assert t.up == [[k if u < 0 else u for k, u in enumerate(e)] for e in want[1]]
     assert (t.f, t.e) == want
+
+
+def test_self_loop_rejected():
+    # the loop-form maps rely on e_i(t) = t never happening
+    a = Box(1)
+    with pytest.raises(ValueError, match="cycle"):
+        CrystalGraph([a], [(0, a, a)], 1)
+
+
+@pytest.mark.parametrize("ty", SWEPT_NAMES + HAND_BUILT)
+def test_maximal_indices_match_kashiwara_rule(ty):
+    # l (x) r is maximal iff eps_i(l) = 0 and eps_i(r) <= phi_i(l) for every
+    # i >= 1, read off B alone
+    t = TensorCrystal(_hand_built(ty)) if ty in HAND_BUILT else family(ty).tensor
+    g = t.base
+    m = len(g)
+    classical = range(1, g.n_indices)
+    want = [
+        l * m + r
+        for l in range(m)
+        for r in range(m)
+        if all(g._eps[i][l] == 0 and g._eps[i][r] <= g._phi[i][l] for i in classical)
+    ]
+    assert t.maximal_indices() == want
+
+
+@pytest.mark.parametrize("n_indices", [1, 2])
+def test_one_element_square(n_indices):
+    # one pair: every gather has a single index
+    a = Box(1)
+    t = TensorCrystal(CrystalGraph([a], [], n_indices))
+    assert t.up == [[0]] * n_indices
+    for omit_zero in (True, False):
+        assert t.component_labels(omit_zero) == _reference_labels(t, omit_zero)
+    assert t.maximal_indices() == _reference_maximal(t) == [0]
+    assert energy_propagate(t, anchor=TensorElement(a, a), anchor_value=3) == [3]
 
 
 @pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A4-2", "D4-3"])
@@ -190,7 +231,18 @@ def test_verify_psi_builds_no_table():
     t = TensorCrystal(g)
     i = valid_psi_indices(d)[0]
     assert verify_psi(d, g, t, build_psi(d, i), i) == (True, None)
-    assert t._f is None and t._e is None
+    assert t._up is None and t._f is None and t._e is None
+
+
+def test_energy_and_verify_build_no_views():
+    # the library reads only the loop-form maps, never the -1 views
+    d = build_datum("C8-1")
+    g = build_crystal(d)
+    t = TensorCrystal(g)
+    assert energy_propagate(t) == energy_by_classification(t)
+    assert verify_perfect(d, g, t).all_passed
+    assert t._up is not None
+    assert t._e is None and t._f is None
 
 
 def test_tensor_f_example():

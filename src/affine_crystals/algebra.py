@@ -9,10 +9,13 @@ classical components, once from the closed component classification.
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import sub
 
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement
 from .roots import RootVector, connect_support, dynkin_path, lambda_weights, theta
-from .tensor import TensorCrystal, TensorElement
+from .tensor import TensorCrystal, TensorElement, _gather
 
 EMPTY_EMPTY = "EmptyEmpty"
 THETA_MINUS_THETA = "ThetaMinusTheta"
@@ -174,14 +177,55 @@ def multiplication_table(graph, psi):
     None for absent products.
     """
     index = graph.index
-    inverse = {
-        (index.get(t.left), index.get(t.right)): b.label() for b, t in psi.items()
-    }
     domain = [
         k for k, b in enumerate(graph.elements) if not isinstance(b, EmptyElement)
     ]
-    rows = [[inverse.get((l, r)) for r in domain] for l in domain]
+    position = {k: p for p, k in enumerate(domain)}
+    rows = [[None] * len(domain) for _ in domain]
+    for b, t in psi.items():
+        l = position.get(index.get(t.left))
+        r = position.get(index.get(t.right))
+        if l is not None and r is not None:
+            rows[l][r] = b.label()
     return {"order": [graph.elements[k].label() for k in domain], "rows": rows}
+
+
+def _json_lines(items, indent):
+    """A JSON array or object body from items already encoded and indented,
+    laid out as ``json.dumps(..., indent=2)`` lays out a container whose
+    closing bracket sits at ``indent`` spaces: the opening bracket is the
+    caller's."""
+    if not items:
+        return ""
+    return "\n" + ",\n".join(items) + "\n" + " " * indent
+
+
+def multiplication_table_json(graph, psi, node, verified, witness=None):
+    """``multiplication_table`` plus the fields ``node``,
+    ``embedding_verified`` and, when given, ``witness``, as the bytes of
+    ``json.dumps(..., indent=2)``.  The ``order`` and ``rows`` lists are
+    written line by line, each distinct entry encoded once; the scalar
+    fields go through ``json.dumps``."""
+    table = multiplication_table(graph, psi)
+    order = table["order"]
+    entries = {
+        x: "null" if x is None else encode_basestring_ascii(x)
+        for x in dict.fromkeys(chain(order, *table["rows"]))
+    }
+    inner = {x: "      " + e for x, e in entries.items()}
+    rows = [
+        "    [" + _json_lines(list(map(inner.__getitem__, row)), 4) + "]"
+        for row in table["rows"]
+    ]
+    fields = [
+        '  "order": [' + _json_lines(["    " + entries[x] for x in order], 2) + "]",
+        '  "rows": [' + _json_lines(rows, 2) + "]",
+        f'  "node": {json.dumps(node)}',
+        f'  "embedding_verified": {json.dumps(verified)}',
+    ]
+    if witness:
+        fields.append(f'  "witness": {json.dumps(witness)}')
+    return "{" + _json_lines(fields, 0) + "}\n"
 
 
 def energy_propagate(tensor, anchor=None, anchor_value=0):
@@ -192,25 +236,25 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     across a 0-arrow t -> u = e_0(t) the step H(u) - H(t) is 1 when e_0
     moved the left factor of t and -1 when it moved the right one.  The
     0-arrows are the pairs that the loop-form raising map ``up[0]`` moves
-    (u != t), and which factor moved is read off u (u and t differ in their
-    left factor), so the signature rule is applied only in the kernel that
-    builds that map.  Values spread breadth first from the anchor's
-    component (empty (x) empty at level 0 unless another anchor is given)
-    along the distinct (lower, upper, step) links between components; then
-    every 0-arrow is checked against the result, so an inconsistent
-    assignment cannot survive.
+    (u != t), and which factor moved is read off u (u and t differ in
+    their left factor), so the signature rule is applied only in the
+    kernel that builds that map.  Values spread breadth first from the
+    anchor's component (empty (x) empty at level 0 unless another anchor
+    is given) along the distinct (lower, upper, step) links between
+    components; then every 0-arrow is checked against the result, by
+    gathers over the moved pairs only, so an inconsistent assignment
+    cannot survive.
     """
     if anchor is None:
         anchor = TensorElement(EMPTY, EMPTY)
     labels, count = tensor.component_labels(omit_zero=True)
     m = len(tensor.base)
-    arrows = [
-        (t, u, 1 if u // m != t // m else -1)
-        for t, u in enumerate(tensor.up[0])
-        if u != t
-    ]
+    up0 = tensor.up[0]
+    src = [t for t, u in enumerate(up0) if u != t]
+    dst = _gather(up0, src)
+    steps = [1 if u // m != t // m else -1 for t, u in zip(src, dst)]
     links = [[] for _ in range(count)]
-    for lo, hi, s in sorted({(labels[t], labels[u], s) for t, u, s in arrows}):
+    for lo, hi, s in sorted(set(zip(_gather(labels, src), _gather(labels, dst), steps))):
         links[lo].append((hi, s))
         links[hi].append((lo, -s))
     value = [None] * count
@@ -226,12 +270,14 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     if None in value:
         raise ValueError("tensor square is not connected; energy is partial")
     h = [value[c] for c in labels]
-    bad = next(((t, u, s) for t, u, s in arrows if h[u] - h[t] != s), None)
-    if bad is not None:
-        t, u, s = bad
+    h_src = _gather(h, src)
+    jumps = list(map(sub, _gather(h, dst), h_src))
+    if jumps != steps:
+        bad = next(k for k, (jump, s) in enumerate(zip(jumps, steps)) if jump != s)
+        u = dst[bad]
         raise ValueError(
             f"inconsistent energy at {tensor.element(u).label()}: "
-            f"{h[u]} vs {h[t] + s} via index 0"
+            f"{h[u]} vs {h_src[bad] + steps[bad]} via index 0"
         )
     return h
 
@@ -451,12 +497,40 @@ def energy_by_classification(tensor):
     return [value[c] for c in labels]
 
 
+def _keys_may_coincide(labels):
+    """Whether two pairs of labels can write the same '(left,right)' key.
+
+    If "(a,b)" equals "(c,d)" with a shorter than c, then c is a followed by
+    a comma; so keys can coincide only when a label repeats or a label
+    begins with another label and a comma.
+    """
+    seen = set(labels)
+    return len(seen) < len(labels) or any(
+        label[:k] in seen
+        for label in labels
+        for k, char in enumerate(label)
+        if char == ","
+    )
+
+
 def energy_table_json(tensor, h):
-    """JSON map '(left,right)' -> H, in canonical pair order."""
-    labels = [b.label() for b in tensor.base.elements]
-    m = len(labels)
-    out = {f"({labels[k // m]},{labels[k % m]})": v for k, v in enumerate(h)}
-    return json.dumps(out, indent=2) + "\n"
+    """JSON map '(left,right)' -> H, in canonical pair order.
+
+    Written row by row, with the bytes of ``json.dumps(..., indent=2)``:
+    each element label is encoded once, each distinct H value once, and
+    the lines are joined in one pass.  When two pairs can share a key
+    (``_keys_may_coincide``) the lines go through a dict first, which keeps
+    the first position and the last value, as the dict of pairs would.
+    """
+    labels = [encode_basestring_ascii(b.label())[1:-1] for b in tensor.base.elements]
+    tails = [f'{label})": ' for label in labels]
+    keys = chain.from_iterable(map(f'  "({left},'.__add__, tails) for left in labels)
+    values = {v: json.dumps(v) + ",\n" for v in set(h)}
+    lines = zip(keys, map(values.__getitem__, h))
+    if _keys_may_coincide(labels):
+        lines = dict(lines).items()
+    body = "".join(chain.from_iterable(lines))
+    return "{\n" + body[:-2] + "\n}\n" if body else "{}\n"
 
 
 @dataclass(frozen=True)

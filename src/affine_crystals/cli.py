@@ -13,7 +13,7 @@ from .algebra import (
     energy_by_classification,
     energy_propagate,
     energy_table_json,
-    multiplication_table,
+    multiplication_table_json,
     valid_psi_indices,
     verify_psi,
 )
@@ -69,11 +69,14 @@ def cmd_verify(args):
     if args.all and args.type:
         _usage_error("give a type or --all, not both")
     if args.all:
-        types = [t.name for t in swept_types(args.max_rank, with_exceptional=False)]
+        max_rank = 5 if args.max_rank is None else args.max_rank
+        types = [t.name for t in swept_types(max_rank, with_exceptional=False)]
         if not types:
-            _usage_error(f"no families of rank <= {args.max_rank}")
+            _usage_error(f"no families of rank <= {max_rank}")
         reports = list(map(_verify_one, types))
     else:
+        if args.max_rank is not None:
+            _usage_error("--max-rank applies only with --all")
         if not args.type:
             _usage_error("give a type or --all")
         reports = [_verify_one(args.type)]
@@ -127,12 +130,7 @@ def cmd_multiply(args):
         _usage_error(err)
     tensor = TensorCrystal(g)
     ok, witness = verify_psi(d, g, tensor, psi, i)
-    table = multiplication_table(g, psi)
-    table["node"] = i
-    table["embedding_verified"] = ok
-    if witness:
-        table["witness"] = witness
-    _emit(json.dumps(table, indent=2) + "\n", args.out)
+    _emit(multiplication_table_json(g, psi, i, ok, witness), args.out)
     return 0 if ok else 1
 
 
@@ -207,7 +205,7 @@ def main(argv=None):
     p = sub.add_parser("verify", help="check the level-1 axioms")
     p.add_argument("type", nargs="?")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--max-rank", type=int, default=5)
+    p.add_argument("--max-rank", type=int, help="with --all (default 5)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

@@ -7,6 +7,7 @@ classical indices and the theta-translation rule for index 0.
 
 import json
 from dataclasses import dataclass
+from operator import add
 
 from .cartan import AffineWeight
 from .roots import RootVector, lambda_weights, theta
@@ -197,34 +198,38 @@ def build_crystal(d):
 
     Order: positive x-elements by height then lexicographically, then y_i
     by index, then the negative x-elements mirroring the positives, then
-    the empty element.
+    the empty element.  The arrows are found on the integer keys
+    ``RootVector.twice``: index i >= 1 lowers key a to a - alpha_i (entry
+    i - 1 down by 2) when that is a weight, index 0 raises it by theta.
+    Sources are visited in ascending key order, so ``arrows()`` and the
+    exports list them in that order.
     """
     lam_plus, has_y, _ = lambda_weights(d)
-    th = theta(d)
-    elements = (
-        [XRoot(r) for r in lam_plus]
-        + [YElement(i) for i in sorted(has_y)]
-        + [XRoot(-r) for r in lam_plus]
-        + [EMPTY]
-    )
-    lam_set = set(lam_plus) | {-r for r in lam_plus}
+    th = theta(d).twice
+    pos = [XRoot(r) for r in lam_plus]
+    neg = [XRoot(-r) for r in lam_plus]
+    elements = pos + [YElement(i) for i in sorted(has_y)] + neg + [EMPTY]
+    x = {b.root.twice: b for b in pos + neg}
+    keys = sorted(x)
     n = d.n
     arrows = []
     for i in range(1, n + 1):
-        alpha_i = RootVector.simple(i, n)
-        for a in sorted(lam_set, key=lambda r: r.twice):
-            b = a - alpha_i
-            if b in lam_set:
-                arrows.append((i, XRoot(a), XRoot(b)))
+        k = i - 1
+        for a in keys:
+            b = x.get(a[:k] + (a[k] - 2,) + a[k + 1:])
+            if b is not None:
+                arrows.append((i, x[a], b))
         if i in has_y:
-            arrows.append((i, XRoot(alpha_i), YElement(i)))
-            arrows.append((i, YElement(i), XRoot(-alpha_i)))
-    for a in sorted(lam_set, key=lambda r: r.twice):
-        if a == th or a == -th:
+            alpha_i = x[tuple(2 if j == k else 0 for j in range(n))]
+            arrows.append((i, alpha_i, YElement(i)))
+            arrows.append((i, YElement(i), x[tuple(-c for c in alpha_i.root.twice)]))
+    neg_th = tuple(-c for c in th)
+    for a in keys:
+        if a == th or a == neg_th:
             continue
-        b = a + th
-        if b in lam_set:
-            arrows.append((0, XRoot(a), XRoot(b)))
-    arrows.append((0, XRoot(-th), EMPTY))
-    arrows.append((0, EMPTY, XRoot(th)))
+        b = x.get(tuple(map(add, a, th)))
+        if b is not None:
+            arrows.append((0, x[a], b))
+    arrows.append((0, x[neg_th], EMPTY))
+    arrows.append((0, EMPTY, x[th]))
     return CrystalGraph(elements, arrows, n + 1, datum=d)

@@ -8,8 +8,9 @@ failure.
 
 import json
 from dataclasses import dataclass, field
+from operator import mul, sub
 
-from .cartan import level, level_one_dominants
+from .cartan import level_one_dominants
 from .crystal import XRoot, build_crystal
 from .roots import theta
 from .tensor import TensorCrystal
@@ -55,23 +56,33 @@ def minimal_elements(d, graph):
     """For each level-1 dominant Lambda, the unique b with eps(b) = Lambda
     and the unique b with phi(b) = Lambda.
 
-    Raises ValueError with a witness when existence or uniqueness fails.
+    The eps and phi columns of the graph are read once, into maps from the
+    coefficient tuple to the elements carrying it.  Raises ValueError with
+    a witness when existence or uniqueness fails.
     """
+    ups, downs = {}, {}
+    for found, stats in ((ups, graph._eps), (downs, graph._phi)):
+        for b, coeffs in zip(graph.elements, zip(*stats)):
+            found.setdefault(coeffs, []).append(b)
     out = {}
     for lam in level_one_dominants(d):
-        ups = [b for b in graph.elements if graph.eps_vec(b).coeffs == lam.coeffs]
-        downs = [b for b in graph.elements if graph.phi_vec(b).coeffs == lam.coeffs]
+        up = ups.get(lam.coeffs, [])
+        down = downs.get(lam.coeffs, [])
         i = lam.coeffs.index(1)
-        if len(ups) != 1 or len(downs) != 1:
+        if len(up) != 1 or len(down) != 1:
             raise ValueError(
-                f"Lambda_{i}: {len(ups)} eps-preimages, {len(downs)} phi-preimages"
+                f"Lambda_{i}: {len(up)} eps-preimages, {len(down)} phi-preimages"
             )
-        out[i] = (ups[0], downs[0])
+        out[i] = (up[0], down[0])
     return out
 
 
 def verify_perfect(d, graph=None, tensor=None):
-    """Check the machine-checkable level-1 axioms for one family."""
+    """Check the machine-checkable level-1 axioms for one family.
+
+    The top-weight count, the eps-level bound and the minimal elements are
+    read off the eps and phi columns of the graph, with no per-element
+    weight objects."""
     if graph is None:
         graph = build_crystal(d)
     if tensor is None:
@@ -89,22 +100,26 @@ def verify_perfect(d, graph=None, tensor=None):
         "" if count == 1 else "multiple components",
     )
 
-    # weights lie under theta in the (1/d0)-scaled cone, with a unique top
+    # weights lie under theta in the (1/d0)-scaled cone, with a unique top:
+    # theta - wt(b) has nonnegative doubled coefficients, even ones if d0 = 1
     th = theta(d)
-    d0 = d.d0
-    bad = None
-    for b in graph.elements:
-        diff = th - graph.root_weight(b)
-        if not diff.is_nonneg():
-            bad = b
-            break
-        if d0 == 1 and any(t % 2 != 0 for t in diff.twice):
-            bad = b
-            break
-    top_weight = graph.weight_of(XRoot(th)).coeffs
-    top_count = sum(
-        1 for b in graph.elements if graph.weight_of(b).coeffs == top_weight
+    step = 2 if d.d0 == 1 else 1
+    bad = next(
+        (
+            b
+            for b in graph.elements
+            if any(
+                t < 0 or t % step
+                for t in map(sub, th.twice, graph.root_weight(b).twice)
+            )
+        ),
+        None,
     )
+    weights = [
+        tuple(map(sub, phi, eps))
+        for phi, eps in zip(zip(*graph._phi), zip(*graph._eps))
+    ]
+    top_count = weights.count(weights[graph.index[XRoot(th)]])
     ok3 = bad is None and top_count == 1
     report.axioms["weight_cone"] = AxiomResult(
         ok3,
@@ -113,12 +128,12 @@ def verify_perfect(d, graph=None, tensor=None):
     )
 
     # <c, eps(b)> >= 1 everywhere
-    low = [b for b in graph.elements if level(graph.eps_vec(b), d) < 1]
+    levels = [sum(map(mul, d.comarks, eps)) for eps in zip(*graph._eps)]
+    low = next((b for b, c in zip(graph.elements, levels) if c < 1), None)
     report.axioms["eps_level_bound"] = AxiomResult(
-        not low,
-        "min <c, eps(b)> = "
-        + str(min(level(graph.eps_vec(b), d) for b in graph.elements)),
-        low[0].label() if low else "",
+        low is None,
+        f"min <c, eps(b)> = {min(levels)}",
+        "" if low is None else low.label(),
     )
 
     # unique minimal elements for every level-1 dominant weight

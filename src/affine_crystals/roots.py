@@ -7,6 +7,7 @@ that the half-integral weights appearing for A_{2n}^(2) stay exact.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -93,50 +94,45 @@ def finite_roots(d):
     """All roots of g by closure from the simple roots.
 
     Returns a list of (root, length_class) with length_class "short" or
-    "long"; in the simply-laced case every root is classed long.
+    "long"; in the simply-laced case every root is classed long.  The
+    closure runs on the integer keys ``RootVector.twice``; the list holds
+    each positive root, by height then lexicographically, followed by its
+    negative.
     """
     n = d.n
     fc = d.finite_cartan()
-    simple = [RootVector.simple(i, n) for i in range(1, n + 1)]
+    simple = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
     known = set(simple)
-    by_height = {1: list(simple)}
-    h = 1
-    while by_height.get(h):
+    layer = simple
+    while layer:
         nxt = []
-        for beta in by_height[h]:
-            for i in range(1, n + 1):
+        for beta in layer:
+            for i in range(n):
                 # root string: beta + alpha_i is a root iff the string
                 # below beta is long enough relative to <beta, h_i>
-                pair = sum(
-                    beta.twice[k] * fc[i - 1][k] for k in range(n)
-                ) // 2
+                pair = sum(map(mul, beta, fc[i])) // 2
                 down = 0
-                cur = beta - simple[i - 1]
+                cur = beta[:i] + (beta[i] - 2,) + beta[i + 1:]
                 while cur in known:
                     down += 1
-                    cur = cur - simple[i - 1]
+                    cur = cur[:i] + (cur[i] - 2,) + cur[i + 1:]
                 if down - pair > 0:
-                    cand = beta + simple[i - 1]
+                    cand = beta[:i] + (beta[i] + 2,) + beta[i + 1:]
                     if cand not in known:
                         known.add(cand)
                         nxt.append(cand)
-        h += 1
-        if nxt:
-            by_height[h] = nxt
-    positives = sorted(known, key=lambda r: (r.height2(), r.twice))
+        layer = nxt
+    positives = sorted(known, key=lambda t: (sum(t), t))
     gram = [[d.symmetrizers[i + 1] * fc[i][j] for j in range(n)] for i in range(n)]
-
-    def norm2(r):
-        return sum(
-            r.twice[i] * r.twice[j] * gram[i][j] for i in range(n) for j in range(n)
-        )
-
-    top = max(norm2(r) for r in positives)
+    norm2 = [
+        sum(a * sum(map(mul, row, t)) for a, row in zip(t, gram)) for t in positives
+    ]
+    top = max(norm2)
     out = []
-    for r in positives:
-        cls = "short" if norm2(r) < top else "long"
-        out.append((r, cls))
-        out.append((-r, cls))
+    for t, norm in zip(positives, norm2):
+        cls = "short" if norm < top else "long"
+        out.append((RootVector(t), cls))
+        out.append((RootVector(tuple(-a for a in t)), cls))
     return out
 
 

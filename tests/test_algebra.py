@@ -1,17 +1,24 @@
+import json
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_crystals.algebra import (
     GENERIC,
+    Box,
     TWO_THETA,
     build_psi,
     classify_components,
     demazure_crystals,
     energy_by_classification,
     energy_propagate,
+    energy_table_json,
     fixture_energy_check,
     multiplication_table,
+    multiplication_table_json,
     multiply,
     theta_comp,
     three_box_crystal,
@@ -22,9 +29,11 @@ from affine_crystals.algebra import (
     verify_psi,
 )
 from affine_crystals.cartan import build_datum, swept_types
-from affine_crystals.crystal import EMPTY, XRoot, YElement, build_crystal
+from affine_crystals.crystal import EMPTY, CrystalGraph, XRoot, YElement, build_crystal
 from affine_crystals.roots import RootVector, finite_roots, theta
 from affine_crystals.tensor import TensorCrystal, TensorElement
+
+from conftest import SWEPT_NAMES, family
 
 
 def _setup(name):
@@ -371,7 +380,7 @@ def test_propagation_rejects_inconsistent_loop():
     arrows = [(1, boxes[0], boxes[1]), (2, boxes[1], boxes[2]), (0, boxes[0], boxes[2])]
     t = TensorCrystal(CrystalGraph(boxes, arrows, 3))
     with pytest.raises(
-        ValueError, match=r"^inconsistent energy at \d \(x\) \d: -?\d+ vs -?\d+ via index 0$"
+        ValueError, match=r"^inconsistent energy at 1 \(x\) 1: 0 vs 1 via index 0$"
     ):
         energy_propagate(t, anchor=TensorElement(boxes[0], boxes[0]), anchor_value=0)
 
@@ -384,3 +393,99 @@ def test_propagation_rejects_disconnected_square():
     t = TensorCrystal(CrystalGraph(boxes, [(1, boxes[0], boxes[1])], 2))
     with pytest.raises(ValueError, match="not connected; energy is partial"):
         energy_propagate(t, anchor=TensorElement(boxes[0], boxes[0]))
+
+
+# The two big tables are written row by row; json.dumps(..., indent=2) of
+# the same data is their oracle, byte for byte.
+WITNESSES = [None, 'odd "quote", back\\slash and \u00e9t\u00e9 \u2297']
+
+
+def _energy_oracle(tensor, h):
+    labels = [b.label() for b in tensor.base.elements]
+    m = len(labels)
+    table = {f"({labels[k // m]},{labels[k % m]})": v for k, v in enumerate(h)}
+    return json.dumps(table, indent=2) + "\n"
+
+
+def _multiplication_oracle(graph, psi, node, verified, witness):
+    table = multiplication_table(graph, psi)
+    table["node"] = node
+    table["embedding_verified"] = verified
+    if witness:
+        table["witness"] = witness
+    return json.dumps(table, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", SWEPT_NAMES)
+def test_energy_table_json_matches_json_dumps(name):
+    t = family(name).tensor
+    h = energy_propagate(t)
+    assert energy_table_json(t, h) == _energy_oracle(t, h)
+
+
+@pytest.mark.parametrize("name", SWEPT_NAMES)
+def test_multiplication_table_json_matches_json_dumps(name):
+    ctx = family(name)
+    for i, psi in ctx.psis.items():
+        for witness in WITNESSES:
+            for verified in (True, False):
+                got = multiplication_table_json(ctx.graph, psi, i, verified, witness)
+                assert got == _multiplication_oracle(ctx.graph, psi, i, verified, witness)
+
+
+@dataclass(frozen=True)
+class Named:
+    """A crystal element with an arbitrary label; ``key`` keeps equal
+    labels apart as elements."""
+
+    key: int
+    text: str
+
+    def label(self):
+        return self.text
+
+
+def _named_graph(texts):
+    return CrystalGraph([Named(k, s) for k, s in enumerate(texts)], [], 1)
+
+
+@pytest.mark.parametrize("only", [Box(1), EMPTY])
+def test_writers_on_one_element_square(only):
+    # the empty element is outside the product's domain, so the table of
+    # a square of empty alone has empty "order" and "rows" lists
+    g = CrystalGraph([only], [], 1)
+    t = TensorCrystal(g)
+    for h in ([0], [-3]):
+        assert energy_table_json(t, h) == _energy_oracle(t, h)
+    pair = TensorElement(only, only)
+    for psi in ({}, {only: pair}):
+        for witness in WITNESSES:
+            got = multiplication_table_json(g, psi, 1, True, witness)
+            assert got == _multiplication_oracle(g, psi, 1, True, witness)
+
+
+@pytest.mark.parametrize(
+    "texts", [["", ","], ["a", "a"], ["x", "x,y", "y", "y,x"], ["a,b", "a", "b,c", "c"]]
+)
+def test_energy_table_json_coinciding_keys(texts):
+    # "(,,)" is both ("", ",") and (",", ""): the dict of pairs keeps the
+    # first position and the last value, and so must the writer
+    t = TensorCrystal(_named_graph(texts))
+    h = list(range(t.size))
+    assert energy_table_json(t, h) == _energy_oracle(t, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_writers_match_json_dumps_on_random_labels(data):
+    texts = data.draw(st.lists(st.text(max_size=6), min_size=1, max_size=5))
+    g = _named_graph(texts)
+    t = TensorCrystal(g)
+    h = data.draw(st.lists(st.integers(-3, 3), min_size=t.size, max_size=t.size))
+    assert energy_table_json(t, h) == _energy_oracle(t, h)
+    pairs = st.builds(TensorElement, st.sampled_from(g.elements), st.sampled_from(g.elements))
+    psi = data.draw(st.dictionaries(st.sampled_from(g.elements), pairs))
+    witness = data.draw(st.one_of(st.none(), st.text(max_size=6)))
+    verified = data.draw(st.booleans())
+    got = multiplication_table_json(g, psi, 2, verified, witness)
+    assert got == _multiplication_oracle(g, psi, 2, verified, witness)

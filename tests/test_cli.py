@@ -172,6 +172,19 @@ def test_verify_all_without_families_rejected(capsys):
     assert "no families" in err
 
 
+def test_verify_max_rank_needs_all(capsys):
+    # --max-rank selects families for --all; on one type it is a usage error
+    for argv in (["A4-2", "--max-rank", "3"], ["--max-rank", "3"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --max-rank applies only with --all\n"
+    # --all alone keeps the default of rank 5
+    _, default, _ = run(capsys, "verify", "--all")
+    _, rank5, _ = run(capsys, "verify", "--all", "--max-rank", "5")
+    assert default == rank5
+    assert "A5-1: pass" in default and "A6-1" not in default
+
+
 def test_verify_type_with_all_rejected(capsys):
     code, out, err = run(capsys, "verify", "A2-1", "--all", "--max-rank", "3")
     assert code == 2 and out == ""

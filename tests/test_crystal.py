@@ -2,7 +2,9 @@ import pytest
 
 from affine_crystals.cartan import build_datum, level, swept_types
 from affine_crystals.crystal import EMPTY, XRoot, YElement, build_crystal
-from affine_crystals.roots import RootVector, theta
+from affine_crystals.roots import RootVector, finite_roots, lambda_weights, theta
+
+from conftest import SWEPT_NAMES
 
 # the five fully drawn level-1 graphs, edge for edge
 FIXTURES = {
@@ -210,3 +212,82 @@ def test_arrow_cycle_inside_one_index_rejected():
     mixed = [(1, boxes[0], boxes[1]), (2, boxes[1], boxes[2]), (1, boxes[2], boxes[0])]
     g = CrystalGraph(boxes, mixed, 3)
     assert g.string_stats(boxes[1], 1) == (2, 0)
+
+
+def _reference_arrows(d):
+    """The arrows of B read off the definition with RootVector arithmetic:
+    a -> a - alpha_i (i >= 1) between weights, y_i between alpha_i and
+    -alpha_i, a -> a + theta (index 0) off +-theta, and the two empty
+    arrows."""
+    lam_plus, has_y, _ = lambda_weights(d)
+    lam = set(lam_plus) | {-r for r in lam_plus}
+    th = theta(d)
+    out = set()
+    for i in range(1, d.n + 1):
+        alpha_i = RootVector.simple(i, d.n)
+        out |= {(i, XRoot(a), XRoot(a - alpha_i)) for a in lam if a - alpha_i in lam}
+        if i in has_y:
+            out.add((i, XRoot(alpha_i), YElement(i)))
+            out.add((i, YElement(i), XRoot(-alpha_i)))
+    out |= {
+        (0, XRoot(a), XRoot(a + th))
+        for a in lam
+        if a != th and a != -th and a + th in lam
+    }
+    out.add((0, XRoot(-th), EMPTY))
+    out.add((0, EMPTY, XRoot(th)))
+    return out
+
+
+@pytest.mark.parametrize("name", SWEPT_NAMES)
+def test_arrows_match_definition(name):
+    d = build_datum(name)
+    arrows = build_crystal(d).arrows()
+    assert len(arrows) == len(set(arrows))
+    assert set(arrows) == _reference_arrows(d)
+
+
+def _reference_roots(d):
+    """The root-string closure of ``finite_roots`` on RootVector values."""
+    n = d.n
+    fc = d.finite_cartan()
+    simple = [RootVector.simple(i, n) for i in range(1, n + 1)]
+    known = set(simple)
+    layer = list(simple)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in range(n):
+                pair = sum(beta.twice[k] * fc[i][k] for k in range(n)) // 2
+                down = 0
+                cur = beta - simple[i]
+                while cur in known:
+                    down += 1
+                    cur = cur - simple[i]
+                cand = beta + simple[i]
+                if down > pair and cand not in known:
+                    known.add(cand)
+                    nxt.append(cand)
+        layer = nxt
+    positives = sorted(known, key=lambda r: (r.height2(), r.twice))
+    gram = [[d.symmetrizers[i + 1] * fc[i][j] for j in range(n)] for i in range(n)]
+
+    def norm2(r):
+        return sum(
+            r.twice[i] * r.twice[j] * gram[i][j] for i in range(n) for j in range(n)
+        )
+
+    top = max(map(norm2, positives))
+    out = []
+    for r in positives:
+        cls = "short" if norm2(r) < top else "long"
+        out += [(r, cls), (-r, cls)]
+    return out
+
+
+@pytest.mark.parametrize("name", [t.name for t in swept_types(8)])
+def test_finite_roots_match_reference_closure(name):
+    # the A<even>-2 chains build B without finite_roots, but it still runs
+    # on their finite Cartan matrix
+    d = build_datum(name)
+    assert finite_roots(d) == _reference_roots(d)

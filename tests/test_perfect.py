@@ -3,8 +3,9 @@ import json
 import pytest
 
 from affine_crystals.cartan import build_datum, swept_types
-from affine_crystals.crystal import CrystalGraph, EMPTY, YElement, build_crystal
+from affine_crystals.crystal import CrystalGraph, EMPTY, XRoot, YElement, build_crystal
 from affine_crystals.perfect import minimal_elements, verify_perfect
+from affine_crystals.roots import RootVector, theta
 
 
 def test_a2_report():
@@ -52,6 +53,86 @@ def test_corrupted_graph_fails_with_witness():
     failing = [k for k, v in rep.axioms.items() if not v.passed]
     assert failing
     assert any(rep.axioms[k].witness or rep.axioms[k].detail for k in failing)
+    # the whole report, witness and details included, as first recorded
+    assert json.loads(rep.to_json()) == CORRUPTED_A2_REPORT
+
+
+CORRUPTED_A2_REPORT = {
+    "type": "A2-1",
+    "level": 1,
+    "passed": False,
+    "axioms": {
+        "module_asserted": {
+            "passed": True,
+            "detail": "underlying module asserted by the uniform construction, "
+            "not machine-verified",
+        },
+        "tensor_square_connected": {
+            "passed": True,
+            "detail": "B(x)B has 1 component(s) over 81 pairs",
+        },
+        "weight_cone": {"passed": True, "detail": "lambda_0 = theta, |B_lambda0| = 1"},
+        "eps_level_bound": {
+            "passed": False,
+            "detail": "min <c, eps(b)> = 0",
+            "witness": "x[-1,0]",
+        },
+        "minimal_elements": {"passed": True, "detail": "3 level-1 dominant weight(s)"},
+    },
+    "minimal_elements": {
+        "Lambda_0": {"b_upper": "empty", "b_lower": "empty"},
+        "Lambda_1": {"b_upper": "y_1", "b_lower": "x[1,0]"},
+        "Lambda_2": {"b_upper": "y_2", "b_lower": "y_2"},
+    },
+}
+
+
+def test_minimal_elements_rejects_two_preimages():
+    # 0-arrows a -> b and c -> d give eps = Lambda_0 to b and d; the
+    # 1-arrow c -> e leaves a the only element with phi = Lambda_0
+    from affine_crystals.algebra import Box
+
+    a, b, c, d, e = map(Box, range(1, 6))
+    g = CrystalGraph([a, b, c, d, e], [(0, a, b), (0, c, d), (1, c, e)], 2)
+    assert [g.eps_vec(x).coeffs for x in g.elements] == [
+        (0, 0), (1, 0), (0, 0), (1, 0), (0, 1)
+    ]
+    with pytest.raises(
+        ValueError, match=r"^Lambda_0: 2 eps-preimages, 1 phi-preimages$"
+    ):
+        minimal_elements(build_datum("A1-1"), g)
+
+
+@pytest.mark.parametrize(
+    "coeffs, label", [((2, 2), "x[2,2]"), ((0, 2), "x[0,2]"), ((1 / 2, 0), "x[1/2,0]")]
+)
+def test_weight_cone_witness(coeffs, label):
+    # an extra element whose weight is not under theta, or off the root
+    # lattice (d0 = 1), leaves the cone; the report names it
+    d = build_datum("A2-1")
+    g = build_crystal(d)
+    extra = XRoot(RootVector.from_coeffs(coeffs))
+    wide = CrystalGraph(g.elements + (extra,), g.arrows(), g.n_indices, datum=d)
+    cone = verify_perfect(d, wide).axioms["weight_cone"]
+    assert not cone.passed
+    assert cone.witness == label
+
+
+def test_weight_cone_counts_top_weight_elements():
+    # box 1 gets the weight of x_theta, -2 Lambda_0 + Lambda_1 + Lambda_2:
+    # a 0-string of length 2 into it and a 1- and a 2-arrow out of it
+    from affine_crystals.algebra import Box
+
+    d = build_datum("A2-1")
+    g = build_crystal(d)
+    top, p, q, r, s = map(Box, range(1, 6))
+    arrows = g.arrows() + [(1, top, p), (2, top, q), (0, r, s), (0, s, top)]
+    wide = CrystalGraph(g.elements + (top, p, q, r, s), arrows, g.n_indices, datum=d)
+    assert wide.weight_of(top) == wide.weight_of(XRoot(theta(d)))
+    cone = verify_perfect(d, wide).axioms["weight_cone"]
+    assert (cone.passed, cone.detail, cone.witness) == (
+        False, "lambda_0 = theta, |B_lambda0| = 2", "2 top-weight elements"
+    )
 
 
 def test_report_json_round_trips():

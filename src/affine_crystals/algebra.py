@@ -249,9 +249,7 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
         anchor = TensorElement(EMPTY, EMPTY)
     labels, count = tensor.component_labels(omit_zero=True)
     m = len(tensor.base)
-    up0 = tensor.up[0]
-    src = [t for t, u in enumerate(up0) if u != t]
-    dst = _gather(up0, src)
+    src, dst = tensor.zero_arrows()
     steps = [1 if u // m != t // m else -1 for t, u in zip(src, dst)]
     links = [[] for _ in range(count)]
     for lo, hi, s in sorted(set(zip(_gather(labels, src), _gather(labels, dst), steps))):

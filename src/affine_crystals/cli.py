@@ -22,9 +22,9 @@ from .crystal import build_crystal
 from .paths import (
     OracleUnsupported,
     PathModel,
+    character_json,
     check_lattice_node,
-    lattice_points_up_to,
-    oracle_multiplicity,
+    oracle_cells,
 )
 from .perfect import verify_perfect
 from .tensor import TensorCrystal
@@ -154,37 +154,28 @@ def cmd_character(args):
     lam = _parse_weight(args.weight, d)
     if args.max_degree < 0:
         _usage_error(f"--max-degree must be >= 0 (got {args.max_degree})")
-    model = PathModel(d, lam)
-    rc = model.root_character(args.max_degree)
-    counts = model.by_weight(rc)
-    rows = [
-        {"classical_weight": list(coeffs), "delta_degree": delta, "multiplicity": m}
-        for (coeffs, delta), m in counts.items()
-    ]
-    rows.sort(key=lambda r: (-r["delta_degree"], r["classical_weight"]))
-    result = {"type": d.type.name, "weight": args.weight.upper(), "rows": rows}
-    status = 0
+    counts = PathModel(d, lam).character(args.max_degree)
     node = lam.coeffs.index(1)
+    status = 0
     try:
         check_lattice_node(d, node)
     except OracleUnsupported as err:
-        result["oracle"] = {"supported": False, "reason": str(err)}
+        oracle = {"supported": False, "reason": str(err)}
     else:
-        result["oracle"] = {"supported": True, "checked": False}
-    if args.oracle and result["oracle"]["supported"]:
+        oracle = {"supported": True, "checked": False}
+    if args.oracle and oracle["supported"]:
         diffs = []
-        for beta in lattice_points_up_to(d, 2 * args.max_degree, node=node):
-            for deg in range(args.max_degree + 1):
-                want = oracle_multiplicity(d, beta, deg, node=node)
-                got = rc.get((beta.twice, deg), 0)
-                if want != got:
+        for beta, weight, wants in oracle_cells(d, args.max_degree, node):
+            for deg, want in enumerate(wants):
+                got = counts.get((weight, -deg), 0)
+                if got != want:
                     diffs.append(
                         {"beta": beta.label(), "degree": deg, "got": got, "want": want}
                     )
-        result["oracle"] = {"supported": True, "differences": diffs}
+        oracle = {"supported": True, "differences": diffs}
         if diffs:
             status = 1
-    _emit(json.dumps(result, indent=2) + "\n", args.out)
+    _emit(character_json(d.type.name, f"L{node}", counts, oracle), args.out)
     return status
 
 

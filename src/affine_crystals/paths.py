@@ -3,19 +3,24 @@
 Paths are semi-infinite tensor words agreeing far out with the homogeneous
 ground state b_lam (x) b_lam (x) ... of their level-1 weight lam; only the
 finite override prefix is stored.  The energy function turns path
-statistics into affine weights.  Character coefficients come
-from a transfer matrix over positions, which counts paths by entry, degree
-and root offset without building any; breadth-first generation of the
-paths themselves is kept as its oracle.  A lattice generating-function
-oracle cross-checks the simply-laced untwisted families at every level-1
-weight.
+statistics into affine weights.  Character coefficients come from a
+transfer matrix over positions, which counts paths by entry, degree and
+weight offset without building any: `PathModel.character` sums the
+Lambda-coordinate offsets wt(b) - wt(b_lam) and keys its counts by affine
+weight directly, `PathModel.root_character` runs the same DP on root
+offsets.  Breadth-first generation of the paths themselves is kept as its
+oracle.  A lattice generating-function oracle cross-checks the
+simply-laced untwisted families at every level-1 weight; `oracle_cells`
+reads it in one pass, one partition-series row per lattice point.
 """
 
 import functools
 import heapq
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 from .algebra import energy_propagate
 from .cartan import AffineWeight
@@ -113,7 +118,9 @@ class PathModel:
         dh = [[self.energy[u * m + b] - base for u in range(m)] for b in range(m)]
         if min(map(min, dh)) < 0:
             raise ValueError("an energy lies below the ground pair; degrees are unbounded")
-        # by_weight reads classical weights off root offsets
+        # the Lambda-keys of `character` agree with the root keys of
+        # `root_character` (and the lattice oracle's beta -> Lambda map of
+        # `oracle_cells`) only when each weight is the pairing of its root
         for b in g.elements:
             root = g.root_weight(b)
             if g.weight_of(b).coeffs != tuple(root.pairing(d, j) for j in range(d.n + 1)):
@@ -150,7 +157,11 @@ class PathModel:
         self._ground_index = top
         self._rows = [sorted((dh[b][u], u) for u in range(m)) for b in range(m)]
         ground_root = g.root_weight(self.ground)
-        self._offsets = [(g.root_weight(b) - ground_root).twice for b in g.elements]
+        self._root_offsets = [(g.root_weight(b) - ground_root).twice for b in g.elements]
+        ground_weight = g.weight_of(self.ground).coeffs
+        self._weight_offsets = [
+            tuple(map(sub, g.weight_of(b).coeffs, ground_weight)) for b in g.elements
+        ]
 
     def _canonical(self, entries):
         n = len(entries)
@@ -237,7 +248,7 @@ class PathModel:
 
     def generate(self, max_depth, order=None, lifo=False):
         """All paths with delta degree down to -max_depth, breadth-first;
-        the tests' oracle for the transfer matrix of `root_character`.
+        the tests' oracle for the transfer matrix of `character`.
 
         order permutes the operator indices, and lifo switches the frontier
         discipline; the returned set must not depend on either (generation
@@ -265,14 +276,17 @@ class PathModel:
     def character(self, max_degree):
         """Multiplicities of affine weights down to delta degree -max_degree.
 
-        Returns a map (classical Lambda-coordinates, delta) -> multiplicity.
+        Returns a map (classical Lambda-coordinates, delta) -> multiplicity,
+        counted by `_count` over the Lambda-offsets wt(b) - wt(b_lam).
         """
-        return self.by_weight(self.root_character(max_degree))
+        counts = self._count(max_degree, self._weight_offsets, self.lam.coeffs)
+        return {(coeffs, -degree): count for coeffs, degree, count in counts}
 
     def by_weight(self, root_counts):
         """Re-key `root_character` counts by (classical Lambda-coordinates,
         delta); the classical weight is Lambda plus the pairing of the
-        root offset with each coroot."""
+        root offset with each coroot.  The tests' cross-check of the
+        Lambda-keys of `character`."""
         d = self.datum
         out = {}
         for (twice, degree), count in root_counts.items():
@@ -282,13 +296,22 @@ class PathModel:
         return out
 
     def root_character(self, max_degree):
-        """Multiplicities keyed by (root-lattice offset, energy degree).
+        """Multiplicities keyed by (root-lattice offset, energy degree),
+        counted by `_count` over the root offsets of the entries (``twice``
+        coordinates, as `RootVector`)."""
+        counts = self._count(max_degree, self._root_offsets, (0,) * self.datum.n)
+        return {(twice, degree): count for twice, degree, count in counts}
+
+    def _count(self, max_degree, offsets, base):
+        """(base + summed offsets, degree, number of paths) for every path of
+        degree at most max_degree; offsets[b] is entry b's offset from the
+        ground entry, so the sum over a path's entries is finite.
 
         A transfer matrix over positions 0..L-1, with position L held at the
         ground entry and L = max_degree + zero_run + 1, long enough for every
         path of degree at most max_degree (see `_set_up_transfer`).  The
-        state is (entry, degree) with a count per root offset; putting entry
-        u at position k over entry b adds k * dh[b][u] to the degree.
+        state is (entry, degree) with a count per summed offset; putting
+        entry u at position k over entry b adds k * dh[b][u] to the degree.
         """
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0 (got {max_degree})")
@@ -296,16 +319,16 @@ class PathModel:
         rows, climb, top = self._rows, self._climb, self._ground_index
         # Offsets are packed one balanced digit per coordinate, so adding an
         # entry's offset to a state is one integer addition.
-        widest = max(abs(x) for offset in self._offsets for x in offset)
+        widest = max(abs(x) for offset in offsets for x in offset)
         radix = 2 * (length + 1) * widest + 2
         half = radix // 2
-        packed = [sum(x * radix**j for j, x in enumerate(t)) for t in self._offsets]
+        packed = [sum(x * radix**j for j, x in enumerate(t)) for t in offsets]
         layer = {
             (b, 0): {packed[b]: 1} for b in range(len(rows)) if climb[b] <= max_degree
         }
         for k in range(1, length + 1):
             nxt = {}
-            for (b, degree), offsets in layer.items():
+            for (b, degree), sums in layer.items():
                 for cost, u in rows[b]:
                     reached = degree + k * cost
                     if reached > max_degree:
@@ -314,20 +337,57 @@ class PathModel:
                         continue
                     shift = packed[u]
                     bucket = nxt.setdefault((u, reached), {})
-                    for key, count in offsets.items():
+                    for key, count in sums.items():
                         key += shift
                         bucket[key] = bucket.get(key, 0) + count
             layer = nxt
-        counts = {}
-        for (_, degree), offsets in layer.items():
-            for key, count in offsets.items():
-                twice = []
-                for _ in range(self.datum.n):
-                    digit = (key + half) % radix - half
-                    twice.append(digit)
-                    key = (key - digit) // radix
-                counts[(tuple(twice), degree)] = count
-        return counts
+        # Every state of the last layer is at the ground entry, one per
+        # degree; a sum recurs across degrees, so each is decoded once.
+        bias = sum(half * radix**j for j in range(len(base)))
+        decoded = {}
+        for (_, degree), sums in layer.items():
+            for key, count in sums.items():
+                coords = decoded.get(key)
+                if coords is None:
+                    digits, rest = [], key + bias
+                    for c in base:
+                        rest, digit = divmod(rest, radix)
+                        digits.append(c + digit - half)
+                    coords = decoded[key] = tuple(digits)
+                yield coords, degree, count
+
+
+def character_json(type_name, weight, counts, oracle):
+    """The `character` payload: type, weight, one row per entry of counts
+    (a `PathModel.character` map) by degree, then classical weight, and the
+    oracle report.
+
+    Written row by row, with the bytes of ``json.dumps(..., indent=2)``:
+    each classical weight's block is encoded once, however many degrees it
+    occurs at.  The oracle report is small and goes through ``json.dumps``.
+    """
+    blocks = {}
+    rows = []
+    for (coeffs, delta), mult in sorted(counts.items(), key=_row_order):
+        block = blocks.get(coeffs)
+        if block is None:
+            items = ",\n        ".join(map(str, coeffs))
+            listed = f"[\n        {items}\n      ]" if coeffs else "[]"
+            block = blocks[coeffs] = (
+                f'    {{\n      "classical_weight": {listed},\n      "delta_degree": '
+            )
+        rows.append(f'{block}{delta},\n      "multiplicity": {mult}\n    }}')
+    listed = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    report = json.dumps(oracle, indent=2).replace("\n", "\n  ")
+    return (
+        f'{{\n  "type": {json.dumps(type_name)},\n  "weight": {json.dumps(weight)},\n'
+        f'  "rows": {listed},\n  "oracle": {report}\n}}\n'
+    )
+
+
+def _row_order(item):
+    (coeffs, delta), _ = item
+    return -delta, coeffs
 
 
 class OracleUnsupported(ValueError):
@@ -346,7 +406,8 @@ def partition_series(colors, max_degree):
 
 @functools.lru_cache(maxsize=None)
 def _series(colors, max_degree):
-    """partition_series, kept for the process: the oracle asks it per cell."""
+    """partition_series, kept for the process: `oracle_multiplicity` asks
+    it per cell."""
     return tuple(partition_series(colors, max_degree))
 
 
@@ -388,28 +449,67 @@ def oracle_multiplicity(d, beta, degree, node=0):
     return _series(d.n, degree)[exponent]
 
 
+def oracle_cells(d, max_degree, node=0):
+    """The lattice oracle in one pass, for comparison with
+    `PathModel.character`: (beta, weight, wants) per lattice point beta of
+    `lattice_points_up_to(d, 2 * max_degree)`, where weight is the classical
+    part of Lambda_node + beta in Lambda-coordinates and wants[n] equals
+    `oracle_multiplicity(d, beta, n, node)` for n = 0..max_degree.
+
+    Each beta's norm and Lambda-coordinates are computed once, and its
+    wants are one row of the partition series shifted by half the norm.
+    No lattice point outside the ball carries a multiplicity at these
+    degrees, since the shifted norm is at most twice the degree.
+    """
+    check_lattice_node(d, node)
+    series = list(_series(d.n, max_degree))
+    lam = AffineWeight.fundamental(node, d.n).coeffs
+    columns = [row[1:] for row in d.cartan]  # <h_j, alpha_k> at [j][k - 1]
+    for beta in lattice_points_up_to(d, 2 * max_degree, node=node):
+        coeffs = [x // 2 for x in beta.twice]
+        pairings = [sum(map(mul, coeffs, col)) for col in columns]
+        # (beta | alpha_j) = <h_j, beta> on these families, so
+        # |w + beta|^2 - |w|^2 = sum_j coeffs_j <h_j, beta> + 2 (w | beta)
+        shift = sum(map(mul, coeffs, pairings[1:])) // 2 + (coeffs[node - 1] if node else 0)
+        weight = tuple(map(add, lam, pairings))
+        yield beta, weight, [0] * shift + series[: max_degree + 1 - shift]
+
+
 def lattice_points_up_to(d, max_norm2, node=0):
     """Root-lattice vectors beta with |w + beta|^2 - |w|^2 <= max_norm2, w
-    the classical part of Lambda_node, in ascending coefficient order.
+    the classical part of Lambda_node, in ascending coefficient order."""
+    return [RootVector(tuple(2 * x for x in c)) for c in sorted(_lattice_walk(d, max_norm2, node))]
+
+
+def _lattice_walk(d, max_norm2, node):
+    """Coefficient tuples of the points of `lattice_points_up_to`, each
+    mapped to its `_shifted_norm2`.
 
     A walk from 0 by steps of +-alpha_i that stays in the ball.  It reaches
     every point: a simple reflection s_i is a run of such steps whose norms
     never exceed the end points', and a weight that is not minuscule has a
     Weyl conjugate with (., alpha_i) >= 2 for some i, whose step -alpha_i
     shortens it; the only minuscule weights of the coset are the orbit of w.
+    The norm is carried along the walk: a step s * alpha_j from beta adds
+    2 s (w + beta | alpha_j) + (alpha_j | alpha_j).
     """
     check_lattice_node(d, node)
     n = d.n
-    fc = d.finite_cartan()
+    fc = d.finite_cartan()  # symmetric on these families: row j is column j
     start = (0,) * n
-    seen = {start} if max_norm2 >= 0 else set()
-    todo = list(seen)
+    norms = {start: 0} if max_norm2 >= 0 else {}
+    todo = list(norms)
     while todo:
         c = todo.pop()
-        for j in range(n):
+        norm = norms[c]
+        for j, row in enumerate(fc):
+            pairing = sum(map(mul, c, row)) + (j == node - 1)
             for step in (1, -1):
+                reached = norm + 2 * step * pairing + row[j]
+                if reached > max_norm2:
+                    continue
                 nxt = c[:j] + (c[j] + step,) + c[j + 1 :]
-                if nxt not in seen and _shifted_norm2(fc, nxt, node) <= max_norm2:
-                    seen.add(nxt)
+                if nxt not in norms:
+                    norms[nxt] = reached
                     todo.append(nxt)
-    return [RootVector(tuple(2 * x for x in c)) for c in sorted(seen)]
+    return norms

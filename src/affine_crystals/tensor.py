@@ -176,15 +176,24 @@ class TensorCrystal:
     def component_labels(self, omit_zero):
         """Component id per pair index; ids follow each component's smallest
         pair index.  With 0-arrows, the classical components are merged
-        along the distinct pairs of components that e_0 joins (a pair that
-        e_0 fixes joins its own component; the union is symmetric)."""
+        along the distinct pairs of components that the 0-arrows join (a
+        pair that e_0 fixes would join only its own component; the union is
+        symmetric)."""
         labels, count, _ = self._classical_components()
         if omit_zero:
             return list(labels), count
-        find = _union_find(count, set(zip(labels, _gather(labels, self.up[0]))))
+        src, dst = self.zero_arrows()
+        find = _union_find(count, set(zip(_gather(labels, src), _gather(labels, dst))))
         ids = {}
         merged = [ids.setdefault(find(c), len(ids)) for c in range(count)]
         return [merged[c] for c in labels], len(ids)
+
+    def zero_arrows(self):
+        """The 0-arrows t -> e_0(t), as the pairs src that ``up[0]`` moves
+        and their images dst."""
+        up0 = self.up[0]
+        src = [t for t, u in enumerate(up0) if u != t]
+        return src, _gather(up0, src)
 
     def component_of(self, t):
         """Set of pair indices in the classical component of t (no

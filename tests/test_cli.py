@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +162,18 @@ def test_character_oracle_shifted_lattice(capsys):
     assert top in data["rows"]
 
 
+def test_character_echoes_canonical_weight(capsys):
+    # the weight is parsed from stripped, upper-cased text; the payload
+    # names the weight that was meant, not the text that was typed
+    _, canonical, _ = run(capsys, "character", "A2-1", "L0", "--max-degree", "1")
+    assert json.loads(canonical)["weight"] == "L0"
+    for text in (" l0", "L00", "l0 "):
+        code, out, _ = run(capsys, "character", "A2-1", text, "--max-degree", "1")
+        assert code == 0 and out == canonical
+    _, out, _ = run(capsys, "character", "D4-1", "l03", "--max-degree", "1")
+    assert json.loads(out)["weight"] == "L3"
+
+
 def test_character_negative_degree_rejected(capsys):
     for degree in ("-1", "-5"):
         code, out, err = run(capsys, "character", "A1-1", "L0", "--max-degree", degree)
@@ -214,3 +229,31 @@ def test_out_file_unwritable(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write {target}")
     assert list(tmp_path.iterdir()) == []
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DETERMINISM_OPS = [
+    ["build", "A2-1", "--format", "json"],
+    ["verify", "D4-3", "--json"],
+    ["energy", "A2-2", "--format", "json"],
+    ["multiply", "D4-3"],
+    ["character", "D4-1", "L1", "--max-degree", "2", "--oracle"],
+]
+
+
+@pytest.mark.parametrize("argv", DETERMINISM_OPS, ids=lambda argv: argv[0])
+def test_output_independent_of_hash_seed(argv):
+    # "all output is deterministic": string hashing, and so the order of
+    # any set or dict keyed by labels, must not reach a payload
+    outputs = []
+    for seed in ("1", "4242"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "affine_crystals.cli", *argv],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] != b""

@@ -1,9 +1,13 @@
+import json
 import math
+import os
 import random
 from collections import Counter
 
 import pytest
 from conftest import family
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_crystals import paths
 from affine_crystals.algebra import energy_propagate
@@ -12,8 +16,10 @@ from affine_crystals.crystal import EMPTY, YElement, build_crystal
 from affine_crystals.paths import (
     OracleUnsupported,
     PathModel,
+    character_json,
     ground_state,
     lattice_points_up_to,
+    oracle_cells,
     oracle_multiplicity,
     partition_series,
 )
@@ -386,3 +392,135 @@ def test_ground_state_rejects_non_level_one():
         ground_state(d, AffineWeight.fundamental(1, d.n))
     with pytest.raises(ValueError, match="out of range"):
         AffineWeight.fundamental(6, d.n)
+
+
+# PathModel.character keys its counts by Lambda-coordinates in the DP
+# itself; by_weight re-keys the root-offset counts of root_character by
+# coroot pairings, the conversion the set-up check pins.
+@pytest.mark.parametrize("name", [t.name for t in swept_types(6)])
+def test_lambda_keys_match_root_keys(name):
+    ctx = family(name)
+    energy = energy_propagate(ctx.tensor)
+    for lam in level_one_dominants(ctx.datum):
+        pm = PathModel(ctx.datum, lam, graph=ctx.graph, energy=energy)
+        assert pm.character(2) == pm.by_weight(pm.root_character(2))
+
+
+@pytest.mark.parametrize(
+    "name,node", [("A1-1", 0), ("A2-1", 0), ("D4-1", 0), ("D4-1", 1), ("E6-1", 0)]
+)
+def test_one_pass_oracle_matches_cells(name, node):
+    d = build_datum(name)
+    cells = list(oracle_cells(d, 3, node=node))
+    assert [beta for beta, _, _ in cells] == lattice_points_up_to(d, 6, node=node)
+    pm = PathModel(d, AffineWeight.fundamental(node, d.n))
+    lam_keyed, root_keyed = pm.character(3), pm.root_character(3)
+    for beta, weight, wants in cells:
+        assert wants == [oracle_multiplicity(d, beta, n, node=node) for n in range(4)]
+        # the beta -> Lambda map sends each lattice point to the Lambda-key
+        # of its root key
+        for n in range(4):
+            assert lam_keyed.get((weight, -n), 0) == root_keyed.get((beta.twice, n), 0)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [t.name for t in swept_types(6, with_exceptional=False) if t.twist == 1 and t.family in "ADE"],
+)
+def test_lattice_walk_carries_norm(name):
+    d = build_datum(name)
+    fc = d.finite_cartan()
+    for lam in level_one_dominants(d):
+        node = lam.coeffs.index(1)
+        norms = paths._lattice_walk(d, 8, node)
+        points = lattice_points_up_to(d, 8, node=node)
+        assert sorted(norms) == [tuple(x // 2 for x in beta.twice) for beta in points]
+        for c, norm in norms.items():
+            assert norm == paths._shifted_norm2(fc, c, node) <= 8
+
+
+# The character payload is written row by row; json.dumps(..., indent=2)
+# of the same data, rows sorted as the CLI always sorted them, is its
+# oracle, byte for byte.
+def _character_oracle(type_name, weight, counts, oracle):
+    rows = [
+        {"classical_weight": list(coeffs), "delta_degree": delta, "multiplicity": m}
+        for (coeffs, delta), m in counts.items()
+    ]
+    rows.sort(key=lambda r: (-r["delta_degree"], r["classical_weight"]))
+    result = {"type": type_name, "weight": weight, "rows": rows, "oracle": oracle}
+    return json.dumps(result, indent=2) + "\n"
+
+
+def _characters_ops():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "spec.json")) as fh:
+        return json.load(fh)["workloads"]["characters"]["ops"]
+
+
+@pytest.mark.parametrize("op", _characters_ops())
+def test_character_json_matches_json_dumps(op, tmp_path):
+    from affine_crystals import cli
+
+    out = tmp_path / "payload"
+    cli.main(op.split() + ["--out", str(out)])
+    payload = out.read_text()
+    _, name, weight, _, degree = op.split()[:5]
+    d = build_datum(name)
+    counts = PathModel(d, AffineWeight.fundamental(int(weight[1:]), d.n)).character(int(degree))
+    oracle = json.loads(payload)["oracle"]
+    assert payload == _character_oracle(name, weight, counts, oracle)
+    assert character_json(name, weight, counts, oracle) == payload
+
+
+_texts = st.text(max_size=6)
+_oracles = st.one_of(
+    st.builds(lambda r: {"supported": False, "reason": r}, _texts),
+    st.just({"supported": True, "checked": False}),
+    st.builds(
+        lambda diffs: {"supported": True, "differences": diffs},
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "beta": _texts,
+                    "degree": st.integers(0, 9),
+                    "got": st.integers(0, 99),
+                    "want": st.integers(0, 99),
+                }
+            ),
+            max_size=3,
+        ),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _texts,
+    _texts,
+    st.dictionaries(
+        st.tuples(st.lists(st.integers(-3, 3), max_size=4).map(tuple), st.integers(-5, 0)),
+        st.integers(1, 10**6),
+        max_size=12,
+    ),
+    _oracles,
+)
+def test_character_json_matches_json_dumps_on_random_rows(type_name, weight, counts, oracle):
+    assert character_json(type_name, weight, counts, oracle) == _character_oracle(
+        type_name, weight, counts, oracle
+    )
+
+
+def test_character_json_edge_cases():
+    # no rows, an unsupported oracle with a reason, and a nonempty list of
+    # differences: none of them occurs in a pinned payload
+    unsupported = {"supported": False, "reason": 'no "oracle" for \u00e9 \u2297'}
+    empty = character_json("X", "L0", {}, unsupported)
+    assert empty == _character_oracle("X", "L0", {}, unsupported)
+    diffs = {
+        "supported": True,
+        "differences": [{"beta": "-a1+a2", "degree": 2, "got": 3, "want": 4}],
+    }
+    counts = {((1, 0, 0), 0): 1, ((1, -1, 1), -1): 2, ((0, 1, 0), -1): 1}
+    got = character_json("A2-1", "L0", counts, diffs)
+    assert got == _character_oracle("A2-1", "L0", counts, diffs)

@@ -104,12 +104,6 @@ class AffineWeight:
             self.delta + other.delta,
         )
 
-    def __sub__(self, other):
-        return AffineWeight(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.delta - other.delta,
-        )
-
     @staticmethod
     def fundamental(i, n):
         """Lambda_i for a rank-n datum (coordinates over Lambda_0..Lambda_n)."""

@@ -8,16 +8,17 @@ transfer matrix over positions, which counts paths by entry, degree and
 weight offset without building any: `PathModel.character` sums the
 Lambda-coordinate offsets wt(b) - wt(b_lam) and keys its counts by affine
 weight directly, `PathModel.root_character` runs the same DP on root
-offsets.  Breadth-first generation of the paths themselves is kept as its
-oracle.  A lattice generating-function oracle cross-checks the
-simply-laced untwisted families at every level-1 weight; `oracle_cells`
-reads it in one pass, one partition-series row per lattice point.
+offsets.  The DP runs down from the ground entry at the top position;
+every step adds a non-negative energy term, so it prunes on the degree
+alone, with no look-ahead bound.  Breadth-first generation of the paths
+themselves is kept as its oracle.  A lattice generating-function oracle
+cross-checks the simply-laced untwisted families at every level-1 weight;
+`oracle_cells` reads it in one pass, one partition-series row per lattice
+point.
 """
 
 import functools
-import heapq
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from operator import add, mul, sub
@@ -100,23 +101,23 @@ class PathModel:
         self._set_up_transfer()
 
     def _set_up_transfer(self):
-        """Energy rows, climb costs and zero-energy run of the transfer matrix.
+        """Energy columns and zero-energy run of the transfer matrix.
 
-        dh[b][u] = H(u (x) b) - H(g (x) g) is the energy of entry u over
-        entry b relative to the ground pair.  It must be >= 0, so that the
-        degree only grows along positions and the matrix may prune on it.
-        zero_run is the longest run of dh = 0 pairs descending from the
-        ground entry: a path of degree D has its top nonzero pair at or
-        below position D - 1 and only such a run above it, so its override
-        prefix ends by position D + zero_run - 1.  climb[b] is the least
-        total dh of a way up from b to the ground entry (Dijkstra).
+        cols[u] lists, by increasing dh, the pairs (dh, b) with
+        dh = H(u (x) b) - H(g (x) g), the energy of entry u over entry b
+        relative to the ground pair.  Every dh must be >= 0, so that the
+        degree only grows as entries are added below.  zero_run is the
+        longest run of dh = 0 pairs descending from the ground entry (the
+        zero-cost heads of the columns): a path of degree D has its top
+        nonzero pair at or below position D - 1 and only such a run above
+        it, so its override prefix ends by position D + zero_run - 1.
         """
         g, d = self.graph, self.datum
         m = len(g)
         top = g.index[self.ground]
-        base = self.energy[top * m + top]
-        dh = [[self.energy[u * m + b] - base for u in range(m)] for b in range(m)]
-        if min(map(min, dh)) < 0:
+        energy = self.energy
+        base = energy[top * m + top]
+        if min(energy) < base:
             raise ValueError("an energy lies below the ground pair; degrees are unbounded")
         # the Lambda-keys of `character` agree with the root keys of
         # `root_character` (and the lattice oracle's beta -> Lambda map of
@@ -125,7 +126,10 @@ class PathModel:
             root = g.root_weight(b)
             if g.weight_of(b).coeffs != tuple(root.pairing(d, j) for j in range(d.n + 1)):
                 raise ValueError(f"the weight of {b.label()} is not the pairing of its root")
-
+        cols = [
+            sorted((h - base, b) for b, h in enumerate(energy[u * m:(u + 1) * m]))
+            for u in range(m)
+        ]
         depth = {}
 
         def run(u):
@@ -137,25 +141,13 @@ class PathModel:
                     )
                 return depth[u]
             depth[u] = None
-            below = [b for b in range(m) if dh[b][u] == 0 and (b, u) != (top, top)]
+            below = [b for h, b in cols[u] if h == 0 and (b, u) != (top, top)]
             depth[u] = max((1 + run(b) for b in below), default=0)
             return depth[u]
 
         self.zero_run = run(top)
-        climb = [math.inf] * m
-        climb[top] = 0
-        heap = [(0, top)]
-        while heap:
-            cost, u = heapq.heappop(heap)
-            if cost > climb[u]:
-                continue
-            for b in range(m):
-                if cost + dh[b][u] < climb[b]:
-                    climb[b] = cost + dh[b][u]
-                    heapq.heappush(heap, (climb[b], b))
-        self._climb = climb
+        self._cols = cols
         self._ground_index = top
-        self._rows = [sorted((dh[b][u], u) for u in range(m)) for b in range(m)]
         ground_root = g.root_weight(self.ground)
         self._root_offsets = [(g.root_weight(b) - ground_root).twice for b in g.elements]
         ground_weight = g.weight_of(self.ground).coeffs
@@ -282,19 +274,6 @@ class PathModel:
         counts = self._count(max_degree, self._weight_offsets, self.lam.coeffs)
         return {(coeffs, -degree): count for coeffs, degree, count in counts}
 
-    def by_weight(self, root_counts):
-        """Re-key `root_character` counts by (classical Lambda-coordinates,
-        delta); the classical weight is Lambda plus the pairing of the
-        root offset with each coroot.  The tests' cross-check of the
-        Lambda-keys of `character`."""
-        d = self.datum
-        out = {}
-        for (twice, degree), count in root_counts.items():
-            beta = RootVector(twice)
-            coeffs = tuple(c + beta.pairing(d, j) for j, c in enumerate(self.lam.coeffs))
-            out[(coeffs, -degree)] = out.get((coeffs, -degree), 0) + count
-        return out
-
     def root_character(self, max_degree):
         """Multiplicities keyed by (root-lattice offset, energy degree),
         counted by `_count` over the root offsets of the entries (``twice``
@@ -307,45 +286,43 @@ class PathModel:
         degree at most max_degree; offsets[b] is entry b's offset from the
         ground entry, so the sum over a path's entries is finite.
 
-        A transfer matrix over positions 0..L-1, with position L held at the
-        ground entry and L = max_degree + zero_run + 1, long enough for every
-        path of degree at most max_degree (see `_set_up_transfer`).  The
-        state is (entry, degree) with a count per summed offset; putting
-        entry u at position k over entry b adds k * dh[b][u] to the degree.
+        A transfer matrix over positions, run down from the ground entry
+        held at position L = max_degree + zero_run + 1, which is long enough
+        for every path of degree at most max_degree (see
+        `_set_up_transfer`).  The state is (entry, degree) with a count per
+        summed offset; putting entry b at position k - 1 under entry u adds
+        k * dh(u (x) b) >= 0 to the degree, so a state is dropped as soon
+        as its degree passes max_degree and nothing has to look ahead.  The
+        last step, to position 0, keys its states by degree alone.
         """
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0 (got {max_degree})")
         length = max_degree + self.zero_run + 1
-        rows, climb, top = self._rows, self._climb, self._ground_index
+        cols = self._cols
         # Offsets are packed one balanced digit per coordinate, so adding an
         # entry's offset to a state is one integer addition.
         widest = max(abs(x) for offset in offsets for x in offset)
         radix = 2 * (length + 1) * widest + 2
         half = radix // 2
         packed = [sum(x * radix**j for j, x in enumerate(t)) for t in offsets]
-        layer = {
-            (b, 0): {packed[b]: 1} for b in range(len(rows)) if climb[b] <= max_degree
-        }
-        for k in range(1, length + 1):
+        layer = {(self._ground_index, 0): {0: 1}}
+        for k in range(length, 0, -1):
             nxt = {}
-            for (b, degree), sums in layer.items():
-                for cost, u in rows[b]:
+            for (u, degree), sums in layer.items():
+                for cost, b in cols[u]:
                     reached = degree + k * cost
                     if reached > max_degree:
                         break
-                    if reached + (k + 1) * climb[u] > max_degree or (k == length and u != top):
-                        continue
-                    shift = packed[u]
-                    bucket = nxt.setdefault((u, reached), {})
+                    shift = packed[b]
+                    bucket = nxt.setdefault((b, reached) if k > 1 else reached, {})
                     for key, count in sums.items():
                         key += shift
                         bucket[key] = bucket.get(key, 0) + count
             layer = nxt
-        # Every state of the last layer is at the ground entry, one per
-        # degree; a sum recurs across degrees, so each is decoded once.
+        # a sum recurs across degrees, so each is decoded once
         bias = sum(half * radix**j for j in range(len(base)))
         decoded = {}
-        for (_, degree), sums in layer.items():
+        for degree, sums in layer.items():
             for key, count in sums.items():
                 coords = decoded.get(key)
                 if coords is None:

@@ -26,8 +26,8 @@ class TensorCrystal:
     each map from slices of a shared ``list(range(m * m))``: rows of left
     factors that e_i raises, then columns of right factors with eps_i > 0,
     then a small fix-up where the signature rule sends e_i left after all.
-    The ``e`` and ``f`` tables (absent arrows marked -1, ``f`` the inverse
-    of ``up``) are derived views that nothing in the library reads.  The
+    The lowering tables ``f`` (absent arrows marked -1, the inverse of
+    ``up``) are a derived view that nothing in the library reads.  The
     per-pair queries (``f_tilde``, ``e_tilde``, ``string_stats``,
     ``component_of``) apply ``CrystalGraph.pair_f`` and ``pair_e`` to the
     two factors and build no map.
@@ -48,7 +48,6 @@ class TensorCrystal:
         self.size = m * m
         self.n_indices = base.n_indices
         self._up = None
-        self._e = None
         self._f = None
         self._classical = None
 
@@ -60,15 +59,6 @@ class TensorCrystal:
             ident = list(range(self.size))
             self._up = [self._e_table(i, ident) for i in range(self.n_indices)]
         return self._up
-
-    @property
-    def e(self):
-        """Raising tables, absent arrows marked -1 (a view of ``up``)."""
-        if self._e is None:
-            self._e = [
-                [-1 if u == t else u for t, u in enumerate(up)] for up in self.up
-            ]
-        return self._e
 
     @property
     def f(self):

@@ -214,7 +214,7 @@ def test_criterion_8_property_suites():
         k = rng.randrange(t.size)
         down = t.f[i][k]
         if down >= 0:
-            assert t.e[i][down] == k
+            assert t.up[i][down] == k
         cases += 2
 
     # phi - eps equals the weight pairing

@@ -221,7 +221,7 @@ def test_two_theta_closure_under_classical_operators():
         comp = two_theta_indices(t)
         for k in comp:
             for i in range(1, d.n + 1):
-                for nb in (t.f[i][k], t.e[i][k]):
+                for nb in (t.f[i][k], t.up[i][k]):
                     if nb >= 0:
                         assert nb in comp
 

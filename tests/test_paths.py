@@ -395,15 +395,37 @@ def test_ground_state_rejects_non_level_one():
 
 
 # PathModel.character keys its counts by Lambda-coordinates in the DP
-# itself; by_weight re-keys the root-offset counts of root_character by
-# coroot pairings, the conversion the set-up check pins.
+# itself; here the root-offset counts of root_character are re-keyed by
+# coroot pairings, Lambda + <h_j, beta>, the conversion the set-up check pins.
 @pytest.mark.parametrize("name", [t.name for t in swept_types(6)])
 def test_lambda_keys_match_root_keys(name):
+    ctx = family(name)
+    d = ctx.datum
+    energy = energy_propagate(ctx.tensor)
+    for lam in level_one_dominants(d):
+        pm = PathModel(d, lam, graph=ctx.graph, energy=energy)
+        rekeyed = Counter()
+        for (twice, degree), count in pm.root_character(2).items():
+            beta = RootVector(twice)
+            coeffs = tuple(c + beta.pairing(d, j) for j, c in enumerate(lam.coeffs))
+            rekeyed[(coeffs, -degree)] += count
+        assert pm.character(2) == dict(rekeyed)
+
+
+# The DP prunes on the degree bound alone, so a count under one bound must
+# be the cut of a count under a larger one.
+@pytest.mark.parametrize("name", [t.name for t in swept_types(4)])
+def test_counts_are_truncations(name):
     ctx = family(name)
     energy = energy_propagate(ctx.tensor)
     for lam in level_one_dominants(ctx.datum):
         pm = PathModel(ctx.datum, lam, graph=ctx.graph, energy=energy)
-        assert pm.character(2) == pm.by_weight(pm.root_character(2))
+        deep, deep_roots = pm.character(3), pm.root_character(3)
+        for bound in range(3):
+            cut = {key: c for key, c in deep.items() if -key[1] <= bound}
+            assert pm.character(bound) == cut, (lam, bound)
+            cut = {key: c for key, c in deep_roots.items() if key[1] <= bound}
+            assert pm.root_character(bound) == cut, (lam, bound)
 
 
 @pytest.mark.parametrize(

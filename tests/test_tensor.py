@@ -89,7 +89,8 @@ def _reference_labels(t, omit_zero):
     """Components by depth-first search over every arrow table, ids in
     order of each component's smallest pair index."""
     first = 1 if omit_zero else 0
-    tables = t.f[first:] + t.e[first:]
+    # a loop-form fixed point up[i][k] == k is already labelled
+    tables = t.f[first:] + t.up[first:]
     labels = [-1] * t.size
     comp = 0
     for start in range(t.size):
@@ -109,10 +110,10 @@ def _reference_labels(t, omit_zero):
 
 
 def _reference_maximal(t):
-    """Pairs whose every classical raising entry is absent."""
+    """Pairs that every classical raising map fixes."""
     if t.n_indices == 1:
         return list(range(t.size))
-    return [k for k, col in enumerate(zip(*t.e[1:])) if max(col) < 0]
+    return [k for k, col in enumerate(zip(*t.up[1:])) if all(u == k for u in col)]
 
 
 def _hand_built(name):
@@ -167,7 +168,7 @@ def test_row_tables_match_pairwise_rule(ty):
     t = TensorCrystal(g)
     # loop form: up[i][k] == k exactly where pair_e kills the pair
     assert t.up == [[k if u < 0 else u for k, u in enumerate(e)] for e in want[1]]
-    assert (t.f, t.e) == want
+    assert t.f == want[0]
 
 
 def test_self_loop_rejected():
@@ -231,18 +232,18 @@ def test_verify_psi_builds_no_table():
     t = TensorCrystal(g)
     i = valid_psi_indices(d)[0]
     assert verify_psi(d, g, t, build_psi(d, i), i) == (True, None)
-    assert t._up is None and t._f is None and t._e is None
+    assert t._up is None and t._f is None
 
 
 def test_energy_and_verify_build_no_views():
-    # the library reads only the loop-form maps, never the -1 views
+    # the library reads only the loop-form maps, never the -1 view
     d = build_datum("C8-1")
     g = build_crystal(d)
     t = TensorCrystal(g)
     assert energy_propagate(t) == energy_by_classification(t)
     assert verify_perfect(d, g, t).all_passed
     assert t._up is not None
-    assert t._e is None and t._f is None
+    assert t._f is None
 
 
 def test_tensor_f_example():
@@ -268,9 +269,9 @@ def test_inverse_pairs_on_product():
             i = rng.randrange(d.n + 1)
             down = t.f[i][k]
             if down >= 0:
-                assert t.e[i][down] == k
-            up = t.e[i][k]
-            if up >= 0:
+                assert t.up[i][down] == k
+            up = t.up[i][k]
+            if up != k:
                 assert t.f[i][up] == k
 
 

@@ -9,11 +9,11 @@ classical components, once from the closed component classification.
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import sub
 
-from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement
+from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, _json_lines
 from .roots import RootVector, connect_support, dynkin_path, lambda_weights, theta
 from .tensor import TensorCrystal, TensorElement, _gather
 
@@ -188,16 +188,6 @@ def multiplication_table(graph, psi):
         if l is not None and r is not None:
             rows[l][r] = b.label()
     return {"order": [graph.elements[k].label() for k in domain], "rows": rows}
-
-
-def _json_lines(items, indent):
-    """A JSON array or object body from items already encoded and indented,
-    laid out as ``json.dumps(..., indent=2)`` lays out a container whose
-    closing bracket sits at ``indent`` spaces: the opening bracket is the
-    caller's."""
-    if not items:
-        return ""
-    return "\n" + ",\n".join(items) + "\n" + " " * indent
 
 
 def multiplication_table_json(graph, psi, node, verified, witness=None):
@@ -511,23 +501,34 @@ def _keys_may_coincide(labels):
     )
 
 
+def _pair_rows(heads, tails, h, cells):
+    """heads[left] + tails[right] + cells[H] over the pairs, one join per row."""
+    m = len(tails)
+    return [
+        "".join(chain.from_iterable(zip(repeat(head, m), tails, map(cells.__getitem__, row))))
+        for head, row in zip(heads, (h[u:u + m] for u in range(0, len(h), m)))
+    ]
+
+
 def energy_table_json(tensor, h):
     """JSON map '(left,right)' -> H, in canonical pair order.
 
     Written row by row, with the bytes of ``json.dumps(..., indent=2)``:
     each element label is encoded once, each distinct H value once, and
-    the lines are joined in one pass.  When two pairs can share a key
-    (``_keys_may_coincide``) the lines go through a dict first, which keeps
-    the first position and the last value, as the dict of pairs would.
+    each line is joined from the three (``_pair_rows``).  When two pairs
+    can share a key (``_keys_may_coincide``) the lines go through a dict
+    first, which keeps the first position and the last value, as the dict
+    of pairs would.
     """
     labels = [encode_basestring_ascii(b.label())[1:-1] for b in tensor.base.elements]
+    heads = [f'  "({label},' for label in labels]
     tails = [f'{label})": ' for label in labels]
-    keys = chain.from_iterable(map(f'  "({left},'.__add__, tails) for left in labels)
-    values = {v: json.dumps(v) + ",\n" for v in set(h)}
-    lines = zip(keys, map(values.__getitem__, h))
+    cells = {v: json.dumps(v) + ",\n" for v in set(h)}
     if _keys_may_coincide(labels):
-        lines = dict(lines).items()
-    body = "".join(chain.from_iterable(lines))
+        keys = [head + tail for head in heads for tail in tails]
+        body = "".join(chain.from_iterable(dict(zip(keys, map(cells.__getitem__, h))).items()))
+    else:
+        body = "".join(_pair_rows(heads, tails, h, cells))
     return "{\n" + body[:-2] + "\n}\n" if body else "{}\n"
 
 

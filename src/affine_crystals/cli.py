@@ -5,10 +5,12 @@ All output goes to stdout unless --out is given; runs are deterministic.
 """
 
 import argparse
+import functools
 import json
 import sys
 
 from .algebra import (
+    _pair_rows,
     build_psi,
     energy_by_classification,
     energy_propagate,
@@ -80,20 +82,14 @@ def cmd_verify(args):
         if not args.type:
             _usage_error("give a type or --all")
         reports = [_verify_one(args.type)]
-    lines = []
-    worst = 0
-    for rep in reports:
-        status = "pass" if rep.all_passed else "FAIL"
-        lines.append(f"{rep.type_name}: {status}")
-        if not rep.all_passed:
-            worst = 1
-    text = "\n".join(lines) + "\n"
     if args.json:
-        text = (
-            json.dumps([rep.to_json_dict() for rep in reports], indent=2) + "\n"
+        text = json.dumps([rep.to_json_dict() for rep in reports], indent=2) + "\n"
+    else:
+        text = "".join(
+            f"{rep.type_name}: {'pass' if rep.all_passed else 'FAIL'}\n" for rep in reports
         )
     _emit(text, args.out)
-    return worst
+    return 0 if all(rep.all_passed for rep in reports) else 1
 
 
 def cmd_energy(args):
@@ -107,12 +103,10 @@ def cmd_energy(args):
         text = energy_table_json(tensor, h1)
     else:
         labels = [b.label() for b in g.elements]
-        m = len(labels)
-        lines = [f"# {d.type.name}: {tensor.size} pairs, methods agree: {agree}"]
-        lines += [
-            f"{labels[k // m]} (x) {labels[k % m]}\t{v}" for k, v in enumerate(h1)
-        ]
-        text = "\n".join(lines) + "\n"
+        heads = [label + " (x) " for label in labels]
+        tails = [label + "\t" for label in labels]
+        rows = _pair_rows(heads, tails, h1, {v: f"{v}\n" for v in set(h1)})
+        text = f"# {d.type.name}: {tensor.size} pairs, methods agree: {agree}\n" + "".join(rows)
     _emit(text, args.out)
     return 0 if agree else 1
 
@@ -156,7 +150,6 @@ def cmd_character(args):
         _usage_error(f"--max-degree must be >= 0 (got {args.max_degree})")
     counts = PathModel(d, lam).character(args.max_degree)
     node = lam.coeffs.index(1)
-    status = 0
     try:
         check_lattice_node(d, node)
     except OracleUnsupported as err:
@@ -173,13 +166,12 @@ def cmd_character(args):
                         {"beta": beta.label(), "degree": deg, "got": got, "want": want}
                     )
         oracle = {"supported": True, "differences": diffs}
-        if diffs:
-            status = 1
     _emit(character_json(d.type.name, f"L{node}", counts, oracle), args.out)
-    return status
+    return 1 if oracle.get("differences") else 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="crystal",
         description="Level-1 perfect crystals: graphs, verification, energy, "
@@ -190,39 +182,36 @@ def main(argv=None):
     p = sub.add_parser("build", help="emit the crystal graph")
     p.add_argument("type")
     p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="check the level-1 axioms")
     p.add_argument("type", nargs="?")
     p.add_argument("--all", action="store_true")
     p.add_argument("--max-rank", type=int, help="with --all (default 5)")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("energy", help="energy table by both methods")
     p.add_argument("type")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("multiply", help="crystal algebra multiplication table")
     p.add_argument("type")
     p.add_argument("--node", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("character", help="truncated character of a basic weight")
     p.add_argument("type")
     p.add_argument("weight", help="L0, L1, ...")
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_character)
+    for p in sub.choices.values():
+        p.add_argument("--out")
+    return parser
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+
+def main(argv=None):
+    """Run one command.  The parser is built once per process; ``cmd_*`` is
+    looked up in this module at each call, so rebinding a name here works."""
+    args = _parser().parse_args(argv)
+    return globals()["cmd_" + args.command](args)
 
 
 if __name__ == "__main__":

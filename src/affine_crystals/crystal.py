@@ -5,8 +5,8 @@ in it, and a single empty element; arrows follow the subtraction rule for
 classical indices and the theta-translation rule for index 0.
 """
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from operator import add
 
 from .cartan import AffineWeight
@@ -148,49 +148,62 @@ class CrystalGraph:
 
     def arrows(self):
         """All arrows as (i, src, dst), ordered by index then source."""
-        out = []
-        for i in range(self.n_indices):
-            for src in sorted(self.f[i]):
-                out.append((i, self.elements[src], self.elements[self.f[i][src]]))
-        return out
+        els = self.elements
+        return [(i, els[s], els[t]) for i, f in enumerate(self.f) for s, t in sorted(f.items())]
 
     def to_dot(self):
         lines = ["digraph crystal {", "  rankdir=LR;"]
         for k, b in enumerate(self.elements):
             lines.append(f'  n{k} [label="{b.label()}"];')
-        for i in range(self.n_indices):
-            for src in sorted(self.f[i]):
-                style = ", style=dashed" if i == 0 else ""
-                lines.append(
-                    f'  n{src} -> n{self.f[i][src]} [label="{i}"{style}];'
-                )
+        for i, f in enumerate(self.f):
+            style = ", style=dashed" if i == 0 else ""
+            lines += [f'  n{s} -> n{t} [label="{i}"{style}];' for s, t in sorted(f.items())]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self):
+    def to_json(self):
+        """The bytes of ``json.dumps(..., indent=2)`` of {"elements",
+        "arrows"[, "type"]}, written row by row: one template per element
+        and per arrow, each distinct [num, den] root coordinate encoded once.
+        An element that is neither x nor y is of kind "empty"."""
+        twice = tuple({a for b in self.elements if isinstance(b, XRoot) for a in b.root.twice})
+        block = {a: _BLOCK % tuple(c) for a, c in zip(twice, RootVector(twice).json_coeffs())}
         elems = []
         for k, b in enumerate(self.elements):
-            entry = {"index": k, "label": b.label()}
             if isinstance(b, XRoot):
-                entry["kind"] = "x"
-                entry["root"] = b.root.json_coeffs()
+                root = _json_lines([block[a] for a in b.root.twice], 6)
+                kind = f'"x",\n      "root": [{root}]'
             elif isinstance(b, YElement):
-                entry["kind"] = "y"
-                entry["i"] = b.index
+                kind = f'"y",\n      "i": {b.index}'
             else:
-                entry["kind"] = "empty"
-            elems.append(entry)
-        arrows = []
-        for i in range(self.n_indices):
-            for src in sorted(self.f[i]):
-                arrows.append({"i": i, "from": src, "to": self.f[i][src]})
-        out = {"elements": elems, "arrows": arrows}
+                kind = '"empty"'
+            label = encode_basestring_ascii(b.label())
+            elems.append(
+                f'    {{\n      "index": {k},\n      "label": {label},\n      "kind": {kind}\n    }}'
+            )
+        arrows = [
+            f'    {{\n      "i": {i},\n      "from": {s},\n      "to": {t}\n    }}'
+            for i, f in enumerate(self.f)
+            for s, t in sorted(f.items())
+        ]
+        fields = ['  "elements": [' + _json_lines(elems, 2) + "]"]
+        fields.append('  "arrows": [' + _json_lines(arrows, 2) + "]")
         if self.datum is not None:
-            out["type"] = self.datum.type.name
-        return out
+            fields.append('  "type": ' + encode_basestring_ascii(self.datum.type.name))
+        return "{" + _json_lines(fields, 0) + "}\n"
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+
+_BLOCK = "        [\n          %d,\n          %d\n        ]"
+
+
+def _json_lines(items, indent):
+    """A JSON array or object body from items already encoded and indented,
+    laid out as ``json.dumps(..., indent=2)`` lays out a container whose
+    closing bracket sits at ``indent`` spaces: the opening bracket is the
+    caller's."""
+    if not items:
+        return ""
+    return "\n" + ",\n".join(items) + "\n" + " " * indent
 
 
 def build_crystal(d):

@@ -287,17 +287,18 @@ class PathModel:
         ground entry, so the sum over a path's entries is finite.
 
         A transfer matrix over positions, run down from the ground entry
-        held at position L = max_degree + zero_run + 1, which is long enough
-        for every path of degree at most max_degree (see
-        `_set_up_transfer`).  The state is (entry, degree) with a count per
-        summed offset; putting entry b at position k - 1 under entry u adds
-        k * dh(u (x) b) >= 0 to the degree, so a state is dropped as soon
-        as its degree passes max_degree and nothing has to look ahead.  The
-        last step, to position 0, keys its states by degree alone.
+        held at position L = max(max_degree + zero_run, 1): a path of degree
+        at most max_degree has only ground entries from position
+        max_degree + zero_run up (see `_set_up_transfer`), and L >= 1 keeps
+        the last step, to position 0, which keys its states by degree alone.
+        The state is (entry, degree) with a count per summed offset; putting
+        entry b at position k - 1 under entry u adds k * dh(u (x) b) >= 0 to
+        the degree, so a state is dropped as soon as its degree passes
+        max_degree and nothing has to look ahead.
         """
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0 (got {max_degree})")
-        length = max_degree + self.zero_run + 1
+        length = max(max_degree + self.zero_run, 1)
         cols = self._cols
         # Offsets are packed one balanced digit per coordinate, so adding an
         # entry's offset to a state is one integer addition.

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from affine_crystals import cli
+from affine_crystals.algebra import energy_propagate
 from affine_crystals.cartan import build_datum
 from affine_crystals.cli import main
 from affine_crystals.crystal import CrystalGraph, build_crystal
@@ -117,6 +118,17 @@ def test_energy_labels_follow_pair_order(capsys, ty):
     assert list(json.loads(blob)) == [
         f"({p.left.label()},{p.right.label()})" for p in pairs
     ]
+
+
+@pytest.mark.parametrize("ty", ["A2-1", "C2-1", "A4-2", "D4-3"])
+def test_energy_text_is_one_line_per_pair(capsys, ty):
+    t = TensorCrystal(build_crystal(build_datum(ty)))
+    h = energy_propagate(t)
+    pairs = [t.element(k) for k in range(t.size)]
+    lines = [f"# {ty}: {t.size} pairs, methods agree: True"]
+    lines += [f"{p.left.label()} (x) {p.right.label()}\t{v}" for p, v in zip(pairs, h)]
+    _, text, _ = run(capsys, "energy", ty)
+    assert text == "\n".join(lines) + "\n"
 
 
 def test_multiply_table(capsys):
@@ -257,3 +269,65 @@ def test_output_independent_of_hash_seed(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] != b""
+
+
+# main builds its argparse tree on the first call and reuses it
+REUSE_OPS = DETERMINISM_OPS + [
+    ["build", "C2-1"],
+    ["verify", "--all", "--max-rank", "3"],
+    ["energy", "A2-1"],
+    ["multiply", "A2-1", "--node", "2"],
+]
+
+
+def test_parser_reuse_keeps_every_payload(capsys):
+    firsts = []
+    for argv in REUSE_OPS:
+        cli._parser.cache_clear()
+        firsts.append(run(capsys, *argv))
+    # each op again, after all the others, on the one parser of the last op
+    for argv, first in zip(REUSE_OPS, firsts):
+        assert first[0] == 0 and first[1]
+        assert run(capsys, *argv) == first
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_parser_survives_usage_errors_and_help(capsys):
+    ok = run(capsys, "build", "A1-1")
+    assert ok[0] == 0
+    for argv, code, text in [
+        (["build", "A1-1", "--format", "png"], 2, "invalid choice"),
+        (["nosuchcommand"], 2, "invalid choice"),
+        (["character", "A1-1"], 2, "required"),
+        (["--help"], 0, "usage: crystal"),
+        (["energy", "--help"], 0, "--format"),
+    ]:
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert text in (err if code else out)
+        assert run(capsys, "build", "A1-1") == ok
+
+
+def test_rebinding_after_parser_exists(capsys, monkeypatch):
+    run(capsys, "build", "A1-1")
+    seen = []
+
+    def traced(d):
+        seen.append(d.type.name)
+        return build_crystal(d)
+
+    monkeypatch.setattr(cli, "build_crystal", traced)
+    assert run(capsys, "build", "A2-1", "--format", "json")[0] == 0
+    assert seen == ["A2-1"]
+    monkeypatch.setattr(cli, "cmd_build", lambda args: 7)
+    assert run(capsys, "build", "A2-1")[0] == 7
+
+
+def test_parser_not_built_at_import():
+    probe = "import affine_crystals.cli as c; print(c._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"0\n"

@@ -1,7 +1,13 @@
-import pytest
+import json
+from dataclasses import dataclass
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affine_crystals.algebra import three_box_crystal
 from affine_crystals.cartan import build_datum, level, swept_types
-from affine_crystals.crystal import EMPTY, XRoot, YElement, build_crystal
+from affine_crystals.crystal import EMPTY, CrystalGraph, XRoot, YElement, build_crystal
 from affine_crystals.roots import RootVector, finite_roots, lambda_weights, theta
 
 from conftest import SWEPT_NAMES
@@ -291,3 +297,82 @@ def test_finite_roots_match_reference_closure(name):
     # on their finite Cartan matrix
     d = build_datum(name)
     assert finite_roots(d) == _reference_roots(d)
+
+
+# CrystalGraph.to_json is written row by row; json.dumps(..., indent=2) of
+# this dict is its oracle, byte for byte.
+def _json_dict(g):
+    elems = []
+    for k, b in enumerate(g.elements):
+        entry = {"index": k, "label": b.label()}
+        if isinstance(b, XRoot):
+            entry["kind"] = "x"
+            entry["root"] = b.root.json_coeffs()
+        elif isinstance(b, YElement):
+            entry["kind"] = "y"
+            entry["i"] = b.index
+        else:
+            entry["kind"] = "empty"
+        elems.append(entry)
+    arrows = []
+    for i in range(g.n_indices):
+        for src in sorted(g.f[i]):
+            arrows.append({"i": i, "from": src, "to": g.f[i][src]})
+    out = {"elements": elems, "arrows": arrows}
+    if g.datum is not None:
+        out["type"] = g.datum.type.name
+    return out
+
+
+def _json_oracle(g):
+    return json.dumps(_json_dict(g), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", [t.name for t in swept_types(8)])
+def test_to_json_matches_json_dumps(name):
+    g = build_crystal(build_datum(name))
+    assert g.to_json() == _json_oracle(g)
+
+
+def test_to_json_without_datum():
+    # the three-box fixture has no datum, so no "type" key, and its boxes
+    # are neither x nor y elements
+    g = three_box_crystal()
+    assert g.to_json() == _json_oracle(g)
+    assert "type" not in json.loads(g.to_json())
+    empty = CrystalGraph([], [], 2)
+    assert empty.to_json() == _json_oracle(empty)
+
+
+@dataclass(frozen=True)
+class Labelled:
+    key: int
+    text: str
+
+    def label(self):
+        return self.text
+
+
+A2 = build_crystal(build_datum("A2-1"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_to_json_matches_json_dumps_on_random_labels(data):
+    # labels with quotes, backslashes and non-ASCII text, mixed with x, y
+    # and empty elements; arrows join neighbours, so no two are parallel
+    # and none closes a cycle
+    label = st.one_of(st.text(max_size=6), st.text('ab"\\\u00e9\u2297\n ', max_size=6))
+    texts = data.draw(st.lists(label, max_size=5))
+    real = data.draw(st.lists(st.sampled_from(A2.elements), unique=True, max_size=4))
+    elements = [Labelled(k, t) for k, t in enumerate(texts)] + real
+    n_indices = data.draw(st.integers(1, 3))
+    arrows = [
+        (i, elements[k], elements[k + 1])
+        for i in range(n_indices)
+        for k in data.draw(st.sets(st.integers(0, max(len(elements) - 2, 0))))
+        if k + 1 < len(elements)
+    ]
+    datum = data.draw(st.sampled_from([None, A2.datum]))
+    g = CrystalGraph(elements, arrows, n_indices, datum=datum)
+    assert g.to_json() == _json_oracle(g)

@@ -45,6 +45,11 @@ def _x_or_y(vec, i):
     return XRoot(vec)
 
 
+def _simple_sum(nodes, n):
+    """The sum of the simple roots alpha_k over the given nodes k."""
+    return sum((RootVector.simple(k, n) for k in nodes), RootVector.zero(n))
+
+
 def build_psi(d, i):
     """Embedding of the little adjoint crystal onto the component of
     x_theta (x) y_i.
@@ -76,9 +81,7 @@ def build_psi(d, i):
                 run = range(supp[-1] + 1, n + 1)
             else:
                 run = range(1, supp[0])
-            b_part = zero
-            for j in run:
-                b_part = b_part + RootVector.simple(j, n)
+            b_part = _simple_sum(run, n)
             split[gamma] = (th - gamma - b_part, b_part)
     else:
         for gamma in lam_plus:
@@ -88,9 +91,7 @@ def build_psi(d, i):
             elif c == 1:
                 split[gamma] = (zero, th - gamma)
             else:
-                a_part = zero
-                for j in connect_support(d, gamma, i):
-                    a_part = a_part + RootVector.simple(j, n)
+                a_part = _simple_sum(connect_support(d, gamma, i), n)
                 split[gamma] = (a_part, th - gamma - a_part)
 
     psi = {}
@@ -111,14 +112,10 @@ def build_psi(d, i):
                 psi[YElement(j)] = TensorElement(YElement(i), YElement(i))
                 continue
             run = range(j + 1, n + 1) if (family == "A" and i == n) else range(1, j)
-            s = zero
-            for k in run:
-                s = s + RootVector.simple(k, n)
+            s = _simple_sum(run, n)
             psi[YElement(j)] = TensorElement(XRoot(s), XRoot(-s))
         else:
-            s = zero
-            for k in dynkin_path(d, i, j):
-                s = s + RootVector.simple(k, n)
+            s = _simple_sum(dynkin_path(d, i, j), n)
             psi[YElement(j)] = TensorElement(XRoot(th - s), XRoot(-(th - s)))
     return psi
 

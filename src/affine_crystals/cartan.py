@@ -1,30 +1,40 @@
 """Cartan data for the affine Lie algebra families.
 
-Hard-codes the affine Cartan matrix and marks for each of the fourteen
-families X_n^(r), computes symmetrizers from the matrix and comarks from
-them and the marks, and exposes the level machinery for classical weights.
+One table lists the valid ranks of each of the fourteen families X_n^(r)
+in sweep order, and one branch per family hard-codes its affine Dynkin
+diagram and marks.  Symmetrizers are computed from the matrix and comarks
+from them and the marks; the level machinery for classical weights is here
+too.
 """
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-# (family, twist) -> minimal rank_param, plus extra per-family constraints
-# enforced in AffineType.validate.
-_FAMILIES = {
-    ("A", 1): 1,
-    ("B", 1): 3,
-    ("C", 1): 2,
-    ("D", 1): 4,
-    ("E", 1): 6,
-    ("F", 1): 4,
-    ("G", 1): 2,
-    ("A", 2): 2,
-    ("D", 2): 3,
-    ("E", 2): 6,
-    ("D", 3): 4,
-}
+# One row per affine family X_m^(r), in sweep order: (X, r, the valid rank
+# parameters m).  A_m^(2) has two rows, the even chain A_{2n}^(2) and the
+# odd chain A_{2n-1}^(2) from n = 3 on.
+_RANKS = [
+    ("A", 1, range(1, sys.maxsize)),
+    ("B", 1, range(3, sys.maxsize)),
+    ("C", 1, range(2, sys.maxsize)),
+    ("D", 1, range(4, sys.maxsize)),
+    ("G", 1, range(2, 3)),
+    ("F", 1, range(4, 5)),
+    ("A", 2, range(2, sys.maxsize, 2)),
+    ("A", 2, range(5, sys.maxsize, 2)),
+    ("D", 2, range(3, sys.maxsize)),
+    ("D", 3, range(4, 5)),
+    ("E", 1, range(6, 9)),
+    ("E", 2, range(6, 7)),
+]
+
+# The fixed high-rank families, appended by swept_types on request.
+_EXCEPTIONAL = [
+    ("E", 6, 1), ("E", 7, 1), ("E", 8, 1), ("F", 4, 1), ("E", 6, 2), ("D", 4, 3)
+]
 
 
 @dataclass(frozen=True)
@@ -36,21 +46,10 @@ class AffineType:
     twist: int
 
     def __post_init__(self):
-        key = (self.family, self.twist)
-        if key not in _FAMILIES:
+        chains = [m for x, r, m in _RANKS if (x, r) == (self.family, self.twist)]
+        if not chains:
             raise ValueError(f"unknown affine family {self.name}")
-        lo = _FAMILIES[key]
-        ok = self.rank_param >= lo
-        if key == ("E", 1):
-            ok = self.rank_param in (6, 7, 8)
-        elif key in (("F", 1), ("G", 1), ("E", 2), ("D", 3)):
-            ok = self.rank_param == lo
-        elif key == ("A", 2):
-            # even rank 2n (n >= 1) or odd rank 2n-1 (n >= 3)
-            ok = self.rank_param >= 2 and (
-                self.rank_param % 2 == 0 or self.rank_param >= 5
-            )
-        if not ok:
+        if not any(self.rank_param in m for m in chains):
             raise ValueError(
                 f"rank {self.rank_param} is out of range for family "
                 f"{self.family}^({self.twist})"
@@ -140,8 +139,9 @@ def _chain_edges(nodes):
     return [(nodes[k], nodes[k + 1], -1, -1) for k in range(len(nodes) - 1)]
 
 
-def _edges(t):
-    """Edge list (i, j, a_ij, a_ji) for the affine Dynkin diagram.
+def _diagram(t):
+    """Edge list (i, j, a_ij, a_ji) of the affine Dynkin diagram, and the
+    marks d_0 .. d_n (its null vector), one branch per family.
 
     Node 0 is always the affine node; for E6-1 it attaches to the branch
     node 6 and for F4-1 to node 1, which the component analysis of the
@@ -149,101 +149,61 @@ def _edges(t):
     """
     f, m, r = t.family, t.rank_param, t.twist
     n = t.finite_rank
-    if r == 1:
-        if f == "A":
-            if n == 1:
-                return [(0, 1, -2, -2)]
-            return _chain_edges(list(range(n + 1))) + [(n, 0, -1, -1)]
-        if f == "B":
-            return (
-                [(0, 2, -1, -1), (1, 2, -1, -1)]
-                + _chain_edges(list(range(2, n)))
-                + [(n - 1, n, -1, -2)]
-            )
-        if f == "C":
-            return (
-                [(0, 1, -1, -2)]
-                + _chain_edges(list(range(1, n)))
-                + [(n - 1, n, -2, -1)]
-            )
-        if f == "D":
-            return (
-                [(0, 2, -1, -1), (1, 2, -1, -1)]
-                + _chain_edges(list(range(2, n - 1)))
-                + [(n - 2, n - 1, -1, -1), (n - 2, n, -1, -1)]
-            )
-        if f == "E" and m == 6:
-            return _chain_edges([1, 2, 3, 4, 5]) + [(3, 6, -1, -1), (6, 0, -1, -1)]
-        if f == "E" and m == 7:
-            return _chain_edges([1, 2, 3, 4, 5, 6]) + [
-                (3, 7, -1, -1),
-                (0, 1, -1, -1),
-            ]
-        if f == "E" and m == 8:
-            return _chain_edges([1, 2, 3, 4, 5, 6, 7]) + [
-                (3, 8, -1, -1),
-                (7, 0, -1, -1),
-            ]
-        if f == "F":
-            return [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -2), (3, 4, -1, -1)]
-        if f == "G":
-            return [(0, 1, -1, -1), (1, 2, -1, -3)]
-    if f == "A" and r == 2 and m % 2 == 0:
-        if n == 1:
-            return [(0, 1, -4, -1)]
-        return (
-            [(0, 1, -2, -1)]
-            + _chain_edges(list(range(1, n)))
-            + [(n - 1, n, -2, -1)]
-        )
-    if f == "A" and r == 2:
-        return (
+    if t.name == "A1-1":
+        return [(0, 1, -2, -2)], [1, 1]
+    if (f, r) == ("A", 1):
+        edges = _chain_edges(range(n + 1)) + [(n, 0, -1, -1)]
+        return edges, [1] * (n + 1)
+    if (f, r) == ("B", 1):
+        edges = (
             [(0, 2, -1, -1), (1, 2, -1, -1)]
-            + _chain_edges(list(range(2, n)))
-            + [(n - 1, n, -2, -1)]
-        )
-    if f == "D" and r == 2:
-        return (
-            [(0, 1, -2, -1)]
-            + _chain_edges(list(range(1, n)))
+            + _chain_edges(range(2, n))
             + [(n - 1, n, -1, -2)]
         )
-    if f == "E":
-        return [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
-    return [(0, 1, -1, -1), (1, 2, -3, -1)]  # D4-3
-
-
-def _marks(t):
-    f, m, r = t.family, t.rank_param, t.twist
-    n = t.finite_rank
-    if r == 1:
-        if f == "A":
-            return [1] * (n + 1)
-        if f == "B":
-            return [1, 1] + [2] * (n - 1)
-        if f == "C":
-            return [1] + [2] * (n - 1) + [1]
-        if f == "D":
-            return [1, 1] + [2] * (n - 3) + [1, 1]
-        if f == "E" and m == 6:
-            return [1, 1, 2, 3, 2, 1, 2]
-        if f == "E" and m == 7:
-            return [1, 2, 3, 4, 3, 2, 1, 2]
-        if f == "E" and m == 8:
-            return [1, 2, 4, 6, 5, 4, 3, 2, 3]
-        if f == "F":
-            return [1, 2, 3, 4, 2]
-        if f == "G":
-            return [1, 2, 3]
-    if f == "A" and r == 2 and m % 2 == 0:
-        return [2] * n + [1]
-    if f == "A" and r == 2:
-        return [1, 1] + [2] * (n - 2) + [1]
-    if f == "D" and r == 2:
-        return [1] * (n + 1)
-    if f == "E":
-        return [1, 2, 3, 2, 1]
-    return [1, 2, 1]  # D4-3
+        return edges, [1, 1] + [2] * (n - 1)
+    if (f, r) == ("C", 1):
+        edges = [(0, 1, -1, -2)] + _chain_edges(range(1, n)) + [(n - 1, n, -2, -1)]
+        return edges, [1] + [2] * (n - 1) + [1]
+    if (f, r) == ("D", 1):
+        edges = (
+            [(0, 2, -1, -1), (1, 2, -1, -1)]
+            + _chain_edges(range(2, n - 1))
+            + [(n - 2, n - 1, -1, -1), (n - 2, n, -1, -1)]
+        )
+        return edges, [1, 1] + [2] * (n - 3) + [1, 1]
+    if t.name == "E6-1":
+        edges = _chain_edges(range(1, 6)) + [(3, 6, -1, -1), (6, 0, -1, -1)]
+        return edges, [1, 1, 2, 3, 2, 1, 2]
+    if t.name == "E7-1":
+        edges = _chain_edges(range(1, 7)) + [(3, 7, -1, -1), (0, 1, -1, -1)]
+        return edges, [1, 2, 3, 4, 3, 2, 1, 2]
+    if t.name == "E8-1":
+        edges = _chain_edges(range(1, 8)) + [(3, 8, -1, -1), (7, 0, -1, -1)]
+        return edges, [1, 2, 4, 6, 5, 4, 3, 2, 3]
+    if t.name == "F4-1":
+        edges = [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -2), (3, 4, -1, -1)]
+        return edges, [1, 2, 3, 4, 2]
+    if t.name == "G2-1":
+        return [(0, 1, -1, -1), (1, 2, -1, -3)], [1, 2, 3]
+    if t.name == "A2-2":
+        return [(0, 1, -4, -1)], [2, 1]
+    if (f, r) == ("A", 2) and m % 2 == 0:
+        edges = [(0, 1, -2, -1)] + _chain_edges(range(1, n)) + [(n - 1, n, -2, -1)]
+        return edges, [2] * n + [1]
+    if (f, r) == ("A", 2):
+        edges = (
+            [(0, 2, -1, -1), (1, 2, -1, -1)]
+            + _chain_edges(range(2, n))
+            + [(n - 1, n, -2, -1)]
+        )
+        return edges, [1, 1] + [2] * (n - 2) + [1]
+    if (f, r) == ("D", 2):
+        edges = [(0, 1, -2, -1)] + _chain_edges(range(1, n)) + [(n - 1, n, -1, -2)]
+        return edges, [1] * (n + 1)
+    if t.name == "E6-2":
+        edges = [(0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -2, -1), (3, 4, -1, -1)]
+        return edges, [1, 2, 3, 2, 1]
+    return [(0, 1, -1, -1), (1, 2, -3, -1)], [1, 2, 1]  # D4-3
 
 
 def _finite_type_name(t):
@@ -288,11 +248,12 @@ def build_datum(t):
     n = t.finite_rank
     size = n + 1
     a = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
-    for i, j, aij, aji in _edges(t):
+    edges, marks = _diagram(t)
+    for i, j, aij, aji in edges:
         a[i][j] = aij
         a[j][i] = aji
     cartan = tuple(tuple(row) for row in a)
-    marks = tuple(_marks(t))
+    marks = tuple(marks)
     sym = _symmetrizers(cartan, size)
     # diag(s) A is symmetric, so c A = 0 exactly when A (c / s) = 0: the
     # comarks are the marks times the symmetrizers, reduced.  No corank check
@@ -334,47 +295,21 @@ def level_one_dominants(d):
 
 
 def swept_types(max_rank=5, with_exceptional=True):
-    """Every valid family with rank parameter <= max_rank.
+    """Every valid family with rank parameter <= max_rank, in the row order
+    of ``_RANKS``.
 
     With ``with_exceptional`` the fixed high-rank families (E series, F4-1,
     E6-2, D4-3) are appended even when max_rank does not reach them.
     """
     out = []
-    for r in range(1, max_rank + 1):
-        out.append(AffineType("A", r, 1))
-    for r in range(3, max_rank + 1):
-        out.append(AffineType("B", r, 1))
-    for r in range(2, max_rank + 1):
-        out.append(AffineType("C", r, 1))
-    for r in range(4, max_rank + 1):
-        out.append(AffineType("D", r, 1))
-    if max_rank >= 2:
-        out.append(AffineType("G", 2, 1))
-    if max_rank >= 4:
-        out.append(AffineType("F", 4, 1))
-    for r in range(2, max_rank + 1, 2):
-        out.append(AffineType("A", r, 2))
-    for r in range(5, max_rank + 1, 2):
-        out.append(AffineType("A", r, 2))
-    for r in range(3, max_rank + 1):
-        out.append(AffineType("D", r, 2))
-    if max_rank >= 4:
-        out.append(AffineType("D", 4, 3))
-    for r in (6, 7, 8):
-        if max_rank >= r:
-            out.append(AffineType("E", r, 1))
-    if max_rank >= 6:
-        out.append(AffineType("E", 6, 2))
+    for family, twist, ranks in _RANKS:
+        for m in ranks:
+            if m > max_rank:
+                break
+            out.append(AffineType(family, m, twist))
     if with_exceptional:
-        names = {t.name for t in out}
-        for extra in [
-            AffineType("E", 6, 1),
-            AffineType("E", 7, 1),
-            AffineType("E", 8, 1),
-            AffineType("F", 4, 1),
-            AffineType("E", 6, 2),
-            AffineType("D", 4, 3),
-        ]:
-            if extra.name not in names:
-                out.append(extra)
+        for key in _EXCEPTIONAL:
+            t = AffineType(*key)
+            if t not in out:
+                out.append(t)
     return out

@@ -62,27 +62,29 @@ class CrystalGraph:
                 raise ValueError(f"parallel {i}-arrows at {src}")
             self.f[i][si] = di
             self.e[i][di] = si
-        self._eps = [
-            [self._walk(i, self.e[i], k) for k in range(len(self.elements))]
-            for i in range(n_indices)
-        ]
-        self._phi = [
-            [self._walk(i, self.f[i], k) for k in range(len(self.elements))]
-            for i in range(n_indices)
-        ]
-
-    def _walk(self, i, arrow, k):
-        """Length of the i-string from k along arrow (e_i or f_i); a walk of
-        more steps than arrows has entered a cycle, and k then lies on it."""
-        count = 0
-        while k in arrow:
-            k = arrow[k]
-            count += 1
-            if count > len(arrow):
+        # eps_i and phi_i are read off each i-string from its top: depth
+        # below the top, and length left below.  Every arrow lies on a
+        # string from a top unless some i-arrows close a cycle.
+        size = len(self.elements)
+        self._eps = [[0] * size for _ in range(n_indices)]
+        self._phi = [[0] * size for _ in range(n_indices)]
+        for i in range(n_indices):
+            f, e, eps, phi = self.f[i], self.e[i], self._eps[i], self._phi[i]
+            walked = 0
+            for top in f.keys() - e.keys():
+                string = [top]
+                while string[-1] in f:
+                    string.append(f[string[-1]])
+                last = len(string) - 1
+                for depth, k in enumerate(string):
+                    eps[k] = depth
+                    phi[k] = last - depth
+                walked += last
+            if walked != len(f):
+                k = min(k for k in f if k in e and eps[k] == 0)
                 raise ValueError(
                     f"{i}-arrows form a cycle through {self.elements[k].label()}"
                 )
-        return count
 
     def __len__(self):
         return len(self.elements)

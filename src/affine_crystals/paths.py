@@ -54,12 +54,12 @@ def ground_state(d, lam, graph=None):
         graph = build_crystal(d)
     table = minimal_elements(d, graph)
     key = lam.coeffs
-    if sum(key) != 1 or 1 not in key or key.index(1) not in table:
+    i = key.index(1) if 1 in key else None
+    if i not in table or key != AffineWeight.fundamental(i, d.n).coeffs:
         raise ValueError(
             f"no minimal element for weight {key}; ground states exist "
             "only for the level-1 fundamental weights"
         )
-    i = key.index(1)
     up, down = table[i]
     if up != down:
         raise ValueError(

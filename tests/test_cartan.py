@@ -109,3 +109,58 @@ def test_invalid_types_rejected(bad):
 def test_rejection_message_names_rank_and_family():
     with pytest.raises(ValueError, match="rank 2.*B"):
         parse_type("B2-1")
+    with pytest.raises(ValueError, match=r"^unknown affine family B3-2$"):
+        AffineType("B", 3, 2)
+    with pytest.raises(ValueError, match=r"^rank 3 is out of range for family A\^\(2\)$"):
+        AffineType("A", 3, 2)
+    with pytest.raises(ValueError, match=r"^rank 9 is out of range for family E\^\(1\)$"):
+        AffineType("E", 9, 1)
+
+
+# The sweep order of swept_types(9, with_exceptional=False), which is the
+# order `verify --all` prints in.  A lower max_rank keeps the names of rank
+# parameter at most max_rank in the same order; with_exceptional then
+# appends the missing names of EXCEPTIONAL_TAIL, in that order.
+SWEEP_9 = (
+    "A1-1 A2-1 A3-1 A4-1 A5-1 A6-1 A7-1 A8-1 A9-1 "
+    "B3-1 B4-1 B5-1 B6-1 B7-1 B8-1 B9-1 "
+    "C2-1 C3-1 C4-1 C5-1 C6-1 C7-1 C8-1 C9-1 "
+    "D4-1 D5-1 D6-1 D7-1 D8-1 D9-1 "
+    "G2-1 F4-1 "
+    "A2-2 A4-2 A6-2 A8-2 A5-2 A7-2 A9-2 "
+    "D3-2 D4-2 D5-2 D6-2 D7-2 D8-2 D9-2 "
+    "D4-3 E6-1 E7-1 E8-1 E6-2"
+).split()
+EXCEPTIONAL_TAIL = ["E6-1", "E7-1", "E8-1", "F4-1", "E6-2", "D4-3"]
+
+
+@pytest.mark.parametrize("max_rank", range(10))
+def test_swept_types_exact_order(max_rank):
+    plain = [name for name in SWEEP_9 if int(name.split("-")[0][1:]) <= max_rank]
+    tail = [name for name in EXCEPTIONAL_TAIL if name not in plain]
+    assert [t.name for t in swept_types(max_rank, with_exceptional=False)] == plain
+    assert [t.name for t in swept_types(max_rank)] == plain + tail
+
+
+def test_valid_families_exact_set():
+    valid = set()
+    for family in "ABCDEFG":
+        for rank in range(13):
+            for twist in (1, 2, 3):
+                try:
+                    AffineType(family, rank, twist)
+                except ValueError:
+                    continue
+                valid.add((family, rank, twist))
+    want = (
+        {("A", m, 1) for m in range(1, 13)}
+        | {("B", m, 1) for m in range(3, 13)}
+        | {("C", m, 1) for m in range(2, 13)}
+        | {("D", m, 1) for m in range(4, 13)}
+        | {("E", 6, 1), ("E", 7, 1), ("E", 8, 1), ("F", 4, 1), ("G", 2, 1)}
+        | {("A", m, 2) for m in (2, 4, 6, 8, 10, 12, 5, 7, 9, 11)}
+        | {("D", m, 2) for m in range(3, 13)}
+        | {("E", 6, 2), ("D", 4, 3)}
+    )
+    assert valid == want
+

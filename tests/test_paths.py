@@ -394,6 +394,18 @@ def test_ground_state_rejects_non_level_one():
         AffineWeight.fundamental(6, d.n)
 
 
+@pytest.mark.parametrize("coeffs", [(1, 1, -1), (1,), (1, 0, 0, 0)])
+def test_ground_state_rejects_non_fundamental(coeffs):
+    # each has a 1 at a level-1 node and coefficients summing to 1, but is
+    # not Lambda_0 of A2-1: a negative entry, too short, too long
+    d = build_datum("A2-1")
+    lam = AffineWeight(coeffs)
+    with pytest.raises(ValueError, match="level-1 fundamental weights"):
+        ground_state(d, lam)
+    with pytest.raises(ValueError, match="level-1 fundamental weights"):
+        PathModel(d, lam)
+
+
 # PathModel.character keys its counts by Lambda-coordinates in the DP
 # itself; here the root-offset counts of root_character are re-keyed by
 # coroot pairings, Lambda + <h_j, beta>, the conversion the set-up check pins.

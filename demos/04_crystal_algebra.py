@@ -11,7 +11,6 @@ full multiplication table.
 
 from affine_crystals import (
     EmptyElement,
-    TensorCrystal,
     build_crystal,
     build_datum,
     build_psi,
@@ -28,7 +27,7 @@ for name in ["A2-1", "B3-1", "C2-1", "D4-3", "A4-2"]:
 d = build_datum("D4-3")
 g = build_crystal(d)
 psi = build_psi(d, 1)
-ok, witness = verify_psi(d, g, TensorCrystal(g), psi, 1)
+ok, witness = verify_psi(d, g, psi, 1)
 print(f"\nD4-3 embedding at node 1 verified as a crystal morphism: {ok}")
 
 print("\nimages under the embedding:")

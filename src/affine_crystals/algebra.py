@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import sub
+from operator import add, sub
 
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, _json_lines
 from .roots import RootVector, connect_support, dynkin_path, lambda_weights, theta
@@ -120,43 +120,61 @@ def build_psi(d, i):
     return psi
 
 
-def verify_psi(d, graph, tensor, psi, i):
-    """Full morphism check of an embedding.
+def verify_psi(d, graph, psi, i):
+    """Full morphism check of an embedding, on index pairs of B.
 
-    Confirms weight and string statistics are preserved, every classical
-    lowering operator commutes with the map (absent matching absent), the
-    map is injective, and the image is exactly the classical component of
-    x_theta (x) y_i.  Every pair is read from its two factors by the
-    signature rule (``TensorCrystal.f_tilde``, ``string_stats`` and
-    ``component_of``), so no arrow table of the square is built.  Returns
-    (ok, witness) with witness None on success.
+    Checks, in order, that the domain is exactly the non-empty elements and
+    that psi is injective, preserves weight and sends x_theta to
+    x_theta (x) y_i.  Then one walk from x_theta along the classical arrows
+    of B compares f_j and e_j at each element b (j = 1..n) with
+    ``CrystalGraph.pair_f`` and ``pair_e`` at psi(b): absent must match
+    absent, present must match psi of the image.  The walk must reach the
+    whole domain, so the image is connected and closed under every
+    classical e_j and f_j: it is the classical component of
+    x_theta (x) y_i, and the string statistics agree.  No arrow table of
+    the square is built.  Returns (ok, witness), witness None on success.
     """
-    th = theta(d)
+    index = graph.index
     domain = [b for b in graph.elements if not isinstance(b, EmptyElement)]
-    if sorted(psi, key=graph.index.get) != sorted(domain, key=graph.index.get):
+    if psi.keys() != set(domain):
         return False, "domain is not the little adjoint crystal"
-    images = set()
+    image, taken = {}, set()
     for b in domain:
         t = psi[b]
-        if t in images:
+        pair = index[t.left], index[t.right]
+        if pair in taken:
             return False, f"not injective at {b.label()}"
-        images.add(t)
-        tw = graph.weight_of(t.left) + graph.weight_of(t.right)
-        if graph.weight_of(b).coeffs != tw.coeffs:
-            return False, f"weight mismatch at {b.label()}"
-        for k in range(1, d.n + 1):
-            if tensor.string_stats(t, k) != graph.string_stats(b, k):
-                return False, f"string statistics differ at {b.label()}, index {k}"
-            fb = graph.f_tilde(b, k)
-            ft = tensor.f_tilde(t, k)
-            if (fb is None) != (ft is None):
-                return False, f"operator domain differs at ({b.label()}, {k})"
-            if fb is not None and psi[fb] != ft:
-                return False, f"operators do not commute at ({b.label()}, {k})"
-    comp = tensor.component_of(TensorElement(XRoot(th), YElement(i)))
-    image_idx = {tensor.pair_index(t) for t in images}
-    if image_idx != comp:
-        return False, "image is not the component of x_theta (x) y_i"
+        taken.add(pair)
+        image[index[b]] = pair
+    weight = [graph.weight_of(b).coeffs for b in graph.elements]
+    for k, (l, r) in image.items():
+        if weight[k] != tuple(map(add, weight[l], weight[r])):
+            return False, f"weight mismatch at {graph.elements[k].label()}"
+    top = index[XRoot(theta(d))]
+    if image[top] != (top, index[YElement(i)]):
+        return False, "x_theta does not map to x_theta (x) y_i"
+    seen = {top}
+    queue = deque(seen)
+    while queue:
+        k = queue.popleft()
+        for j in range(1, d.n + 1):
+            for arrows, op in ((graph.f[j], graph.pair_f), (graph.e[j], graph.pair_e)):
+                nb = arrows.get(k)
+                got = op(*image[k], j)
+                if (nb is None) != (got is None):
+                    label = graph.elements[k].label()
+                    return False, f"operator domain differs at ({label}, {j})"
+                if nb is None:
+                    continue
+                if image[nb] != got:
+                    label = graph.elements[k].label()
+                    return False, f"operators do not commute at ({label}, {j})"
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+    if len(seen) != len(domain):
+        missed = next(b for b in domain if index[b] not in seen)
+        return False, f"walk from x_theta misses {missed.label()}"
     return True, None
 
 
@@ -410,10 +428,12 @@ def two_theta_order_indices(graph):
 
 
 def two_theta_indices(tensor):
-    """The classical component of x_theta (x) x_theta (exact, by search)."""
-    d = tensor.base.datum
-    th = theta(d)
-    return tensor.component_of(TensorElement(XRoot(th), XRoot(th)))
+    """The classical component of x_theta (x) x_theta (exact), read off the
+    component labels of the square."""
+    top = XRoot(theta(tensor.base.datum))
+    labels, _ = tensor.component_labels(omit_zero=True)
+    c = labels[tensor.pair_index(TensorElement(top, top))]
+    return {k for k, label in enumerate(labels) if label == c}
 
 
 def classify_components(tensor):

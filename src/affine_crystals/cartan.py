@@ -1,12 +1,13 @@
 """Cartan data for the affine Lie algebra families.
 
-One table lists the valid ranks of each of the fourteen families X_n^(r)
-in sweep order, and one branch per family hard-codes its affine Dynkin
-diagram and marks.  Symmetrizers are computed from the matrix and comarks
-from them and the marks; the level machinery for classical weights is here
-too.
+One table lists the valid ranks, the finite type and the finite rank of
+each of the fourteen families X_n^(r) in sweep order, and one branch per
+family hard-codes its affine Dynkin diagram and marks.  Symmetrizers are
+computed from the matrix and comarks from them and the marks; the level
+machinery for classical weights is here too.
 """
 
+import functools
 import math
 import re
 import sys
@@ -14,21 +15,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # One row per affine family X_m^(r), in sweep order: (X, r, the valid rank
-# parameters m).  A_m^(2) has two rows, the even chain A_{2n}^(2) and the
-# odd chain A_{2n-1}^(2) from n = 3 on.
+# parameters m, the type of the finite algebra g with {} for its rank n,
+# and n as a function of m).  A_m^(2) has two rows, the even chain
+# A_{2n}^(2) and the odd chain A_{2n-1}^(2) from n = 3 on.
 _RANKS = [
-    ("A", 1, range(1, sys.maxsize)),
-    ("B", 1, range(3, sys.maxsize)),
-    ("C", 1, range(2, sys.maxsize)),
-    ("D", 1, range(4, sys.maxsize)),
-    ("G", 1, range(2, 3)),
-    ("F", 1, range(4, 5)),
-    ("A", 2, range(2, sys.maxsize, 2)),
-    ("A", 2, range(5, sys.maxsize, 2)),
-    ("D", 2, range(3, sys.maxsize)),
-    ("D", 3, range(4, 5)),
-    ("E", 1, range(6, 9)),
-    ("E", 2, range(6, 7)),
+    ("A", 1, range(1, sys.maxsize), "A{}", lambda m: m),
+    ("B", 1, range(3, sys.maxsize), "B{}", lambda m: m),
+    ("C", 1, range(2, sys.maxsize), "C{}", lambda m: m),
+    ("D", 1, range(4, sys.maxsize), "D{}", lambda m: m),
+    ("G", 1, range(2, 3), "G{}", lambda m: m),
+    ("F", 1, range(4, 5), "F{}", lambda m: m),
+    ("A", 2, range(2, sys.maxsize, 2), "C{}", lambda m: m // 2),
+    ("A", 2, range(5, sys.maxsize, 2), "C{}", lambda m: (m + 1) // 2),
+    ("D", 2, range(3, sys.maxsize), "B{}", lambda m: m - 1),
+    ("D", 3, range(4, 5), "G{}", lambda m: 2),
+    ("E", 1, range(6, 9), "E{}", lambda m: m),
+    ("E", 2, range(6, 7), "F{}t", lambda m: 4),
 ]
 
 # The fixed high-rank families, appended by swept_types on request.
@@ -46,7 +48,7 @@ class AffineType:
     twist: int
 
     def __post_init__(self):
-        chains = [m for x, r, m in _RANKS if (x, r) == (self.family, self.twist)]
+        chains = [row[2] for row in _RANKS if row[:2] == (self.family, self.twist)]
         if not chains:
             raise ValueError(f"unknown affine family {self.name}")
         if not any(self.rank_param in m for m in chains):
@@ -59,18 +61,18 @@ class AffineType:
     def name(self):
         return f"{self.family}{self.rank_param}-{self.twist}"
 
+    @functools.cached_property
+    def _finite(self):
+        """(n, type of g), read off the row of ``_RANKS`` holding this type."""
+        key = self.family, self.twist
+        row = next(row for row in _RANKS if row[:2] == key and self.rank_param in row[2])
+        n = row[4](self.rank_param)
+        return n, row[3].format(n)
+
     @property
     def finite_rank(self):
         """Number of non-affine nodes n (the rank of g)."""
-        if self.twist == 1:
-            return self.rank_param
-        if self.family == "A":
-            return (self.rank_param + 1) // 2
-        if self.family == "D" and self.twist == 2:
-            return self.rank_param - 1
-        if self.family == "E":
-            return 4
-        return 2  # D4-3
+        return self._finite[0]
 
     def __str__(self):
         return self.name
@@ -206,19 +208,6 @@ def _diagram(t):
     return [(0, 1, -1, -1), (1, 2, -3, -1)], [1, 2, 1]  # D4-3
 
 
-def _finite_type_name(t):
-    n = t.finite_rank
-    if t.twist == 1:
-        return f"{t.family}{n}"
-    if t.family == "A":
-        return f"C{n}"
-    if t.family == "D" and t.twist == 2:
-        return f"B{n}"
-    if t.family == "E":
-        return "F4t"
-    return "G2"
-
-
 def _symmetrizers(cartan, size):
     """Positive integers s_i with s_i a_ij = s_j a_ji, minimal."""
     s = [None] * size
@@ -277,7 +266,7 @@ def build_datum(t):
     want_d0 = 2 if (t.family, t.twist) == ("A", 2) and t.rank_param % 2 == 0 else 1
     if marks[0] != want_d0:
         raise AssertionError(f"d_0 mismatch for {t.name}")
-    return AffineDatum(t, cartan, marks, comarks, sym, _finite_type_name(t))
+    return AffineDatum(t, cartan, marks, comarks, sym, t._finite[1])
 
 
 def level(w, d):
@@ -302,7 +291,7 @@ def swept_types(max_rank=5, with_exceptional=True):
     E6-2, D4-3) are appended even when max_rank does not reach them.
     """
     out = []
-    for family, twist, ranks in _RANKS:
+    for family, twist, ranks, _, _ in _RANKS:
         for m in ranks:
             if m > max_rank:
                 break

@@ -122,20 +122,17 @@ def cmd_multiply(args):
         psi = build_psi(d, i)
     except ValueError as err:
         _usage_error(err)
-    tensor = TensorCrystal(g)
-    ok, witness = verify_psi(d, g, tensor, psi, i)
+    ok, witness = verify_psi(d, g, psi, i)
     _emit(multiplication_table_json(g, psi, i, ok, witness), args.out)
     return 0 if ok else 1
 
 
 def _parse_weight(text, d):
     t = text.strip().upper()
-    try:
-        if not t.startswith("L"):
-            raise ValueError
-        i = int(t[1:])
-    except ValueError:
+    digits = t[1:]
+    if t[:1] != "L" or not (digits.isascii() and digits.isdigit()):
         _usage_error(f"weight must look like L0, L1, ... (got {text!r})")
+    i = int(digits)
     if not 0 <= i <= d.n:
         _usage_error(f"Lambda_{i} is out of range for {d.type.name}")
     if d.comarks[i] != 1:

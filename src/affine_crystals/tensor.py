@@ -1,6 +1,5 @@
 """Tensor square of a crystal: product arrows, maximal vectors, components."""
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 from operator import eq, itemgetter
@@ -27,10 +26,9 @@ class TensorCrystal:
     factors that e_i raises, then columns of right factors with eps_i > 0,
     then a small fix-up where the signature rule sends e_i left after all.
     The lowering tables ``f`` (absent arrows marked -1, the inverse of
-    ``up``) are a derived view that nothing in the library reads.  The
-    per-pair queries (``f_tilde``, ``e_tilde``, ``string_stats``,
-    ``component_of``) apply ``CrystalGraph.pair_f`` and ``pair_e`` to the
-    two factors and build no map.
+    ``up``) are a derived view that nothing in the library reads.  A single
+    arrow of one pair needs no map: ``CrystalGraph.pair_f`` and ``pair_e``
+    apply the signature rule to the two factors.
 
     The classical components (no 0-arrows) are labelled once, on first use,
     and cached, with whole-map gathers instead of loops over pairs.  The
@@ -104,34 +102,6 @@ class TensorCrystal:
         m = len(self.base)
         return TensorElement(self.base.elements[k // m], self.base.elements[k % m])
 
-    def _apply(self, op, t, i):
-        base = self.base
-        pair = op(base.index[t.left], base.index[t.right], i)
-        if pair is None:
-            return None
-        return TensorElement(base.elements[pair[0]], base.elements[pair[1]])
-
-    def f_tilde(self, t, i):
-        return self._apply(self.base.pair_f, t, i)
-
-    def e_tilde(self, t, i):
-        return self._apply(self.base.pair_e, t, i)
-
-    def string_stats(self, t, i):
-        """(eps_i, phi_i) of a pair, by walking the product strings one
-        signature-rule step at a time."""
-        base = self.base
-        start = base.index[t.left], base.index[t.right]
-        lengths = []
-        for op in (base.pair_e, base.pair_f):
-            count = 0
-            pair = op(*start, i)
-            while pair is not None:
-                count += 1
-                pair = op(*pair, i)
-            lengths.append(count)
-        return tuple(lengths)
-
     def _classical_components(self):
         """(labels, count, maximal indices) without 0-arrows, computed once."""
         if self._classical is None:
@@ -184,25 +154,6 @@ class TensorCrystal:
         up0 = self.up[0]
         src = [t for t, u in enumerate(up0) if u != t]
         return src, _gather(up0, src)
-
-    def component_of(self, t):
-        """Set of pair indices in the classical component of t (no
-        0-arrows), searched pair by pair through the signature rule; no
-        table is built."""
-        base = self.base
-        indices = range(1, self.n_indices)
-        start = base.index[t.left], base.index[t.right]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            l, r = queue.popleft()
-            for i in indices:
-                for nb in (base.pair_f(l, r, i), base.pair_e(l, r, i)):
-                    if nb is not None and nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
-        m = len(base)
-        return {l * m + r for l, r in seen}
 
 
 def _gather(seq, idx):

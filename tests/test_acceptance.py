@@ -117,7 +117,7 @@ def test_criterion_5_embedding_and_multiplication():
     for name in SWEPT_NAMES:
         ctx = family(name)
         for i, psi in ctx.psis.items():
-            ok, witness = verify_psi(ctx.datum, ctx.graph, ctx.tensor, psi, i)
+            ok, witness = verify_psi(ctx.datum, ctx.graph, psi, i)
             assert ok, (name, i, witness)
             count += 1
         if ctx.datum.type.family == "A" and ctx.datum.type.twist == 1 and ctx.datum.n >= 2:

@@ -77,14 +77,14 @@ def test_psi_rejects_bad_node():
 def test_psi_verifies_small_sweep(ty):
     d, g, t = _setup(ty)
     for i in valid_psi_indices(d):
-        ok, witness = verify_psi(d, g, t, build_psi(d, i), i)
+        ok, witness = verify_psi(d, g, build_psi(d, i), i)
         assert ok, witness
 
 
 def test_psi_verifies_e6():
     d, g, t = _setup("E6-1")
     assert len(g) == 79
-    ok, witness = verify_psi(d, g, t, build_psi(d, 6), 6)
+    ok, witness = verify_psi(d, g, build_psi(d, 6), 6)
     assert ok, witness
 
 
@@ -94,9 +94,75 @@ def test_corrupted_psi_rejected():
     th = XRoot(theta(d))
     a1 = XRoot(RootVector.simple(1, 2))
     psi[th], psi[a1] = psi[a1], psi[th]
-    ok, witness = verify_psi(d, g, t, psi, 1)
-    assert not ok
-    assert witness
+    ok, witness = verify_psi(d, g, psi, 1)
+    assert ok is False
+    assert witness.startswith("weight mismatch at")
+
+
+def _break_domain(d, g, psi):
+    del psi[XRoot(-theta(d))]
+    return g, 1
+
+
+def _break_injectivity(d, g, psi):
+    th = theta(d)
+    psi[XRoot(-th)] = psi[XRoot(th)]
+    return g, 1
+
+
+def _break_top(d, g, psi):
+    # x_theta (x) empty has the weight of x_theta and is no other image
+    psi[XRoot(theta(d))] = TensorElement(XRoot(theta(d)), EMPTY)
+    return g, 1
+
+
+def _break_operator_domain(d, g, psi):
+    # start at x_theta (x) y_2 and follow f_1 once, so the walk first fails
+    # at f_2, which kills x_theta but not x_theta (x) y_2
+    top = XRoot(theta(d))
+    below = g.f_tilde(top, 1)
+    psi[top] = TensorElement(top, YElement(2))
+    psi[below] = TensorElement(below, YElement(2))
+    return g, 2
+
+
+def _break_commutation(d, g, psi):
+    a2 = XRoot(RootVector.simple(2, 2))
+    psi[a2] = TensorElement(a2, EMPTY)
+    return g, 1
+
+
+def _break_walk(d, g, psi):
+    # an element with no classical arrows: nothing leads to it from x_theta
+    psi[Box(0)] = TensorElement(EMPTY, EMPTY)
+    return CrystalGraph(g.elements + (Box(0),), g.arrows(), g.n_indices, datum=d), 1
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, prefix",
+    [
+        ("C2-1", _break_domain, "domain is not the little adjoint crystal"),
+        ("D4-3", _break_injectivity, "not injective at"),
+        ("C2-1", _break_top, "x_theta does not map to x_theta (x) y_i"),
+        ("C2-1", _break_operator_domain, "operator domain differs at (x[2,1], 2)"),
+        ("A2-1", _break_commutation, "operators do not commute at (x[1,1], 1)"),
+        ("D4-3", _break_walk, "walk from x_theta misses 0"),
+    ],
+)
+def test_verify_psi_failure_branches(name, corrupt, prefix):
+    d, g, _ = _setup(name)
+    psi = build_psi(d, 1)
+    graph, node = corrupt(d, g, psi)
+    ok, witness = verify_psi(d, graph, psi, node)
+    assert ok is False
+    assert witness.startswith(prefix)
+
+
+def test_verify_psi_domain_rejects_extra_key():
+    d, g, _ = _setup("A2-1")
+    psi = build_psi(d, 1)
+    psi[EMPTY] = TensorElement(EMPTY, EMPTY)
+    assert verify_psi(d, g, psi, 1) == (False, "domain is not the little adjoint crystal")
 
 
 def test_disjoint_embeddings_for_type_a():

@@ -225,6 +225,14 @@ def test_character_bad_weight(capsys):
     assert code == 2  # comark of node 8 is not 1
 
 
+@pytest.mark.parametrize("text", ["L-0", "L+1", "L0_1", "L 1", "L١"])
+def test_character_weight_takes_ascii_digits_only(capsys, text):
+    # int() would read each of these as a node number
+    code, out, err = run(capsys, "character", "A2-1", text, "--max-degree", "1")
+    assert code == 2 and out == ""
+    assert f"weight must look like L0, L1, ... (got {text!r})" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "graph.dot"
     code, out, _ = run(capsys, "build", "A2-1", "--out", str(target))

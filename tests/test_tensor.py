@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,14 +7,12 @@ import pytest
 
 from affine_crystals.algebra import (
     Box,
-    build_psi,
     energy_by_classification,
     energy_propagate,
     three_box_crystal,
-    valid_psi_indices,
-    verify_psi,
 )
 from affine_crystals.cartan import build_datum, swept_types
+from affine_crystals.cli import main
 from affine_crystals.crystal import (
     EMPTY,
     CrystalGraph,
@@ -226,13 +225,14 @@ def test_signature_ties(name):
     assert both_act > 0
 
 
-def test_verify_psi_builds_no_table():
-    d = build_datum("C8-1")
-    g = build_crystal(d)
-    t = TensorCrystal(g)
-    i = valid_psi_indices(d)[0]
-    assert verify_psi(d, g, t, build_psi(d, i), i) == (True, None)
-    assert t._up is None and t._f is None
+def test_verify_psi_builds_no_table(monkeypatch, capsys):
+    # the embedding is checked on index pairs of B; no TensorCrystal is made
+    def refuse(self, base):
+        raise AssertionError("multiply built a TensorCrystal")
+
+    monkeypatch.setattr(TensorCrystal, "__init__", refuse)
+    assert main(["multiply", "C8-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["embedding_verified"] is True
 
 
 def test_energy_and_verify_build_no_views():
@@ -248,16 +248,17 @@ def test_energy_and_verify_build_no_views():
 
 def test_tensor_f_example():
     d, g, t = _setup("A2-1")
-    th = XRoot(theta(d))
-    out = t.f_tilde(TensorElement(th, th), 1)
-    assert out == TensorElement(XRoot(RootVector.simple(2, 2)), th)
+    th = g.index[XRoot(theta(d))]
+    out = g.pair_f(th, th, 1)
+    assert out == (g.index[XRoot(RootVector.simple(2, 2))], th)
 
 
 def test_tensor_e0_on_vacuum():
     d, g, t = _setup("A2-1")
-    out = t.e_tilde(TensorElement(EMPTY, EMPTY), 0)
+    empty = g.index[EMPTY]
+    out = g.pair_e(empty, empty, 0)
     # phi_0 = eps_0 = 1 ties and the raising operator takes the left slot
-    assert out == TensorElement(XRoot(-theta(d)), EMPTY)
+    assert out == (g.index[XRoot(-theta(d))], empty)
 
 
 def test_inverse_pairs_on_product():
@@ -275,6 +276,20 @@ def test_inverse_pairs_on_product():
                 assert t.f[i][up] == k
 
 
+def _pair_stats(g, l, r, i):
+    """(eps_i, phi_i) of the pair l (x) r, by walking its e_i and f_i
+    strings one signature-rule step at a time."""
+    lengths = []
+    for op in (g.pair_e, g.pair_f):
+        count = 0
+        pair = op(l, r, i)
+        while pair is not None:
+            count += 1
+            pair = op(*pair, i)
+        lengths.append(count)
+    return tuple(lengths)
+
+
 def test_stats_weight_additivity():
     for name in ["A2-1", "C2-1", "A4-2"]:
         d, g, t = _setup(name)
@@ -283,14 +298,15 @@ def test_stats_weight_additivity():
             wl = g.weight_of(pair.left)
             wr = g.weight_of(pair.right)
             for i in range(d.n + 1):
-                eps, phi = t.string_stats(pair, i)
+                eps, phi = _pair_stats(g, *divmod(k, len(g)), i)
                 assert phi - eps == wl.coeffs[i] + wr.coeffs[i]
 
 
 def test_a1_square_string():
     d, g, t = _setup("A1-1")
     assert t.size == 16
-    eps, phi = t.string_stats(TensorElement(YElement(1), YElement(1)), 1)
+    y1 = g.index[YElement(1)]
+    eps, phi = _pair_stats(g, y1, y1, 1)
     assert eps == 1
 
 
@@ -409,16 +425,22 @@ def test_component_sizes_match_weyl_dimension(ty):
 def test_named_components():
     d, g, t = _setup("C2-1")
     th = theta(d)
-    singleton = t.component_of(TensorElement(XRoot(th), XRoot(-th)))
+    labels, _ = t.component_labels(omit_zero=True)
+
+    def component_of(pair):
+        c = labels[t.pair_index(pair)]
+        return {k for k, label in enumerate(labels) if label == c}
+
+    singleton = component_of(TensorElement(XRoot(th), XRoot(-th)))
     assert singleton == {t.pair_index(TensorElement(XRoot(th), XRoot(-th)))}
-    left = t.component_of(TensorElement(XRoot(th), EMPTY))
+    left = component_of(TensorElement(XRoot(th), EMPTY))
     expect = {
         t.pair_index(TensorElement(b, EMPTY))
         for b in g.elements
         if not isinstance(b, EmptyElement)
     }
     assert left == expect
-    right = t.component_of(TensorElement(EMPTY, XRoot(th)))
+    right = component_of(TensorElement(EMPTY, XRoot(th)))
     expect = {
         t.pair_index(TensorElement(EMPTY, b))
         for b in g.elements
@@ -438,4 +460,4 @@ def test_string_stats_match_closed_formulas():
                 eps_r, phi_r = g.string_stats(r, i)
                 want_eps = eps_l + max(0, eps_r - phi_l)
                 want_phi = phi_r + max(0, phi_l - eps_r)
-                assert t.string_stats(pair, i) == (want_eps, want_phi)
+                assert _pair_stats(g, *divmod(k, len(g)), i) == (want_eps, want_phi)

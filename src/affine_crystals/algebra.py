@@ -123,16 +123,17 @@ def build_psi(d, i):
 def verify_psi(d, graph, psi, i):
     """Full morphism check of an embedding, on index pairs of B.
 
-    Checks, in order, that the domain is exactly the non-empty elements and
-    that psi is injective, preserves weight and sends x_theta to
-    x_theta (x) y_i.  Then one walk from x_theta along the classical arrows
-    of B compares f_j and e_j at each element b (j = 1..n) with
-    ``CrystalGraph.pair_f`` and ``pair_e`` at psi(b): absent must match
-    absent, present must match psi of the image.  The walk must reach the
-    whole domain, so the image is connected and closed under every
-    classical e_j and f_j: it is the classical component of
-    x_theta (x) y_i, and the string statistics agree.  No arrow table of
-    the square is built.  Returns (ok, witness), witness None on success.
+    Checks, in order, that the domain is exactly the non-empty elements,
+    that every image is a pair of elements of B, and that psi is injective,
+    preserves weight and sends x_theta to x_theta (x) y_i.  Then one walk
+    from x_theta along the classical arrows of B compares f_j and e_j at
+    each element b (j = 1..n) with ``CrystalGraph.pair_f`` and ``pair_e``
+    at psi(b): absent must match absent, present must match psi of the
+    image.  The walk must reach the whole domain, so the image is connected
+    and closed under every classical e_j and f_j: it is the classical
+    component of x_theta (x) y_i, and the string statistics agree.  No
+    arrow table of the square is built.  Returns (ok, witness), witness
+    None on success.
     """
     index = graph.index
     domain = [b for b in graph.elements if not isinstance(b, EmptyElement)]
@@ -141,7 +142,9 @@ def verify_psi(d, graph, psi, i):
     image, taken = {}, set()
     for b in domain:
         t = psi[b]
-        pair = index[t.left], index[t.right]
+        pair = index.get(t.left), index.get(t.right)
+        if None in pair:
+            return False, f"image outside B (x) B at {b.label()}"
         if pair in taken:
             return False, f"not injective at {b.label()}"
         taken.add(pair)

@@ -1,4 +1,5 @@
-"""Finite root systems and the weight set of the little adjoint crystal.
+"""Finite root systems by simple reflections, and the weight set of the
+little adjoint crystal as one filter of the roots per twist.
 
 Roots are stored with doubled integer coefficients over alpha_1..alpha_n so
 that the half-integral weights appearing for A_{2n}^(2) stay exact.
@@ -27,6 +28,8 @@ class RootVector:
     @staticmethod
     def simple(i, n):
         """alpha_i inside a rank-n system."""
+        if not 1 <= i <= n:
+            raise ValueError(f"alpha_{i} is out of range for rank {n}")
         return RootVector(tuple(2 if j == i - 1 else 0 for j in range(n)))
 
     @staticmethod
@@ -50,13 +53,13 @@ class RootVector:
 
     def coeff(self, i):
         """Coefficient of alpha_i as an exact Fraction."""
+        n = len(self.twice)
+        if not 1 <= i <= n:
+            raise ValueError(f"alpha_{i} is out of range for rank {n}")
         return Fraction(self.twice[i - 1], 2)
 
     def support(self):
         return tuple(i + 1 for i, a in enumerate(self.twice) if a != 0)
-
-    def height2(self):
-        return sum(self.twice)
 
     def pairing(self, d, j):
         """<h_j, .> computed from the affine Cartan matrix of d (j in 0..n)."""
@@ -84,56 +87,38 @@ class RootVector:
 
 def theta(d):
     """The weight theta: marks over the finite nodes, halved for A_{2n}^(2)."""
-    twice = [2 * m for m in d.marks[1:]]
-    if d.d0 == 2:
-        twice = [m for m in d.marks[1:]]
-    return RootVector(tuple(twice))
+    return RootVector(tuple(2 * m // d.d0 for m in d.marks[1:]))
 
 
 def finite_roots(d):
-    """All roots of g by closure from the simple roots.
+    """All roots of g as (root, length_class), class "long" or "short".
 
-    Returns a list of (root, length_class) with length_class "short" or
-    "long"; in the simply-laced case every root is classed long.  The
-    closure runs on the integer keys ``RootVector.twice``; the list holds
-    each positive root, by height then lexicographically, followed by its
-    negative.
+    alpha_i is long where its symmetrizer is largest over nodes 1..n.  Every
+    positive root is reached from a simple root by simple reflections
+    s_i beta = beta - <beta, h_i> alpha_i with <beta, h_i> < 0, and W
+    preserves length (Humphreys, Introduction to Lie Algebras, 10.3), so
+    the walk on ``RootVector.twice`` keys hands each root its class.  The
+    list holds each positive root, by height then lexicographically,
+    followed by its negative.
     """
     n = d.n
     fc = d.finite_cartan()
-    simple = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
-    known = set(simple)
-    layer = simple
-    while layer:
-        nxt = []
-        for beta in layer:
-            for i in range(n):
-                # root string: beta + alpha_i is a root iff the string
-                # below beta is long enough relative to <beta, h_i>
-                pair = sum(map(mul, beta, fc[i])) // 2
-                down = 0
-                cur = beta[:i] + (beta[i] - 2,) + beta[i + 1:]
-                while cur in known:
-                    down += 1
-                    cur = cur[:i] + (cur[i] - 2,) + cur[i + 1:]
-                if down - pair > 0:
-                    cand = beta[:i] + (beta[i] + 2,) + beta[i + 1:]
-                    if cand not in known:
-                        known.add(cand)
-                        nxt.append(cand)
-        layer = nxt
-    positives = sorted(known, key=lambda t: (sum(t), t))
-    gram = [[d.symmetrizers[i + 1] * fc[i][j] for j in range(n)] for i in range(n)]
-    norm2 = [
-        sum(a * sum(map(mul, row, t)) for a, row in zip(t, gram)) for t in positives
-    ]
-    top = max(norm2)
-    out = []
-    for t, norm in zip(positives, norm2):
-        cls = "short" if norm < top else "long"
-        out.append((RootVector(t), cls))
-        out.append((RootVector(tuple(-a for a in t)), cls))
-    return out
+    sym = d.symmetrizers[1:]
+    known = {
+        RootVector.simple(i, n).twice: "long" if s == max(sym) else "short"
+        for i, s in enumerate(sym, 1)
+    }
+    queue = list(known)
+    for beta in queue:  # grows while it is read
+        for i in range(n):
+            p = sum(map(mul, beta, fc[i])) // 2
+            if p < 0:
+                up = beta[:i] + (beta[i] - 2 * p,) + beta[i + 1:]
+                if up not in known:
+                    known[up] = known[beta]
+                    queue.append(up)
+    positive = map(RootVector, sorted(known, key=lambda t: (sum(t), t)))
+    return [(r, known[beta.twice]) for beta in positive for r in (beta, -beta)]
 
 
 @cache
@@ -141,34 +126,27 @@ def lambda_weights(d):
     """Weight data of the little adjoint crystal, computed once per datum.
 
     Returns (lambda_plus, has_y, contains_zero): the positive part of the
-    weight set as a tuple, the indices i with alpha_i in it as a frozenset,
-    and whether 0 is a weight.  lambda_plus is sorted by height then
-    lexicographically.  Every part is immutable, so the cached result is
-    safe to share.
+    weight set as a tuple in the order of ``finite_roots``, the indices i
+    with alpha_i in it as a frozenset, and whether 0 is a weight (d_0 = 1).
+    lambda_plus is all positive roots (untwisted), the short ones (twisted)
+    or, for A_{2n}^(2), the long ones of C_n halved, which are
+    alpha_i + ... + alpha_{n-1} + alpha_n/2.  Every part is immutable, so
+    the cached result is safe to share.
     """
     n = d.n
+    positive = [(r, cls) for r, cls in finite_roots(d) if r.is_nonneg()]
     if d.d0 == 2:
-        # A_{2n}^(2): the n weights alpha_i + ... + alpha_{n-1} + alpha_n/2
-        plus = []
-        for i in range(1, n + 1):
-            twice = [0] * n
-            for k in range(i - 1, n - 1):
-                twice[k] = 2
-            twice[n - 1] = 1
-            plus.append(RootVector(tuple(twice)))
-        plus.sort(key=lambda r: (r.height2(), r.twice))
-        return tuple(plus), frozenset(), False
-    roots = finite_roots(d)
-    if d.type.twist == 1:
-        plus = [r for r, _ in roots if r.is_nonneg()]
+        long = (r.twice for r, cls in positive if cls == "long")
+        plus = [RootVector(tuple(a // 2 for a in t)) for t in long]
+    elif d.type.twist == 1:
+        plus = [r for r, _ in positive]
     else:
-        plus = [r for r, cls in roots if cls == "short" and r.is_nonneg()]
-    plus.sort(key=lambda r: (r.height2(), r.twice))
+        plus = [r for r, cls in positive if cls == "short"]
     members = set(plus)
     has_y = frozenset(
         i for i in range(1, n + 1) if RootVector.simple(i, n) in members
     )
-    return tuple(plus), has_y, True
+    return tuple(plus), has_y, d.d0 == 1
 
 
 def _finite_adjacency(d):

@@ -110,6 +110,13 @@ def _break_injectivity(d, g, psi):
     return g, 1
 
 
+def _break_outside(d, g, psi):
+    # (4, 4) is the doubled key of 2 theta, which is no weight of B
+    a1 = XRoot(RootVector.simple(1, 2))
+    psi[a1] = TensorElement(XRoot(RootVector((4, 4))), psi[a1].right)
+    return g, 1
+
+
 def _break_top(d, g, psi):
     # x_theta (x) empty has the weight of x_theta and is no other image
     psi[XRoot(theta(d))] = TensorElement(XRoot(theta(d)), EMPTY)
@@ -143,6 +150,7 @@ def _break_walk(d, g, psi):
     [
         ("C2-1", _break_domain, "domain is not the little adjoint crystal"),
         ("D4-3", _break_injectivity, "not injective at"),
+        ("A2-1", _break_outside, "image outside B (x) B at x[1,0]"),
         ("C2-1", _break_top, "x_theta does not map to x_theta (x) y_i"),
         ("C2-1", _break_operator_domain, "operator domain differs at (x[2,1], 2)"),
         ("A2-1", _break_commutation, "operators do not commute at (x[1,1], 1)"),

@@ -254,7 +254,8 @@ def test_arrows_match_definition(name):
 
 
 def _reference_roots(d):
-    """The root-string closure of ``finite_roots`` on RootVector values."""
+    """All roots by alpha-string closure, classed by a Gram matrix: an
+    independent route to the output of ``finite_roots``."""
     n = d.n
     fc = d.finite_cartan()
     simple = [RootVector.simple(i, n) for i in range(1, n + 1)]
@@ -275,7 +276,7 @@ def _reference_roots(d):
                     known.add(cand)
                     nxt.append(cand)
         layer = nxt
-    positives = sorted(known, key=lambda r: (r.height2(), r.twice))
+    positives = sorted(known, key=lambda r: (sum(r.twice), r.twice))
     gram = [[d.symmetrizers[i + 1] * fc[i][j] for j in range(n)] for i in range(n)]
 
     def norm2(r):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from affine_crystals.cartan import build_datum, swept_types
@@ -12,7 +14,7 @@ from affine_crystals.roots import (
 
 
 def test_root_counts_and_lengths():
-    # closure counts against hand-enumerable systems
+    # root counts against hand-enumerable systems
     cases = {
         "A2-1": (6, 0),  # simply-laced: every root classed long
         "G2-1": (12, 6),
@@ -35,6 +37,62 @@ def test_roots_closed_under_negation():
 
 def test_e8_root_count():
     assert len(finite_roots(build_datum("E8-1"))) == 240
+
+
+@pytest.mark.parametrize(
+    "t", [t for t in swept_types(8) if t.twist == 1], ids=lambda t: t.name
+)
+def test_root_count_is_rank_times_coxeter_number(t):
+    # |Phi| = n h, and for an untwisted family h is the sum of the marks
+    d = build_datum(t)
+    assert len(finite_roots(d)) == d.n * sum(d.marks)
+
+
+@pytest.mark.parametrize("t", swept_types(8), ids=lambda t: t.name)
+def test_root_strings_are_unbroken(t):
+    # for beta != +-alpha_i the alpha_i-string through beta is
+    # beta - r alpha_i, ..., beta + q alpha_i with no gap and
+    # r - q = <beta, h_i> (Humphreys, 9.4)
+    d = build_datum(t)
+    roots = [r for r, _ in finite_roots(d)]
+    for i in range(1, d.n + 1):
+        # the roots on one alpha_i-line agree off coordinate i
+        lines = {}
+        for r in roots:
+            lines.setdefault(r.twice[: i - 1] + r.twice[i:], []).append(r)
+        alpha = RootVector.simple(i, d.n)
+        for beta in roots:
+            if beta in (alpha, -alpha):
+                continue
+            line = lines[beta.twice[: i - 1] + beta.twice[i:]]
+            steps = sorted((gamma - beta).twice[i - 1] // 2 for gamma in line)
+            assert steps == list(range(steps[0], steps[-1] + 1))
+            assert -steps[0] - steps[-1] == beta.pairing(d, i)
+
+
+# alpha_i + ... + alpha_{n-1} + alpha_n / 2 for i = n, ..., 1, doubled
+HALF_WEIGHTS = {
+    "A2-2": ((1,),),
+    "A4-2": ((0, 1), (2, 1)),
+    "A6-2": ((0, 0, 1), (0, 2, 1), (2, 2, 1)),
+    "A8-2": ((0, 0, 0, 1), (0, 0, 2, 1), (0, 2, 2, 1), (2, 2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", HALF_WEIGHTS)
+def test_half_weights_closed_form(name):
+    plus, has_y, has_zero = lambda_weights(build_datum(name))
+    assert tuple(r.twice for r in plus) == HALF_WEIGHTS[name]
+    assert has_y == frozenset() and not has_zero
+
+
+def test_simple_index_out_of_range():
+    for i in (0, 4, -1):
+        with pytest.raises(ValueError):
+            RootVector.simple(i, 3)
+        with pytest.raises(ValueError):
+            RootVector((2, 0, 2)).coeff(i)
+    assert RootVector((2, 0, 1)).coeff(3) == Fraction(1, 2)
 
 
 def test_lambda_weights_examples():

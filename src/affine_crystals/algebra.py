@@ -46,20 +46,25 @@ def _x_or_y(vec, i):
 
 
 def _simple_sum(nodes, n):
-    """The sum of the simple roots alpha_k over the given nodes k."""
-    return sum((RootVector.simple(k, n) for k in nodes), RootVector.zero(n))
+    """The sum of the simple roots alpha_k over distinct nodes k."""
+    return RootVector(tuple(2 if k in nodes else 0 for k in range(1, n + 1)))
 
 
 def build_psi(d, i):
     """Embedding of the little adjoint crystal onto the component of
-    x_theta (x) y_i.
+    x_theta (x) y_i, by one rule for every family.
 
-    Every positive weight gamma gets a split theta - gamma = A + B with the
-    image x_{theta-A} (x) x_{-B}; zero vectors in either slot are replaced
-    by y_i.  Negative weights and the y elements follow the same split.
-    The type-A and type-C families use their own splits (leading/trailing
-    runs of simple roots); everything else grades by the coefficient of
-    alpha_i and walks the Dynkin tree.
+    For gamma in lambda_+ let S be the sum of the simple roots on the
+    Dynkin-tree path from supp(gamma) to node i that lie outside the
+    support (S = 0 when alpha_i is in it), and rest = theta - gamma - S.
+    The split theta - gamma = A + B is (A, B) = (S, rest), mirrored to
+    (rest, S) for untwisted A and C; then x_gamma maps to
+    x_{theta-A} (x) x_{-B} and x_{-gamma} to x_B (x) x_{-(theta-A)}.  Each
+    y_j maps to x_v (x) x_{-v}: v is the sum over the path from i to j
+    without alpha_j when mirrored, and theta minus the whole path sum
+    otherwise.  Zero vectors in either slot become y_i.  No weight but theta
+    has coefficient 2 or more at a valid node, and there rest = 0, so that
+    grade needs no case of its own.
     """
     choices = valid_psi_indices(d)
     if i not in choices:
@@ -70,53 +75,19 @@ def build_psi(d, i):
     n = d.n
     th = theta(d)
     lam_plus, has_y, _ = lambda_weights(d)
-    family = d.type.family if d.type.twist == 1 else None
-
-    split = {}
-    zero = RootVector.zero(n)
-    if family == "A" or family == "C":
-        for gamma in lam_plus:
-            supp = gamma.support()
-            if family == "A" and i == n:
-                run = range(supp[-1] + 1, n + 1)
-            else:
-                run = range(1, supp[0])
-            b_part = _simple_sum(run, n)
-            split[gamma] = (th - gamma - b_part, b_part)
-    else:
-        for gamma in lam_plus:
-            c = gamma.coeff(i)
-            if c == 2:
-                split[gamma] = (zero, zero)
-            elif c == 1:
-                split[gamma] = (zero, th - gamma)
-            else:
-                a_part = _simple_sum(connect_support(d, gamma, i), n)
-                split[gamma] = (a_part, th - gamma - a_part)
-
+    mirror = d.type.twist == 1 and d.type.family in ("A", "C")
     psi = {}
     for gamma in lam_plus:
-        a_part, b_part = split[gamma]
-        psi[XRoot(gamma)] = TensorElement(
-            XRoot(th - a_part), _x_or_y(-b_part, i)
-        )
-        psi[XRoot(-gamma)] = TensorElement(
-            _x_or_y(b_part, i), XRoot(-(th - a_part))
-        )
-
+        s = _simple_sum(() if gamma.coeff(i) else connect_support(d, gamma, i), n)
+        rest = th - gamma - s
+        a_part, b_part = (rest, s) if mirror else (s, rest)
+        head = th - a_part
+        psi[XRoot(gamma)] = TensorElement(XRoot(head), _x_or_y(-b_part, i))
+        psi[XRoot(-gamma)] = TensorElement(_x_or_y(b_part, i), XRoot(-head))
     for j in sorted(has_y):
-        if family == "A" or family == "C":
-            # y_j maps to the weight-zero pair built from the run of simple
-            # roots strictly between the embedding node and j
-            if (family == "A" and i == n and j == n) or (i == 1 and j == 1):
-                psi[YElement(j)] = TensorElement(YElement(i), YElement(i))
-                continue
-            run = range(j + 1, n + 1) if (family == "A" and i == n) else range(1, j)
-            s = _simple_sum(run, n)
-            psi[YElement(j)] = TensorElement(XRoot(s), XRoot(-s))
-        else:
-            s = _simple_sum(dynkin_path(d, i, j), n)
-            psi[YElement(j)] = TensorElement(XRoot(th - s), XRoot(-(th - s)))
+        path = dynkin_path(d, j, i)
+        v = _simple_sum(path[1:], n) if mirror else th - _simple_sum(path, n)
+        psi[YElement(j)] = TensorElement(_x_or_y(v, i), _x_or_y(-v, i))
     return psi
 
 
@@ -454,12 +425,9 @@ def classify_components(tensor):
     i_top = base.index[XRoot(th)]
     i_bot = base.index[XRoot(-th)]
     labels = [GENERIC] * tensor.size
-    for k in range(tensor.size):
-        l, r = k // m, k % m
-        if l == i_empty:
-            labels[k] = EMPTY_EMPTY if r == i_empty else LEFT_EMPTY
-        elif r == i_empty:
-            labels[k] = RIGHT_EMPTY
+    labels[i_empty * m:(i_empty + 1) * m] = [LEFT_EMPTY] * m
+    labels[i_empty::m] = [RIGHT_EMPTY] * m
+    labels[i_empty * m + i_empty] = EMPTY_EMPTY
     labels[i_top * m + i_bot] = THETA_MINUS_THETA
     for k in two_theta_indices(tensor):
         labels[k] = TWO_THETA

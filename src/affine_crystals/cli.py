@@ -132,9 +132,11 @@ def _parse_weight(text, d):
     digits = t[1:]
     if t[:1] != "L" or not (digits.isascii() and digits.isdigit()):
         _usage_error(f"weight must look like L0, L1, ... (got {text!r})")
+    digits = digits.lstrip("0") or "0"
+    # lengths first: int() refuses strings of 4301 digits or more
+    if len(digits) > len(str(d.n)) or int(digits) > d.n:
+        _usage_error(f"Lambda_{digits} is out of range for {d.type.name}")
     i = int(digits)
-    if not 0 <= i <= d.n:
-        _usage_error(f"Lambda_{i} is out of range for {d.type.name}")
     if d.comarks[i] != 1:
         _usage_error(f"Lambda_{i} is not level 1 for {d.type.name}")
     return AffineWeight.fundamental(i, d.n)

@@ -77,7 +77,7 @@ def minimal_elements(d, graph):
     return out
 
 
-def verify_perfect(d, graph=None, tensor=None):
+def verify_perfect(d, graph=None):
     """Check the machine-checkable level-1 axioms for one family.
 
     The top-weight count, the eps-level bound and the minimal elements are
@@ -85,8 +85,7 @@ def verify_perfect(d, graph=None, tensor=None):
     weight objects."""
     if graph is None:
         graph = build_crystal(d)
-    if tensor is None:
-        tensor = TensorCrystal(graph)
+    tensor = TensorCrystal(graph)
     report = PerfectReport(type_name=d.type.name)
 
     report.axioms["module_asserted"] = AxiomResult(

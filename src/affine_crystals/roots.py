@@ -149,12 +149,19 @@ def lambda_weights(d):
     return tuple(plus), has_y, d.d0 == 1
 
 
-def _finite_adjacency(d):
-    n = d.n
-    return {
-        i: [j for j in range(1, n + 1) if j != i and d.cartan[i][j] != 0]
-        for i in range(1, n + 1)
-    }
+@cache
+def _toward(d, j):
+    """The next node toward node j from every finite node that reaches it
+    in the Dynkin diagram (None at j), one breadth-first walk per datum
+    and j."""
+    step = {j: None}
+    queue = [j]
+    for u in queue:  # grows while it is read
+        for v in range(1, d.n + 1):
+            if v not in step and v != u and d.cartan[u][v] != 0:
+                step[v] = u
+                queue.append(v)
+    return step
 
 
 def dynkin_path(d, i, j):
@@ -162,23 +169,12 @@ def dynkin_path(d, i, j):
     n = d.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"nodes must lie in 1..{n}")
-    adj = _finite_adjacency(d)
-    prev = {i: None}
-    frontier = [i]
-    while frontier and j not in prev:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in prev:
-                    prev[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    if j not in prev:
+    step = _toward(d, j)
+    if i not in step:
         raise ValueError(f"nodes {i} and {j} are disconnected")
-    path = [j]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    path.reverse()
+    path = [i]
+    while path[-1] != j:
+        path.append(step[path[-1]])
     return tuple(path)
 
 
@@ -194,8 +190,6 @@ def connect_support(d, gamma, i):
     supp = gamma.support()
     if not supp:
         raise ValueError("empty support")
-    # supp(gamma) is a subtree of the Dynkin tree, so a path from i to any
-    # support node enters the support at the node nearest to i
-    path = dynkin_path(d, i, supp[0])
-    first = next(k for k, node in enumerate(path) if node in supp)
-    return path[first - 1::-1]
+    # supp(gamma) is a subtree of the Dynkin tree, so the path from any
+    # support node to i leaves the support once and never comes back
+    return tuple(k for k in dynkin_path(d, supp[0], i) if k not in supp)

@@ -49,7 +49,7 @@ def test_criterion_2_perfectness_sweep():
     failures = []
     for name in SWEPT_NAMES:
         ctx = family(name)
-        report = verify_perfect(ctx.datum, ctx.graph, ctx.tensor)
+        report = verify_perfect(ctx.datum, ctx.graph)
         if not report.all_passed:
             failures.append((name, [k for k, v in report.axioms.items() if not v.passed]))
     elapsed = time.time() - start

@@ -30,7 +30,7 @@ from affine_crystals.algebra import (
 )
 from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import EMPTY, CrystalGraph, XRoot, YElement, build_crystal
-from affine_crystals.roots import RootVector, finite_roots, theta
+from affine_crystals.roots import RootVector, finite_roots, lambda_weights, theta
 from affine_crystals.tensor import TensorCrystal, TensorElement
 
 from conftest import SWEPT_NAMES, family
@@ -50,6 +50,18 @@ def test_valid_embedding_nodes():
     assert valid_psi_indices(build_datum("A4-2")) == []
     assert valid_psi_indices(build_datum("D4-2")) == []
     assert valid_psi_indices(build_datum("D4-3")) == [1]
+
+
+@pytest.mark.parametrize("t", swept_types(8), ids=lambda t: t.name)
+def test_theta_alone_has_coefficient_two_at_valid_nodes(t):
+    # the contact grading, so build_psi needs no case of its own for grade
+    # 2; on A_n^(1) theta has coefficient 1 and no weight reaches 2
+    d = build_datum(t)
+    th = theta(d)
+    lam_plus, _, _ = lambda_weights(d)
+    for i in valid_psi_indices(d):
+        high = [g for g in lam_plus if g.coeff(i) >= 2]
+        assert high == ([th] if th.coeff(i) >= 2 else []), i
 
 
 def test_psi_fixed_images():

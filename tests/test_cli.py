@@ -223,6 +223,9 @@ def test_character_bad_weight(capsys):
     assert code == 2
     code, _, _ = run(capsys, "character", "E8-1", "L8", "--max-degree", "1")
     assert code == 2  # comark of node 8 is not 1
+    # longer than int() reads: a usage error, not a traceback
+    code, out, err = run(capsys, "character", "A2-1", "L" + "1" * 4301)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize("text", ["L-0", "L+1", "L0_1", "L 1", "L١"])

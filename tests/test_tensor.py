@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from affine_crystals import perfect
 from affine_crystals.algebra import (
     Box,
     energy_by_classification,
@@ -235,15 +236,20 @@ def test_verify_psi_builds_no_table(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["embedding_verified"] is True
 
 
-def test_energy_and_verify_build_no_views():
+def test_energy_and_verify_build_no_views(monkeypatch):
     # the library reads only the loop-form maps, never the -1 view
     d = build_datum("C8-1")
     g = build_crystal(d)
     t = TensorCrystal(g)
     assert energy_propagate(t) == energy_by_classification(t)
-    assert verify_perfect(d, g, t).all_passed
+    squares = [t]
+    monkeypatch.setattr(
+        perfect, "TensorCrystal", lambda graph: squares.append(TensorCrystal(graph)) or squares[-1]
+    )
+    assert verify_perfect(d, g).all_passed
+    assert len(squares) == 2  # verify_perfect builds its own square
     assert t._up is not None
-    assert t._f is None
+    assert all(s._f is None for s in squares)
 
 
 def test_tensor_f_example():

@@ -78,7 +78,7 @@ def build_psi(d, i):
     mirror = d.type.twist == 1 and d.type.family in ("A", "C")
     psi = {}
     for gamma in lam_plus:
-        s = _simple_sum(() if gamma.coeff(i) else connect_support(d, gamma, i), n)
+        s = _simple_sum(() if gamma.twice[i - 1] else connect_support(d, gamma, i), n)
         rest = th - gamma - s
         a_part, b_part = (rest, s) if mirror else (s, rest)
         head = th - a_part

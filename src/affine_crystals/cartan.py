@@ -12,7 +12,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 # One row per affine family X_m^(r), in sweep order: (X, r, the valid rank
 # parameters m, the type of the finite algebra g with {} for its rank n,
@@ -209,18 +208,21 @@ def _diagram(t):
 
 
 def _symmetrizers(cartan, size):
-    """Positive integers s_i with s_i a_ij = s_j a_ji, minimal."""
+    """Positive integers s_i with s_i a_ij = s_j a_ji, minimal.  Each s_i
+    is held as an exact (numerator, denominator) pair of integers while the
+    diagram is walked from node 0."""
     s = [None] * size
-    s[0] = Fraction(1)
+    s[0] = (1, 1)
     queue = [0]
     while queue:
         i = queue.pop()
+        num, den = s[i]
         for j in range(size):
             if j != i and cartan[i][j] != 0 and s[j] is None:
-                s[j] = s[i] * cartan[i][j] / cartan[j][i]
+                s[j] = (num * cartan[i][j], den * cartan[j][i])
                 queue.append(j)
-    scale = math.lcm(*(x.denominator for x in s))
-    ints = [int(x * scale) for x in s]
+    scale = math.lcm(*(den for _, den in s))
+    ints = [num * scale // den for num, den in s]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)
 

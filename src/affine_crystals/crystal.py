@@ -6,7 +6,6 @@ classical indices and the theta-translation rule for index 0.
 """
 
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from operator import add
 
 from .cartan import AffineWeight
@@ -168,6 +167,8 @@ class CrystalGraph:
         "arrows"[, "type"]}, written row by row: one template per element
         and per arrow, each distinct [num, den] root coordinate encoded once.
         An element that is neither x nor y is of kind "empty"."""
+        from json.encoder import encode_basestring_ascii
+
         twice = tuple({a for b in self.elements if isinstance(b, XRoot) for a in b.root.twice})
         block = {a: _BLOCK % tuple(c) for a, c in zip(twice, RootVector(twice).json_coeffs())}
         elems = []

@@ -3,10 +3,11 @@ little adjoint crystal as one filter of the roots per twist.
 
 Roots are stored with doubled integer coefficients over alpha_1..alpha_n so
 that the half-integral weights appearing for A_{2n}^(2) stay exact.
+``RootVector.coeff`` and ``RootVector.from_coeffs`` are the only users of
+``Fraction``; they import it on call, so building B never loads it.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from operator import mul
 
@@ -23,6 +24,8 @@ class RootVector:
 
     @staticmethod
     def from_coeffs(coeffs):
+        from fractions import Fraction
+
         return RootVector(tuple(int(2 * Fraction(c)) for c in coeffs))
 
     @staticmethod
@@ -56,6 +59,8 @@ class RootVector:
         n = len(self.twice)
         if not 1 <= i <= n:
             raise ValueError(f"alpha_{i} is out of range for rank {n}")
+        from fractions import Fraction
+
         return Fraction(self.twice[i - 1], 2)
 
     def support(self):
@@ -79,10 +84,19 @@ class RootVector:
         return out
 
     def label(self):
-        parts = []
-        for a in self.twice:
-            parts.append(str(a // 2) if a % 2 == 0 else f"{a}/2")
-        return "[" + ",".join(parts) + "]"
+        return "[" + ",".join(map(_TEXT.__getitem__, self.twice)) + "]"
+
+
+class _CoordText(dict):
+    """Doubled coordinate -> its text in a label ("1", "-1/2"), each
+    formatted once on first use."""
+
+    def __missing__(self, a):
+        text = self[a] = str(a // 2) if a % 2 == 0 else f"{a}/2"
+        return text
+
+
+_TEXT = _CoordText()
 
 
 def theta(d):
@@ -185,9 +199,9 @@ def connect_support(d, gamma, i):
     geodesic starting just outside the support component nearest to i.  When
     the support neighbors i the sequence is (i) alone.
     """
-    if gamma.coeff(i) != 0:
-        raise ValueError(f"alpha_{i} lies in the support of {gamma.label()}")
     supp = gamma.support()
+    if i in supp:
+        raise ValueError(f"alpha_{i} lies in the support of {gamma.label()}")
     if not supp:
         raise ValueError("empty support")
     # supp(gamma) is a subtree of the Dynkin tree, so the path from any

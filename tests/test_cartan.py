@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from affine_crystals.cartan import (
@@ -164,3 +167,30 @@ def test_valid_families_exact_set():
     )
     assert valid == want
 
+
+def _reference_symmetrizers(cartan, size):
+    """The Fraction walk that build_datum used before its integer
+    (numerator, denominator) form: the reference for both."""
+    s = [None] * size
+    s[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(size):
+            if j != i and cartan[i][j] != 0 and s[j] is None:
+                s[j] = s[i] * cartan[i][j] / cartan[j][i]
+                queue.append(j)
+    scale = math.lcm(*(x.denominator for x in s))
+    ints = [int(x * scale) for x in s]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+@pytest.mark.parametrize("name", [t.name for t in swept_types(14)])
+def test_symmetrizers_match_fraction_reference(name):
+    d = build_datum(name)
+    sym = _reference_symmetrizers(d.cartan, d.n + 1)
+    scaled = [s * a for s, a in zip(sym, d.marks)]
+    comarks = tuple(x // math.gcd(*scaled) for x in scaled)
+    assert d.symmetrizers == sym
+    assert d.comarks == comarks

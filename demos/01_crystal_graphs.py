@@ -34,8 +34,8 @@ print("  f_0(empty) =", g.f_tilde(EMPTY, 0).label())
 print("  e_0(empty) =", g.e_tilde(EMPTY, 0).label())
 print("  f_1(empty) =", g.f_tilde(EMPTY, 1), " (no classical arrows at empty)")
 print("  eps_0(x_theta) =", g.eps(th, 0), " phi_0(x_theta) =", g.phi(th, 0))
-print("  weight of x_theta in Lambda-coordinates:", g.weight_of(th).coeffs)
-print("  eps vector of y_1:", g.eps_vec(YElement(1)).coeffs)
+print("  weight of x_theta in Lambda-coordinates:", g.weight_of(th))
+print("  eps vector of y_1:", g.eps_vec(YElement(1)))
 
 with open("a2-1.dot", "w") as fh:
     fh.write(g.to_dot())

@@ -13,7 +13,6 @@ machinery.
 """
 
 from affine_crystals import (
-    AffineWeight,
     PathModel,
     build_datum,
     lattice_points_up_to,
@@ -21,17 +20,17 @@ from affine_crystals import (
 )
 
 d = build_datum("A1-1")
-model = PathModel(d, AffineWeight.fundamental(0, d.n))
+model = PathModel(d, 0)
 print("ground state entries:", [model.ground.label()])
 
 p = model.ground_path
 print("\nlowering the ground state step by step:")
 for i in [0, 1, 0, 1]:
     p = model.f(p, i)
-    w = model.weight(p)
+    coeffs, delta = model.weight(p)
     print(
         f"  f_{i}: prefix = {[b.label() for b in p.prefix]}, "
-        f"classical = {w.coeffs}, delta degree = {w.delta}"
+        f"classical = {coeffs}, delta degree = {delta}"
     )
 
 print("\nmultiplicity of Lambda_0 - n*delta for n = 0..5:")
@@ -40,7 +39,7 @@ print(" ", [ch.get(((1, 0), -n), 0) for n in range(6)])
 
 print("\noracle comparison for A2-1 through degree 5:")
 d2 = build_datum("A2-1")
-m2 = PathModel(d2, AffineWeight.fundamental(0, d2.n))
+m2 = PathModel(d2, 0)
 got = m2.root_character(5)
 checked = diffs = 0
 for beta in lattice_points_up_to(d2, 10):
@@ -53,7 +52,7 @@ print(f"  {checked} (lattice point, degree) cells checked, {diffs} differences")
 
 print("\ncharacters exist for every family, oracle or not:")
 d3 = build_datum("D4-3")
-m3 = PathModel(d3, AffineWeight.fundamental(0, d3.n))
+m3 = PathModel(d3, 0)
 ch3 = m3.character(3)
 by_degree = {}
 for (coeffs, delta), mult in ch3.items():

@@ -4,7 +4,9 @@ Builds the crystal of the (little) adjoint module plus trivial module with
 its affine arrows, verifies the perfectness axioms, derives the crystal
 algebra multiplication, computes the energy function two independent ways,
 and realizes basic highest weight crystals as paths with exact character
-coefficients.
+coefficients.  Weights are plain tuples of Lambda-coordinates; the basic
+representation L(Lambda_i) is named by its node i, one of
+``level_one_nodes(d)``.
 
 Importing the package loads none of its modules: a public name loads its
 home module on first use.  ``build_datum`` and ``build_crystal`` load only
@@ -15,8 +17,7 @@ import importlib
 
 # The public names of each module, in layer order.
 _EXPORTS = {
-    "cartan": "AffineDatum AffineType AffineWeight build_datum level "
-    "level_one_dominants parse_type swept_types",
+    "cartan": "AffineDatum AffineType build_datum level_one_nodes parse_type swept_types",
     "roots": "RootVector connect_support dynkin_path finite_roots lambda_weights theta",
     "crystal": "EMPTY CrystalGraph EmptyElement XRoot YElement build_crystal",
     "tensor": "TensorCrystal TensorElement",

@@ -120,7 +120,7 @@ def verify_psi(d, graph, psi, i):
             return False, f"not injective at {b.label()}"
         taken.add(pair)
         image[index[b]] = pair
-    weight = [graph.weight_of(b).coeffs for b in graph.elements]
+    weight = [graph.weight_of(b) for b in graph.elements]
     for k, (l, r) in image.items():
         if weight[k] != tuple(map(add, weight[l], weight[r])):
             return False, f"weight mismatch at {graph.elements[k].label()}"

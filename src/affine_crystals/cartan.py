@@ -3,8 +3,8 @@
 One table lists the valid ranks, the finite type and the finite rank of
 each of the fourteen families X_n^(r) in sweep order, and one branch per
 family hard-codes its affine Dynkin diagram and marks.  Symmetrizers are
-computed from the matrix and comarks from them and the marks; the level
-machinery for classical weights is here too.
+computed from the matrix and comarks from them and the marks; the nodes
+of comark 1 name the level-1 fundamental weights.
 """
 
 import functools
@@ -84,32 +84,6 @@ def parse_type(text):
     if m is None:
         raise ValueError(f"cannot parse affine type {text!r}")
     return AffineType(m.group(1), int(m.group(2)), int(m.group(3)))
-
-
-@dataclass(frozen=True)
-class AffineWeight:
-    """Classical weight in Lambda-coordinates plus a delta degree.
-
-    ``coeffs[i]`` is the coefficient of Lambda_i.  ``delta`` counts energy
-    quanta below the highest weight: the weight is classical - delta * d,
-    where d is the basic imaginary grading unit of the family.
-    """
-
-    coeffs: tuple
-    delta: int = 0
-
-    def __add__(self, other):
-        return AffineWeight(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.delta + other.delta,
-        )
-
-    @staticmethod
-    def fundamental(i, n):
-        """Lambda_i for a rank-n datum (coordinates over Lambda_0..Lambda_n)."""
-        if not 0 <= i <= n:
-            raise ValueError(f"Lambda_{i} is out of range for rank {n}")
-        return AffineWeight(tuple(1 if j == i else 0 for j in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -271,18 +245,9 @@ def build_datum(t):
     return AffineDatum(t, cartan, marks, comarks, sym, t._finite[1])
 
 
-def level(w, d):
-    """Level of a classical weight: sum of c_i times its Lambda_i coefficient."""
-    return sum(c * x for c, x in zip(d.comarks, w.coeffs))
-
-
-def level_one_dominants(d):
-    """The fundamental weights Lambda_i with comark 1, ascending in i."""
-    return [
-        AffineWeight.fundamental(i, d.n)
-        for i in range(d.n + 1)
-        if d.comarks[i] == 1
-    ]
+def level_one_nodes(d):
+    """The nodes i, ascending, whose Lambda_i has level c_i = 1."""
+    return [i for i, c in enumerate(d.comarks) if c == 1]
 
 
 def swept_types(max_rank=5, with_exceptional=True):

@@ -19,7 +19,7 @@ from .algebra import (
     valid_psi_indices,
     verify_psi,
 )
-from .cartan import AffineWeight, build_datum, parse_type, swept_types
+from .cartan import build_datum, parse_type, swept_types
 from .crystal import build_crystal
 from .paths import (
     OracleUnsupported,
@@ -33,7 +33,7 @@ from .tensor import TensorCrystal
 
 
 def _emit(text, out):
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     try:
@@ -139,16 +139,15 @@ def _parse_weight(text, d):
     i = int(digits)
     if d.comarks[i] != 1:
         _usage_error(f"Lambda_{i} is not level 1 for {d.type.name}")
-    return AffineWeight.fundamental(i, d.n)
+    return i
 
 
 def cmd_character(args):
     d = _datum(args.type)
-    lam = _parse_weight(args.weight, d)
+    node = _parse_weight(args.weight, d)
     if args.max_degree < 0:
         _usage_error(f"--max-degree must be >= 0 (got {args.max_degree})")
-    counts = PathModel(d, lam).character(args.max_degree)
-    node = lam.coeffs.index(1)
+    counts = PathModel(d, node).character(args.max_degree)
     try:
         check_lattice_node(d, node)
     except OracleUnsupported as err:
@@ -210,6 +209,8 @@ def main(argv=None):
     """Run one command.  The parser is built once per process; ``cmd_*`` is
     looked up in this module at each call, so rebinding a name here works."""
     args = _parser().parse_args(argv)
+    if args.out == "":
+        _usage_error("--out needs a file name")
     return globals()["cmd_" + args.command](args)
 
 

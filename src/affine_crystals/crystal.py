@@ -6,9 +6,8 @@ classical indices and the theta-translation rule for index 0.
 """
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
-from .cartan import AffineWeight
 from .roots import RootVector, lambda_weights, theta
 
 
@@ -128,18 +127,15 @@ class CrystalGraph:
 
     def eps_vec(self, b):
         k = self.index[b]
-        return AffineWeight(tuple(self._eps[i][k] for i in range(self.n_indices)))
+        return tuple(self._eps[i][k] for i in range(self.n_indices))
 
     def phi_vec(self, b):
         k = self.index[b]
-        return AffineWeight(tuple(self._phi[i][k] for i in range(self.n_indices)))
+        return tuple(self._phi[i][k] for i in range(self.n_indices))
 
     def weight_of(self, b):
         """Classical weight phi(b) - eps(b) in Lambda-coordinates."""
-        k = self.index[b]
-        return AffineWeight(
-            tuple(self._phi[i][k] - self._eps[i][k] for i in range(self.n_indices))
-        )
+        return tuple(map(sub, self.phi_vec(b), self.eps_vec(b)))
 
     def root_weight(self, b):
         """Weight as a vector over the finite simple roots (0 for y and empty)."""

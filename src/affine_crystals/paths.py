@@ -1,13 +1,13 @@
 """Path realization of the level-1 highest weight crystals.
 
 Paths are semi-infinite tensor words agreeing far out with the homogeneous
-ground state b_lam (x) b_lam (x) ... of their level-1 weight lam; only the
-finite override prefix is stored.  The energy function turns path
-statistics into affine weights.  Character coefficients come from a
-transfer matrix over positions, which counts paths by entry, degree and
-weight offset without building any: `PathModel.character` sums the
-Lambda-coordinate offsets wt(b) - wt(b_lam) and keys its counts by affine
-weight directly, `PathModel.root_character` runs the same DP on root
+ground state b_lam (x) b_lam (x) ... of their level-1 weight lam = Lambda_i,
+named by its node i; only the finite override prefix is stored.  The energy
+function turns path statistics into affine weights.  Character coefficients
+come from a transfer matrix over positions, which counts paths by entry,
+degree and weight offset without building any: `PathModel.character` sums the
+Lambda-coordinate weights wt(b) (wt(b_lam) = 0) and keys its counts by
+affine weight directly, `PathModel.root_character` runs the same DP on root
 offsets.  The DP runs down from the ground entry at the top position;
 every step adds a non-negative energy term, so it prunes on the degree
 alone, with no look-ahead bound.  Breadth-first generation of the paths
@@ -21,10 +21,9 @@ import functools
 import json
 from collections import deque
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import add, mul
 
 from .algebra import energy_propagate
-from .cartan import AffineWeight
 from .crystal import build_crystal
 from .perfect import minimal_elements
 from .roots import RootVector
@@ -46,20 +45,15 @@ class Path:
         return len(self.prefix)
 
 
-def ground_state(d, lam, graph=None):
-    """The homogeneous ground state of lam: the element b_lam with
-    eps(b_lam) = phi(b_lam) = lam, so that b_lam (x) b_lam (x) ... is the
-    ground path."""
+def ground_state(d, i, graph=None):
+    """The homogeneous ground state of Lambda_i, for a node i with comark 1:
+    the element b_lam with eps(b_lam) = phi(b_lam) = Lambda_i, so that
+    b_lam (x) b_lam (x) ... is the ground path."""
     if graph is None:
         graph = build_crystal(d)
     table = minimal_elements(d, graph)
-    key = lam.coeffs
-    i = key.index(1) if 1 in key else None
-    if i not in table or key != AffineWeight.fundamental(i, d.n).coeffs:
-        raise ValueError(
-            f"no minimal element for weight {key}; ground states exist "
-            "only for the level-1 fundamental weights"
-        )
+    if i not in table:
+        raise ValueError(f"Lambda_{i} is not a level-1 fundamental weight of {d.type.name}")
     up, down = table[i]
     if up != down:
         raise ValueError(
@@ -70,12 +64,12 @@ def ground_state(d, lam, graph=None):
 
 
 class PathModel:
-    """Crystal operations on the set of lam-paths for one family.
+    """Crystal operations on the lam-paths of one family, lam = Lambda_i.
 
     Holds the base crystal, the energy table of its tensor square (by
-    default propagated over a square built here and then dropped), and the
-    homogeneous ground state ``ground`` = b_lam; all path operations go
-    through here.
+    default propagated over a square built here and then dropped), the
+    homogeneous ground state ``ground`` = b_lam and ``lam`` = eps(b_lam)
+    as a tuple of Lambda-coordinates; all path operations go through here.
 
     ``_window``, ``f``, ``e`` and ``stats`` fold the tensor-product rule
     over all n factors of a path at once, which the two-factor
@@ -89,15 +83,15 @@ class PathModel:
     ``test_transfer_matrix_matches_generation``.
     """
 
-    def __init__(self, d, lam, graph=None, energy=None):
+    def __init__(self, d, i, graph=None, energy=None):
         self.datum = d
         self.graph = graph if graph is not None else build_crystal(d)
+        self.ground = ground_state(d, i, self.graph)
+        self.lam = self.graph.eps_vec(self.ground)
         if energy is None:
             energy = energy_propagate(TensorCrystal(self.graph))
         self.energy = energy
-        self.lam = lam
-        self.ground = ground_state(d, lam, self.graph)
-        self.ground_path = Path(lam.coeffs, ())
+        self.ground_path = Path(self.lam, ())
         self._set_up_transfer()
 
     def _set_up_transfer(self):
@@ -124,7 +118,7 @@ class PathModel:
         # `oracle_cells`) only when each weight is the pairing of its root
         for b in g.elements:
             root = g.root_weight(b)
-            if g.weight_of(b).coeffs != tuple(root.pairing(d, j) for j in range(d.n + 1)):
+            if g.weight_of(b) != tuple(root.pairing(d, j) for j in range(d.n + 1)):
                 raise ValueError(f"the weight of {b.label()} is not the pairing of its root")
         cols = [
             sorted((h - base, b) for b, h in enumerate(energy[u * m:(u + 1) * m]))
@@ -148,18 +142,15 @@ class PathModel:
         self.zero_run = run(top)
         self._cols = cols
         self._ground_index = top
-        ground_root = g.root_weight(self.ground)
-        self._root_offsets = [(g.root_weight(b) - ground_root).twice for b in g.elements]
-        ground_weight = g.weight_of(self.ground).coeffs
-        self._weight_offsets = [
-            tuple(map(sub, g.weight_of(b).coeffs, ground_weight)) for b in g.elements
-        ]
+        # wt(b_lam) = phi - eps = 0, so its root is 0 by the check above
+        self._root_offsets = [g.root_weight(b).twice for b in g.elements]
+        self._weight_offsets = [g.weight_of(b) for b in g.elements]
 
     def _canonical(self, entries):
         n = len(entries)
         while n > 0 and entries[n - 1] == self.ground:
             n -= 1
-        return Path(self.lam.coeffs, tuple(entries[:n]))
+        return Path(self.lam, tuple(entries[:n]))
 
     def _window(self, p, i):
         """Prefix plus one ground entry, with the running suffix stats.
@@ -219,14 +210,12 @@ class PathModel:
         return eps, phi
 
     def weight(self, p):
-        """Affine weight: classical part plus the energy-graded delta part."""
+        """Affine weight as a `character` key: (classical Lambda-coordinates,
+        energy-graded delta degree)."""
         g = self.graph
-        gw = g.weight_of(self.ground).coeffs
-        coeffs = list(self.lam.coeffs)
+        coeffs = self.lam
         for b in p.prefix:
-            w = g.weight_of(b).coeffs
-            for j in range(g.n_indices):
-                coeffs[j] += w[j] - gw[j]
+            coeffs = tuple(map(add, coeffs, g.weight_of(b)))
         m = len(g)
         top = self._ground_index
         h_ground = self.energy[top * m + top]
@@ -236,7 +225,7 @@ class PathModel:
             upper, lower = entries[k + 1], entries[k]
             h_path = self.energy[g.index[upper] * m + g.index[lower]]
             delta -= (k + 1) * (h_path - h_ground)
-        return AffineWeight(tuple(coeffs), delta)
+        return coeffs, delta
 
     def generate(self, max_depth, order=None, lifo=False):
         """All paths with delta degree down to -max_depth, breadth-first;
@@ -269,9 +258,9 @@ class PathModel:
         """Multiplicities of affine weights down to delta degree -max_degree.
 
         Returns a map (classical Lambda-coordinates, delta) -> multiplicity,
-        counted by `_count` over the Lambda-offsets wt(b) - wt(b_lam).
+        counted by `_count` over the Lambda-offsets wt(b) of the entries.
         """
-        counts = self._count(max_degree, self._weight_offsets, self.lam.coeffs)
+        counts = self._count(max_degree, self._weight_offsets, self.lam)
         return {(coeffs, -degree): count for coeffs, degree, count in counts}
 
     def root_character(self, max_degree):
@@ -441,7 +430,7 @@ def oracle_cells(d, max_degree, node=0):
     """
     check_lattice_node(d, node)
     series = list(_series(d.n, max_degree))
-    lam = AffineWeight.fundamental(node, d.n).coeffs
+    lam = tuple(int(j == node) for j in range(d.n + 1))
     columns = [row[1:] for row in d.cartan]  # <h_j, alpha_k> at [j][k - 1]
     for beta in lattice_points_up_to(d, 2 * max_degree, node=node):
         coeffs = [x // 2 for x in beta.twice]

@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from operator import mul, sub
 
-from .cartan import level_one_dominants
+from .cartan import level_one_nodes
 from .crystal import XRoot, build_crystal
 from .roots import theta
 from .tensor import TensorCrystal
@@ -53,8 +53,8 @@ class PerfectReport:
 
 
 def minimal_elements(d, graph):
-    """For each level-1 dominant Lambda, the unique b with eps(b) = Lambda
-    and the unique b with phi(b) = Lambda.
+    """For each level-1 node i, the unique b with eps(b) = Lambda_i and the
+    unique b with phi(b) = Lambda_i, as a map i -> (b_upper, b_lower).
 
     The eps and phi columns of the graph are read once, into maps from the
     coefficient tuple to the elements carrying it.  Raises ValueError with
@@ -65,10 +65,10 @@ def minimal_elements(d, graph):
         for b, coeffs in zip(graph.elements, zip(*stats)):
             found.setdefault(coeffs, []).append(b)
     out = {}
-    for lam in level_one_dominants(d):
-        up = ups.get(lam.coeffs, [])
-        down = downs.get(lam.coeffs, [])
-        i = lam.coeffs.index(1)
+    for i in level_one_nodes(d):
+        lam = tuple(int(j == i) for j in range(d.n + 1))
+        up = ups.get(lam, [])
+        down = downs.get(lam, [])
         if len(up) != 1 or len(down) != 1:
             raise ValueError(
                 f"Lambda_{i}: {len(up)} eps-preimages, {len(down)} phi-preimages"

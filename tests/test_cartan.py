@@ -5,10 +5,8 @@ import pytest
 
 from affine_crystals.cartan import (
     AffineType,
-    AffineWeight,
     build_datum,
-    level,
-    level_one_dominants,
+    level_one_nodes,
     parse_type,
     swept_types,
 )
@@ -75,24 +73,13 @@ def test_central_element_examples():
     assert d.comarks == (1, 2, 2)
 
 
-def test_level():
-    d = build_datum("A2-1")
-    assert level(AffineWeight.fundamental(0, 2), d) == 1
-    assert level(AffineWeight.fundamental(1, 2), d) == 1
-    d3 = build_datum("D4-3")
-    assert level(AffineWeight.fundamental(2, 2), d3) == 3
-
-
-def test_level_one_dominants():
-    assert [w.coeffs for w in level_one_dominants(build_datum("A2-1"))] == [
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-    ]
-    assert [w.coeffs for w in level_one_dominants(build_datum("D4-3"))] == [(1, 0, 0)]
-    assert len(level_one_dominants(build_datum("C2-1"))) == 3
-    assert len(level_one_dominants(build_datum("E8-1"))) == 1
-    assert len(level_one_dominants(build_datum("B4-1"))) == 3
+def test_level_one_nodes():
+    assert level_one_nodes(build_datum("A2-1")) == [0, 1, 2]
+    assert level_one_nodes(build_datum("D4-3")) == [0]
+    assert level_one_nodes(build_datum("C2-1")) == [0, 1, 2]
+    assert level_one_nodes(build_datum("E8-1")) == [0]
+    assert level_one_nodes(build_datum("B4-1")) == [0, 1, 4]
+    assert level_one_nodes(build_datum("D5-2")) == [0, 4]
 
 
 def test_parse_round_trip_and_case():

@@ -254,6 +254,16 @@ def test_out_file_unwritable(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["build", "A1-1"], ["verify", "A1-1"], ["character", "A1-1", "L0"]]
+)
+def test_out_empty_rejected(capsys, argv):
+    # an empty --out names no file; it is not the absence of --out
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert code == 2 and out == ""
+    assert err == "error: --out needs a file name\n"
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DETERMINISM_OPS = [
     ["build", "A2-1", "--format", "json"],

@@ -1,12 +1,13 @@
 import json
 from dataclasses import dataclass
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_crystals.algebra import three_box_crystal
-from affine_crystals.cartan import build_datum, level, swept_types
+from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import EMPTY, CrystalGraph, XRoot, YElement, build_crystal
 from affine_crystals.roots import RootVector, finite_roots, lambda_weights, theta
 
@@ -93,18 +94,18 @@ def test_string_stats_examples():
     assert g.string_stats(YElement(1), 1) == (1, 1)
     d3 = build_datum("D4-3")
     g3 = build_crystal(d3)
-    assert g3.eps_vec(XRoot(theta(d3))).coeffs == (2, 0, 0)
+    assert g3.eps_vec(XRoot(theta(d3))) == (2, 0, 0)
 
 
 def test_weight_examples():
     d = build_datum("A2-1")
     g = build_crystal(d)
-    assert g.weight_of(EMPTY).coeffs == (0, 0, 0)
-    assert g.weight_of(YElement(1)).coeffs == (0, 0, 0)
-    assert g.weight_of(XRoot(theta(d))).coeffs == (-2, 1, 1)
-    assert g.eps_vec(EMPTY).coeffs == (1, 0, 0)
-    assert g.phi_vec(EMPTY).coeffs == (1, 0, 0)
-    assert g.eps_vec(YElement(2)).coeffs == (0, 0, 1)
+    assert g.weight_of(EMPTY) == (0, 0, 0)
+    assert g.weight_of(YElement(1)) == (0, 0, 0)
+    assert g.weight_of(XRoot(theta(d))) == (-2, 1, 1)
+    assert g.eps_vec(EMPTY) == (1, 0, 0)
+    assert g.phi_vec(EMPTY) == (1, 0, 0)
+    assert g.eps_vec(YElement(2)) == (0, 0, 1)
 
 
 def test_inverse_pairs_and_weight_drop():
@@ -116,7 +117,7 @@ def test_inverse_pairs_and_weight_drop():
                     assert g.e_tilde(fb, i) == b
                     drop = tuple(
                         x - y
-                        for x, y in zip(g.weight_of(b).coeffs, g.weight_of(fb).coeffs)
+                        for x, y in zip(g.weight_of(b), g.weight_of(fb))
                     )
                     assert drop == tuple(d.cartan[j][i] for j in range(d.n + 1))
                 eb = g.e_tilde(b, i)
@@ -129,11 +130,11 @@ def test_phi_minus_eps_is_weight_pairing():
         for b in g.elements:
             w = g.weight_of(b)
             for i in range(d.n + 1):
-                assert g.phi(b, i) - g.eps(b, i) == w.coeffs[i]
+                assert g.phi(b, i) - g.eps(b, i) == w[i]
             rw = g.root_weight(b)
             if isinstance(b, XRoot):
                 for i in range(d.n + 1):
-                    assert w.coeffs[i] == rw.pairing(d, i)
+                    assert w[i] == rw.pairing(d, i)
 
 
 def test_connectivity_with_and_without_zero():
@@ -166,7 +167,7 @@ def test_connectivity_with_and_without_zero():
 def test_weights_sit_under_theta():
     for d, g in _graphs():
         th = theta(d)
-        top = [b for b in g.elements if g.weight_of(b).coeffs == g.weight_of(XRoot(th)).coeffs]
+        top = [b for b in g.elements if g.weight_of(b) == g.weight_of(XRoot(th))]
         assert top == [XRoot(th)]
         for b in g.elements:
             diff = th - g.root_weight(b)
@@ -178,7 +179,7 @@ def test_weights_sit_under_theta():
 def test_eps_level_at_least_one():
     for d, g in _graphs():
         for b in g.elements:
-            assert level(g.eps_vec(b), d) >= 1
+            assert sum(map(mul, d.comarks, g.eps_vec(b))) >= 1
 
 
 def test_exports_deterministic():

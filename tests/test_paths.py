@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from affine_crystals import paths
 from affine_crystals.algebra import energy_propagate
-from affine_crystals.cartan import AffineWeight, build_datum, level_one_dominants, swept_types
+from affine_crystals.cartan import build_datum, level_one_nodes, swept_types
 from affine_crystals.crystal import EMPTY, YElement, build_crystal
 from affine_crystals.paths import (
     OracleUnsupported,
@@ -27,22 +28,27 @@ from affine_crystals.perfect import minimal_elements
 from affine_crystals.roots import RootVector
 
 
-def _model(name, lam_index=0):
+def _model(name, node=0):
     d = build_datum(name)
-    return d, PathModel(d, AffineWeight.fundamental(lam_index, d.n))
+    return d, PathModel(d, node)
+
+
+def _fundamental(d, node):
+    """Lambda_node in Lambda-coordinates."""
+    return tuple(int(j == node) for j in range(d.n + 1))
 
 
 def test_ground_state_fixed_points():
     d = build_datum("A2-1")
-    assert ground_state(d, AffineWeight.fundamental(0, 2)) == EMPTY
-    assert ground_state(d, AffineWeight.fundamental(1, 2)) == YElement(1)
+    assert ground_state(d, 0) == EMPTY
+    assert ground_state(d, 1) == YElement(1)
     # the homogeneous ground state exists at every level-1 weight
     for t in swept_types(8):
         ctx = family(t.name)
         g = ctx.graph
-        for lam in level_one_dominants(ctx.datum):
-            b = ground_state(ctx.datum, lam, g)
-            assert g.eps_vec(b) == g.phi_vec(b) == lam
+        for node in level_one_nodes(ctx.datum):
+            b = ground_state(ctx.datum, node, g)
+            assert g.eps_vec(b) == g.phi_vec(b) == _fundamental(ctx.datum, node)
 
 
 def test_ground_state_rejects_inhomogeneous(monkeypatch):
@@ -53,9 +59,9 @@ def test_ground_state_rejects_inhomogeneous(monkeypatch):
     table = minimal_elements(d, g)
     table[1] = (YElement(2), YElement(1))  # (eps-preimage, phi-preimage)
     monkeypatch.setattr(paths, "minimal_elements", lambda d, graph: table)
-    assert ground_state(d, AffineWeight.fundamental(0, 2), g) == EMPTY
+    assert ground_state(d, 0, g) == EMPTY
     with pytest.raises(ValueError, match="homogeneous"):
-        ground_state(d, AffineWeight.fundamental(1, 2), g)
+        ground_state(d, 1, g)
 
 
 def test_path_f_first_excitation():
@@ -109,40 +115,38 @@ def test_path_stats_window_independent():
 def test_stats_difference_is_weight_pairing():
     d, pm = _model("C2-1", 1)
     for p in pm.generate(2):
-        w = pm.weight(p)
+        coeffs, _ = pm.weight(p)
         for i in range(d.n + 1):
             eps, phi = pm.stats(p, i)
-            assert phi - eps == w.coeffs[i]
+            assert phi - eps == coeffs[i]
 
 
 def test_affine_weight_examples():
     d, pm = _model("A1-1")
-    assert pm.weight(pm.ground_path).coeffs == (1, 0)
-    assert pm.weight(pm.ground_path).delta == 0
+    assert pm.lam == (1, 0)
+    assert pm.weight(pm.ground_path) == ((1, 0), 0)
     p = pm.f(pm.ground_path, 0)  # prefix [x_theta]
-    w = pm.weight(p)
     # Lambda_0 + alpha_1 - delta in Lambda-coordinates
-    assert w.coeffs == (-1, 2)
-    assert w.delta == -1
+    assert pm.weight(p) == ((-1, 2), -1)
 
 
 def test_weight_drop_along_edges():
     rng = random.Random(99)
     for name in ["A2-1", "A2-2", "A4-2", "C2-1", "D4-3", "D3-2"]:
         d = build_datum(name)
-        for lam in level_one_dominants(d):
-            pm = PathModel(d, lam)
+        for node in level_one_nodes(d):
+            pm = PathModel(d, node)
             paths = pm.generate(3)
             for p in rng.sample(paths, min(25, len(paths))):
-                wp = pm.weight(p)
+                wp, dp = pm.weight(p)
                 for i in range(d.n + 1):
                     q = pm.f(p, i)
                     if q is None:
                         continue
-                    wq = pm.weight(q)
-                    drop = tuple(a - b for a, b in zip(wp.coeffs, wq.coeffs))
+                    wq, dq = pm.weight(q)
+                    drop = tuple(a - b for a, b in zip(wp, wq))
                     assert drop == tuple(d.cartan[j][i] for j in range(d.n + 1))
-                    assert wp.delta - wq.delta == (1 if i == 0 else 0)
+                    assert dp - dq == (1 if i == 0 else 0)
 
 
 def test_raising_every_path_reaches_ground():
@@ -168,8 +172,7 @@ def test_ground_multiplicity_one():
     for name in ["A2-1", "C2-1", "D4-3", "A4-2"]:
         d, pm = _model(name)
         ch = pm.character(2)
-        lam = AffineWeight.fundamental(0, d.n)
-        assert ch[(lam.coeffs, 0)] == 1
+        assert ch[(_fundamental(d, 0), 0)] == 1
 
 
 def test_a1_basic_multiplicities():
@@ -188,8 +191,7 @@ def test_a2_rank_multiplicity_at_first_level():
 
 def _generated_character(pm, max_degree, **kwargs):
     """Weight counts over the breadth-first path set, the transfer matrix's oracle."""
-    weights = map(pm.weight, pm.generate(max_degree, **kwargs))
-    return dict(Counter((w.coeffs, w.delta) for w in weights))
+    return dict(Counter(map(pm.weight, pm.generate(max_degree, **kwargs))))
 
 
 def test_generation_order_independence():
@@ -209,8 +211,8 @@ TRANSFER_CASES = [(t.name, 2) for t in swept_types(4)] + [("C5-1", 1), ("A7-1", 
 def test_transfer_matrix_matches_generation(name, max_degree):
     ctx = family(name)
     energy = energy_propagate(ctx.tensor)
-    for lam in level_one_dominants(ctx.datum):
-        pm = PathModel(ctx.datum, lam, graph=ctx.graph, energy=energy)
+    for node in level_one_nodes(ctx.datum):
+        pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
         assert pm.character(max_degree) == _generated_character(pm, max_degree)
         # the derived length is long enough: one more position adds nothing
         derived = pm.root_character(max_degree)
@@ -221,8 +223,8 @@ def test_transfer_matrix_matches_generation(name, max_degree):
 def test_fixed_length_misses_paths():
     # a length of max_degree + 3 cuts off paths whose zero-energy run below
     # the ground entry is longer than 2
-    for name, lam_i, run in [("C5-1", 5, 5), ("A7-1", 4, 4)]:
-        d, pm = _model(name, lam_i)
+    for name, node, run in [("C5-1", 5, 5), ("A7-1", 4, 4)]:
+        d, pm = _model(name, node)
         assert pm.zero_run == run
         derived = pm.root_character(1)
         pm.zero_run = 2  # length max_degree + 3
@@ -239,7 +241,7 @@ def test_zero_energy_cycle_rejected():
     # ground -> x -> ground with zero energy on both pairs
     energy[top * m + other] = energy[other * m + top] = base
     with pytest.raises(ValueError, match="zero-energy cycle"):
-        PathModel(d, pm.lam, graph=pm.graph, energy=energy)
+        PathModel(d, 0, graph=pm.graph, energy=energy)
 
 
 def test_negative_degree_rejected():
@@ -253,9 +255,8 @@ def test_negative_degree_rejected():
 @pytest.mark.parametrize("name,max_degree", [("A1-1", 30), ("D4-1", 8)])
 def test_deep_characters_match_oracle(name, max_degree):
     d = build_datum(name)
-    for lam in level_one_dominants(d):
-        node = lam.coeffs.index(1)
-        rc = PathModel(d, lam).root_character(max_degree)
+    for node in level_one_nodes(d):
+        rc = PathModel(d, node).root_character(max_degree)
         points = lattice_points_up_to(d, 2 * max_degree, node=node)
         for beta in points:
             for n in range(max_degree + 1):
@@ -366,8 +367,7 @@ def _ellipsoid_points(d, max_norm2, node=0):
 )
 def test_lattice_walk_matches_enumeration(name):
     d = build_datum(name)
-    for lam in level_one_dominants(d):
-        node = lam.coeffs.index(1)
+    for node in level_one_nodes(d):
         walk = [beta.twice for beta in lattice_points_up_to(d, 8, node=node)]
         assert walk == sorted(walk)
         coeffs = [tuple(x // 2 for x in t) for t in walk]
@@ -387,23 +387,46 @@ def test_character_matches_oracle(name, deg):
 
 def test_ground_state_rejects_non_level_one():
     d = build_datum("D5-2")
-    with pytest.raises(ValueError, match="level-1"):
-        # Lambda_1 has comark 2 for this family
-        ground_state(d, AffineWeight.fundamental(1, d.n))
-    with pytest.raises(ValueError, match="out of range"):
-        AffineWeight.fundamental(6, d.n)
+    assert d.n == 4 and d.comarks[1] == 2 and d.comarks[-1] == 1
+    # node -1 would pass a check of d.comarks[i] by negative indexing; n + 1
+    # is past the diagram; Lambda_1 has comark 2 for this family
+    for node in (-1, d.n + 1, 1):
+        with pytest.raises(ValueError, match="level-1 fundamental weight"):
+            ground_state(d, node)
+        with pytest.raises(ValueError, match="level-1 fundamental weight"):
+            PathModel(d, node)
 
 
-@pytest.mark.parametrize("coeffs", [(1, 1, -1), (1,), (1, 0, 0, 0)])
-def test_ground_state_rejects_non_fundamental(coeffs):
-    # each has a 1 at a level-1 node and coefficients summing to 1, but is
-    # not Lambda_0 of A2-1: a negative entry, too short, too long
-    d = build_datum("A2-1")
-    lam = AffineWeight(coeffs)
-    with pytest.raises(ValueError, match="level-1 fundamental weights"):
-        ground_state(d, lam)
-    with pytest.raises(ValueError, match="level-1 fundamental weights"):
-        PathModel(d, lam)
+# Random walks from the ground path: a family of rank <= 4, one of its
+# level-1 nodes and a short word of lowering operators f_i.
+_WALK_NAMES = [t.name for t in swept_types(4)]
+
+
+@functools.cache
+def _walk_model(name, node):
+    ctx = family(name)
+    return PathModel(ctx.datum, node, graph=ctx.graph, energy=energy_propagate(ctx.tensor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_random_lowering_words(data):
+    name = data.draw(st.sampled_from(_WALK_NAMES), label="family")
+    d = family(name).datum
+    node = data.draw(st.sampled_from(level_one_nodes(d)), label="node")
+    word = data.draw(st.lists(st.integers(0, d.n), max_size=8), label="word")
+    pm = _walk_model(name, node)
+    p = pm.ground_path
+    for i in word:
+        q = pm.f(p, i)
+        if q is None:
+            continue
+        assert pm.e(q, i) == p
+        p = q
+        coeffs, _ = pm.weight(p)
+        for j in range(d.n + 1):
+            eps, phi = pm.stats(p, j)
+            assert phi - eps == coeffs[j]
 
 
 # PathModel.character keys its counts by Lambda-coordinates in the DP
@@ -414,12 +437,13 @@ def test_lambda_keys_match_root_keys(name):
     ctx = family(name)
     d = ctx.datum
     energy = energy_propagate(ctx.tensor)
-    for lam in level_one_dominants(d):
-        pm = PathModel(d, lam, graph=ctx.graph, energy=energy)
+    for node in level_one_nodes(d):
+        pm = PathModel(d, node, graph=ctx.graph, energy=energy)
+        lam = _fundamental(d, node)
         rekeyed = Counter()
         for (twice, degree), count in pm.root_character(2).items():
             beta = RootVector(twice)
-            coeffs = tuple(c + beta.pairing(d, j) for j, c in enumerate(lam.coeffs))
+            coeffs = tuple(c + beta.pairing(d, j) for j, c in enumerate(lam))
             rekeyed[(coeffs, -degree)] += count
         assert pm.character(2) == dict(rekeyed)
 
@@ -430,14 +454,14 @@ def test_lambda_keys_match_root_keys(name):
 def test_counts_are_truncations(name):
     ctx = family(name)
     energy = energy_propagate(ctx.tensor)
-    for lam in level_one_dominants(ctx.datum):
-        pm = PathModel(ctx.datum, lam, graph=ctx.graph, energy=energy)
+    for node in level_one_nodes(ctx.datum):
+        pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
         deep, deep_roots = pm.character(3), pm.root_character(3)
         for bound in range(3):
             cut = {key: c for key, c in deep.items() if -key[1] <= bound}
-            assert pm.character(bound) == cut, (lam, bound)
+            assert pm.character(bound) == cut, (node, bound)
             cut = {key: c for key, c in deep_roots.items() if key[1] <= bound}
-            assert pm.root_character(bound) == cut, (lam, bound)
+            assert pm.root_character(bound) == cut, (node, bound)
 
 
 @pytest.mark.parametrize(
@@ -447,7 +471,7 @@ def test_one_pass_oracle_matches_cells(name, node):
     d = build_datum(name)
     cells = list(oracle_cells(d, 3, node=node))
     assert [beta for beta, _, _ in cells] == lattice_points_up_to(d, 6, node=node)
-    pm = PathModel(d, AffineWeight.fundamental(node, d.n))
+    pm = PathModel(d, node)
     lam_keyed, root_keyed = pm.character(3), pm.root_character(3)
     for beta, weight, wants in cells:
         assert wants == [oracle_multiplicity(d, beta, n, node=node) for n in range(4)]
@@ -464,8 +488,7 @@ def test_one_pass_oracle_matches_cells(name, node):
 def test_lattice_walk_carries_norm(name):
     d = build_datum(name)
     fc = d.finite_cartan()
-    for lam in level_one_dominants(d):
-        node = lam.coeffs.index(1)
+    for node in level_one_nodes(d):
         norms = paths._lattice_walk(d, 8, node)
         points = lattice_points_up_to(d, 8, node=node)
         assert sorted(norms) == [tuple(x // 2 for x in beta.twice) for beta in points]
@@ -501,7 +524,7 @@ def test_character_json_matches_json_dumps(op, tmp_path):
     payload = out.read_text()
     _, name, weight, _, degree = op.split()[:5]
     d = build_datum(name)
-    counts = PathModel(d, AffineWeight.fundamental(int(weight[1:]), d.n)).character(int(degree))
+    counts = PathModel(d, int(weight[1:])).character(int(degree))
     oracle = json.loads(payload)["oracle"]
     assert payload == _character_oracle(name, weight, counts, oracle)
     assert character_json(name, weight, counts, oracle) == payload

@@ -8,11 +8,11 @@ classical components, once from the closed component classification.
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, sub
 
+from ._frozen import Frozen
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, _json_lines
 from .roots import RootVector, connect_support, dynkin_path, lambda_weights, theta
 from .tensor import TensorCrystal, TensorElement, _gather
@@ -520,9 +520,11 @@ def energy_table_json(tensor, h):
     return "{\n" + body[:-2] + "\n}\n" if body else "{}\n"
 
 
-@dataclass(frozen=True)
-class Box:
-    value: int
+class Box(Frozen):
+    __slots__ = ("value",)
+
+    def __hash__(self):
+        return hash(self.value)
 
     def label(self):
         return str(self.value)

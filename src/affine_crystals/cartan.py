@@ -7,11 +7,11 @@ computed from the matrix and comarks from them and the marks; the nodes
 of comark 1 name the level-1 fundamental weights.
 """
 
-import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
+
+from ._frozen import Frozen
 
 # One row per affine family X_m^(r), in sweep order: (X, r, the valid rank
 # parameters m, the type of the finite algebra g with {} for its rank n,
@@ -38,40 +38,29 @@ _EXCEPTIONAL = [
 ]
 
 
-@dataclass(frozen=True)
-class AffineType:
-    """One of the fourteen affine families, written X_n^(r)."""
+class AffineType(Frozen):
+    """One of the fourteen affine families, written X_n^(r).  Its row of
+    ``_RANKS`` gives ``finite_rank`` (the number n of non-affine nodes, the
+    rank of g) and ``finite_type`` (the type of g)."""
 
-    family: str
-    rank_param: int
-    twist: int
+    __slots__ = ("family", "rank_param", "twist", "name", "finite_rank", "finite_type")
 
-    def __post_init__(self):
-        chains = [row[2] for row in _RANKS if row[:2] == (self.family, self.twist)]
-        if not chains:
-            raise ValueError(f"unknown affine family {self.name}")
-        if not any(self.rank_param in m for m in chains):
-            raise ValueError(
-                f"rank {self.rank_param} is out of range for family "
-                f"{self.family}^({self.twist})"
-            )
+    def __init__(self, family, rank_param, twist):
+        name = f"{family}{rank_param}-{twist}"
+        rows = [row for row in _RANKS if row[:2] == (family, twist)]
+        if not rows:
+            raise ValueError(f"unknown affine family {name}")
+        row = next((row for row in rows if rank_param in row[2]), None)
+        if row is None:
+            raise ValueError(f"rank {rank_param} is out of range for family {family}^({twist})")
+        n = row[4](rank_param)
+        super().__init__(family, rank_param, twist, name, n, row[3].format(n))
 
-    @property
-    def name(self):
-        return f"{self.family}{self.rank_param}-{self.twist}"
+    def __eq__(self, other):
+        return type(other) is AffineType and other.name == self.name
 
-    @functools.cached_property
-    def _finite(self):
-        """(n, type of g), read off the row of ``_RANKS`` holding this type."""
-        key = self.family, self.twist
-        row = next(row for row in _RANKS if row[:2] == key and self.rank_param in row[2])
-        n = row[4](self.rank_param)
-        return n, row[3].format(n)
-
-    @property
-    def finite_rank(self):
-        """Number of non-affine nodes n (the rank of g)."""
-        return self._finite[0]
+    def __hash__(self):
+        return hash(self.name)
 
     def __str__(self):
         return self.name
@@ -83,19 +72,28 @@ def parse_type(text):
     m = re.fullmatch(r"([A-Z])([0-9]+)-([0-9]+)", s)
     if m is None:
         raise ValueError(f"cannot parse affine type {text!r}")
+    # lengths first: int() refuses strings of 4301 digits or more, and every
+    # rank and twist is below sys.maxsize
+    for what, digits in (("rank", m.group(2)), ("twist", m.group(3))):
+        if len(digits.lstrip("0")) > len(str(sys.maxsize)):
+            raise ValueError(f"{what} of {len(digits)} digits is out of range")
     return AffineType(m.group(1), int(m.group(2)), int(m.group(3)))
 
 
-@dataclass(frozen=True)
-class AffineDatum:
+class AffineDatum(Frozen):
     """Cartan matrix, marks, comarks and symmetrizers of one affine family."""
 
-    type: AffineType
-    cartan: tuple  # (n+1) x (n+1), row-major tuples
-    marks: tuple  # d_0 .. d_n, null vector of the matrix
-    comarks: tuple  # c_0 .. c_n, left null vector, c_0 = 1
-    symmetrizers: tuple  # s_0 .. s_n with diag(s) . A symmetric
-    finite_type: str  # type of the finite algebra g, e.g. "C2", "F4t"
+    __slots__ = (
+        "type",
+        "cartan",  # (n+1) x (n+1), row-major tuples
+        "marks",  # d_0 .. d_n, null vector of the matrix
+        "comarks",  # c_0 .. c_n, left null vector, c_0 = 1
+        "symmetrizers",  # s_0 .. s_n with diag(s) . A symmetric
+        "finite_type",  # type of the finite algebra g, e.g. "C2", "F4t"
+    )
+
+    def __hash__(self):
+        return hash((self.type, self.cartan, self.marks, self.comarks, self.symmetrizers))
 
     @property
     def n(self):
@@ -242,7 +240,7 @@ def build_datum(t):
     want_d0 = 2 if (t.family, t.twist) == ("A", 2) and t.rank_param % 2 == 0 else 1
     if marks[0] != want_d0:
         raise AssertionError(f"d_0 mismatch for {t.name}")
-    return AffineDatum(t, cartan, marks, comarks, sym, t._finite[1])
+    return AffineDatum(t, cartan, marks, comarks, sym, t.finite_type)
 
 
 def level_one_nodes(d):

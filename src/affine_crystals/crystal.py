@@ -5,30 +5,50 @@ in it, and a single empty element; arrows follow the subtraction rule for
 classical indices and the theta-translation rule for index 0.
 """
 
-from dataclasses import dataclass
 from operator import add, sub
 
+from ._frozen import Frozen
 from .roots import RootVector, lambda_weights, theta
 
 
-@dataclass(frozen=True)
-class XRoot:
-    root: RootVector
+class XRoot(Frozen):
+    __slots__ = ("root",)
+
+    def __init__(self, root):
+        object.__setattr__(self, "root", root)
+
+    def __eq__(self, other):
+        return type(other) is XRoot and other.root == self.root
+
+    def __hash__(self):
+        return hash(self.root)
 
     def label(self):
         return "x" + self.root.label()
 
 
-@dataclass(frozen=True)
-class YElement:
-    index: int
+class YElement(Frozen):
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        return type(other) is YElement and other.index == self.index
+
+    def __hash__(self):
+        return hash(self.index)
 
     def label(self):
         return f"y_{self.index}"
 
 
-@dataclass(frozen=True)
-class EmptyElement:
+class EmptyElement(Frozen):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(())
+
     def label(self):
         return "empty"
 
@@ -57,7 +77,7 @@ class CrystalGraph:
         for i, src, dst in arrows:
             si, di = self.index[src], self.index[dst]
             if si in self.f[i] or di in self.e[i]:
-                raise ValueError(f"parallel {i}-arrows at {src}")
+                raise ValueError(f"parallel {i}-arrows at {src.label()}")
             self.f[i][si] = di
             self.e[i][di] = si
         # eps_i and phi_i are read off each i-string from its top: depth

@@ -20,9 +20,9 @@ point.
 import functools
 import json
 from collections import deque
-from dataclasses import dataclass
 from operator import add, mul
 
+from ._frozen import Frozen
 from .algebra import energy_propagate
 from .crystal import build_crystal
 from .perfect import minimal_elements
@@ -30,16 +30,25 @@ from .roots import RootVector
 from .tensor import TensorCrystal
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """A level-1 path in canonical form: the minimal override prefix.
 
-    prefix[k] is the path entry at position k; beyond the prefix every
-    entry is the ground element b_lam.
+    ``lam`` holds the Lambda-coordinates of the dominant weight; prefix[k]
+    is the path entry at position k, and beyond the prefix every entry is
+    the ground element b_lam.
     """
 
-    lam: tuple  # Lambda-coordinates of the dominant weight
-    prefix: tuple
+    __slots__ = ("lam", "prefix")
+
+    def __init__(self, lam, prefix):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "prefix", prefix)
+
+    def __eq__(self, other):
+        return type(other) is Path and other.prefix == self.prefix and other.lam == self.lam
+
+    def __hash__(self):
+        return hash((self.lam, self.prefix))
 
     def depth(self):
         return len(self.prefix)

@@ -7,7 +7,6 @@ failure.
 """
 
 import json
-from dataclasses import dataclass, field
 from operator import mul, sub
 
 from .cartan import level_one_nodes
@@ -16,11 +15,11 @@ from .roots import theta
 from .tensor import TensorCrystal
 
 
-@dataclass
 class AxiomResult:
-    passed: bool
-    detail: str = ""
-    witness: str = ""
+    __slots__ = ("passed", "detail", "witness")
+
+    def __init__(self, passed, detail="", witness=""):
+        self.passed, self.detail, self.witness = passed, detail, witness
 
     def to_json_dict(self):
         out = {"passed": self.passed, "detail": self.detail}
@@ -29,11 +28,11 @@ class AxiomResult:
         return out
 
 
-@dataclass
 class PerfectReport:
-    type_name: str
-    axioms: dict = field(default_factory=dict)
-    minimal_elements: dict = field(default_factory=dict)
+    __slots__ = ("type_name", "axioms", "minimal_elements")
+
+    def __init__(self, type_name):
+        self.type_name, self.axioms, self.minimal_elements = type_name, {}, {}
 
     @property
     def all_passed(self):

@@ -7,20 +7,29 @@ that the half-integral weights appearing for A_{2n}^(2) stay exact.
 ``Fraction``; they import it on call, so building B never loads it.
 """
 
-from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True)
-class RootVector:
+
+class RootVector(Frozen):
     """Element of the rational span of the finite simple roots.
 
     ``twice[i]`` is 2x the coefficient of alpha_{i+1}; only denominators 1
     and 2 ever occur.
     """
 
-    twice: tuple
+    __slots__ = ("twice",)
+
+    def __init__(self, twice):
+        object.__setattr__(self, "twice", twice)
+
+    def __eq__(self, other):
+        return type(other) is RootVector and other.twice == self.twice
+
+    def __hash__(self):
+        return hash(self.twice)
 
     @staticmethod
     def from_coeffs(coeffs):

@@ -1,14 +1,16 @@
 """Tensor square of a crystal: product arrows, maximal vectors, components."""
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import eq, itemgetter
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True)
-class TensorElement:
-    left: object
-    right: object
+
+class TensorElement(Frozen):
+    __slots__ = ("left", "right")
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     def label(self):
         return f"{self.left.label()} (x) {self.right.label()}"

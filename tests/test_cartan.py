@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,14 @@ def test_rejection_message_names_rank_and_family():
         AffineType("A", 3, 2)
     with pytest.raises(ValueError, match=r"^rank 9 is out of range for family E\^\(1\)$"):
         AffineType("E", 9, 1)
+    with pytest.raises(ValueError, match=r"^unknown affine family Z5-1$"):
+        AffineType("Z", 5, 1)
+    with pytest.raises(ValueError, match=r"^unknown affine family A2-4$"):
+        AffineType("A", 2, 4)
+    with pytest.raises(ValueError, match=r"^rank 0 is out of range for family A\^\(1\)$"):
+        AffineType("A", 0, 1)
+    with pytest.raises(ValueError, match=rf"^rank {sys.maxsize} is out of range for family A"):
+        AffineType("A", sys.maxsize, 1)
 
 
 # The sweep order of swept_types(9, with_exceptional=False), which is the

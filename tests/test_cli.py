@@ -228,6 +228,28 @@ def test_character_bad_weight(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("A" + "5" * 5000 + "-1", "rank of 5000 digits is out of range"),
+        ("A2-" + "1" * 4301, "twist of 4301 digits is out of range"),
+        ("D" + "9" * 20 + "-2", "rank of 20 digits is out of range"),
+    ],
+)
+def test_build_long_rank_or_twist(capsys, name, message):
+    # longer than int() reads, or than any rank: a usage error naming the
+    # part out of range, not Python's integer-conversion message
+    code, out, err = run(capsys, "build", name)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_build_rank_with_leading_zeros(capsys):
+    # zeros before the digits count for nothing, as in the weight L01
+    _, want, _ = run(capsys, "build", "A2-1")
+    code, out, _ = run(capsys, "build", "A" + "0" * 30 + "2-01")
+    assert code == 0 and out == want
+
+
 @pytest.mark.parametrize("text", ["L-0", "L+1", "L0_1", "L 1", "L١"])
 def test_character_weight_takes_ascii_digits_only(capsys, text):
     # int() would read each of these as a node number

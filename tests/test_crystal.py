@@ -221,6 +221,35 @@ def test_arrow_cycle_inside_one_index_rejected():
     assert g.string_stats(boxes[1], 1) == (2, 0)
 
 
+def test_parallel_arrows_rejected_by_label():
+    # two 1-arrows out of box 1, then two 2-arrows into box 3: the message
+    # names the source by its label, the same text on every run
+    from affine_crystals.algebra import Box
+
+    boxes = [Box(1), Box(2), Box(3)]
+    out_twice = [(1, boxes[0], boxes[1]), (1, boxes[0], boxes[2])]
+    with pytest.raises(ValueError, match=r"^parallel 1-arrows at 1$"):
+        CrystalGraph(boxes, out_twice, 3)
+    in_twice = [(2, boxes[0], boxes[2]), (2, boxes[1], boxes[2])]
+    with pytest.raises(ValueError, match=r"^parallel 2-arrows at 2$"):
+        CrystalGraph(boxes, in_twice, 3)
+    d = build_datum("A2-1")
+    x = XRoot(theta(d))
+    with pytest.raises(ValueError, match=r"^parallel 0-arrows at x\[1,1\]$"):
+        CrystalGraph([x, EMPTY, YElement(1)], [(0, x, EMPTY), (0, x, YElement(1))], 3)
+
+
+def test_duplicate_elements_rejected():
+    from affine_crystals.algebra import Box
+
+    with pytest.raises(ValueError, match=r"^duplicate crystal elements$"):
+        CrystalGraph([Box(1), Box(2), Box(1)], [], 3)
+    # equal by value, not by identity: two separately built x_theta
+    d = build_datum("A2-1")
+    with pytest.raises(ValueError, match=r"^duplicate crystal elements$"):
+        CrystalGraph([XRoot(theta(d)), XRoot(theta(d))], [], 3)
+
+
 def _reference_arrows(d):
     """The arrows of B read off the definition with RootVector arithmetic:
     a -> a - alpha_i (i >= 1) between weights, y_i between alpha_i and

@@ -12,7 +12,8 @@ import affine_crystals
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Modules that building B must not load: the later layers of the package,
-# and the stdlib modules only they need.
+# the stdlib modules only they need, and dataclasses with the inspect it
+# imports (the value types are plain slotted classes).
 NOT_ON_THE_BUILD_PATH = [
     "affine_crystals.algebra",
     "affine_crystals.paths",
@@ -22,23 +23,36 @@ NOT_ON_THE_BUILD_PATH = [
     "fractions",
     "decimal",
     "json",
+    "dataclasses",
+    "inspect",
 ]
 
 
-def test_building_b_loads_only_its_layers():
-    code = (
-        "import sys, affine_crystals\n"
-        "affine_crystals.build_crystal(affine_crystals.build_datum('E8-1'))\n"
-        "print(' '.join(sorted(sys.modules)))\n"
-    )
+def _loaded_after(code):
+    """The names in sys.modules after a fresh interpreter runs code."""
+    code += "\nprint(' '.join(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_building_b_loads_only_its_layers():
+    loaded = _loaded_after(
+        "import sys, affine_crystals\n"
+        "affine_crystals.build_crystal(affine_crystals.build_datum('E8-1'))"
+    )
     assert {"affine_crystals.cartan", "affine_crystals.roots", "affine_crystals.crystal"} <= loaded
     assert loaded.isdisjoint(NOT_ON_THE_BUILD_PATH), sorted(loaded & set(NOT_ON_THE_BUILD_PATH))
+
+
+def test_no_module_loads_dataclasses():
+    # cli imports every module of the package
+    loaded = _loaded_after("import sys, affine_crystals.cli")
+    assert {"affine_crystals.algebra", "affine_crystals.paths", "affine_crystals.perfect"} <= loaded
+    assert loaded.isdisjoint(["dataclasses", "inspect"]), sorted(loaded & {"dataclasses", "inspect"})
 
 
 @pytest.mark.parametrize("name", affine_crystals.__all__)

@@ -15,12 +15,12 @@ families = swept_types(max_rank=5)
 for t in families:
     report = verify_perfect(build_datum(t))
     marks = " ".join(
-        f"{k}={'ok' if v.passed else 'FAIL'}" for k, v in report.axioms.items()
+        f"{k}={'ok' if v['passed'] else 'FAIL'}" for k, v in report["axioms"].items()
     )
-    print(f"{report.type_name:6s} {'pass' if report.all_passed else 'FAIL'}   {marks}")
+    print(f"{report['type']:6s} {'pass' if report['passed'] else 'FAIL'}   {marks}")
     table = ", ".join(
         f"{lam}: ({v['b_upper']}, {v['b_lower']})"
-        for lam, v in report.minimal_elements.items()
+        for lam, v in report["minimal_elements"].items()
     )
     print(f"        minimal elements: {table}")
 print(f"\nswept {len(families)} families, E8-1 included")

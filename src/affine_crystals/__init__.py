@@ -21,7 +21,7 @@ _EXPORTS = {
     "roots": "RootVector connect_support dynkin_path finite_roots lambda_weights theta",
     "crystal": "EMPTY CrystalGraph EmptyElement XRoot YElement build_crystal",
     "tensor": "TensorCrystal TensorElement",
-    "perfect": "PerfectReport minimal_elements verify_perfect",
+    "perfect": "minimal_elements verify_perfect",
     "algebra": "build_psi classify_components energy_by_classification "
     "energy_propagate fixture_energy_check multiplication_table multiply "
     "three_box_crystal two_theta_formula_indices two_theta_indices "

@@ -13,20 +13,25 @@ import sys
 
 from ._frozen import Frozen
 
+# The last rank parameter of the unbounded chains.  Building B grows about
+# as rank^4 (B100-1: 12 s, 72 MB; README has the timings), so a larger
+# rank is refused rather than built until memory runs out.
+MAX_RANK = 100
+
 # One row per affine family X_m^(r), in sweep order: (X, r, the valid rank
 # parameters m, the type of the finite algebra g with {} for its rank n,
 # and n as a function of m).  A_m^(2) has two rows, the even chain
 # A_{2n}^(2) and the odd chain A_{2n-1}^(2) from n = 3 on.
 _RANKS = [
-    ("A", 1, range(1, sys.maxsize), "A{}", lambda m: m),
-    ("B", 1, range(3, sys.maxsize), "B{}", lambda m: m),
-    ("C", 1, range(2, sys.maxsize), "C{}", lambda m: m),
-    ("D", 1, range(4, sys.maxsize), "D{}", lambda m: m),
+    ("A", 1, range(1, MAX_RANK + 1), "A{}", lambda m: m),
+    ("B", 1, range(3, MAX_RANK + 1), "B{}", lambda m: m),
+    ("C", 1, range(2, MAX_RANK + 1), "C{}", lambda m: m),
+    ("D", 1, range(4, MAX_RANK + 1), "D{}", lambda m: m),
     ("G", 1, range(2, 3), "G{}", lambda m: m),
     ("F", 1, range(4, 5), "F{}", lambda m: m),
-    ("A", 2, range(2, sys.maxsize, 2), "C{}", lambda m: m // 2),
-    ("A", 2, range(5, sys.maxsize, 2), "C{}", lambda m: (m + 1) // 2),
-    ("D", 2, range(3, sys.maxsize), "B{}", lambda m: m - 1),
+    ("A", 2, range(2, MAX_RANK + 1, 2), "C{}", lambda m: m // 2),
+    ("A", 2, range(5, MAX_RANK + 1, 2), "C{}", lambda m: (m + 1) // 2),
+    ("D", 2, range(3, MAX_RANK + 1), "B{}", lambda m: m - 1),
     ("D", 3, range(4, 5), "G{}", lambda m: 2),
     ("E", 1, range(6, 9), "E{}", lambda m: m),
     ("E", 2, range(6, 7), "F{}t", lambda m: 4),
@@ -52,7 +57,10 @@ class AffineType(Frozen):
             raise ValueError(f"unknown affine family {name}")
         row = next((row for row in rows if rank_param in row[2]), None)
         if row is None:
-            raise ValueError(f"rank {rank_param} is out of range for family {family}^({twist})")
+            cap = f" (ranks above {MAX_RANK} are not built)" if rank_param > MAX_RANK else ""
+            raise ValueError(
+                f"rank {rank_param} is out of range for family {family}^({twist}){cap}"
+            )
         n = row[4](rank_param)
         super().__init__(family, rank_param, twist, name, n, row[3].format(n))
 

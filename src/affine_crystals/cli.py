@@ -19,7 +19,7 @@ from .algebra import (
     valid_psi_indices,
     verify_psi,
 )
-from .cartan import build_datum, parse_type, swept_types
+from .cartan import build_datum, level_one_nodes, parse_type, swept_types
 from .crystal import build_crystal
 from .paths import (
     OracleUnsupported,
@@ -62,11 +62,6 @@ def cmd_build(args):
     return 0
 
 
-def _verify_one(type_name):
-    d = _datum(type_name)
-    return verify_perfect(d, build_crystal(d))
-
-
 def cmd_verify(args):
     if args.all and args.type:
         _usage_error("give a type or --all, not both")
@@ -75,21 +70,24 @@ def cmd_verify(args):
         types = [t.name for t in swept_types(max_rank, with_exceptional=False)]
         if not types:
             _usage_error(f"no families of rank <= {max_rank}")
-        reports = list(map(_verify_one, types))
     else:
         if args.max_rank is not None:
             _usage_error("--max-rank applies only with --all")
         if not args.type:
             _usage_error("give a type or --all")
-        reports = [_verify_one(args.type)]
+        types = [args.type]
+    reports = []
+    for name in types:
+        d = _datum(name)
+        reports.append(verify_perfect(d, build_crystal(d)))
     if args.json:
-        text = json.dumps([rep.to_json_dict() for rep in reports], indent=2) + "\n"
+        text = json.dumps(reports, indent=2) + "\n"
     else:
         text = "".join(
-            f"{rep.type_name}: {'pass' if rep.all_passed else 'FAIL'}\n" for rep in reports
+            f"{rep['type']}: {'pass' if rep['passed'] else 'FAIL'}\n" for rep in reports
         )
     _emit(text, args.out)
-    return 0 if all(rep.all_passed for rep in reports) else 1
+    return 0 if all(rep["passed"] for rep in reports) else 1
 
 
 def cmd_energy(args):
@@ -137,7 +135,7 @@ def _parse_weight(text, d):
     if len(digits) > len(str(d.n)) or int(digits) > d.n:
         _usage_error(f"Lambda_{digits} is out of range for {d.type.name}")
     i = int(digits)
-    if d.comarks[i] != 1:
+    if i not in level_one_nodes(d):
         _usage_error(f"Lambda_{i} is not level 1 for {d.type.name}")
     return i
 

@@ -5,7 +5,7 @@ in it, and a single empty element; arrows follow the subtraction rule for
 classical indices and the theta-translation rule for index 0.
 """
 
-from operator import add, sub
+from operator import add
 
 from ._frozen import Frozen
 from .roots import RootVector, lambda_weights, theta
@@ -155,7 +155,8 @@ class CrystalGraph:
 
     def weight_of(self, b):
         """Classical weight phi(b) - eps(b) in Lambda-coordinates."""
-        return tuple(map(sub, self.phi_vec(b), self.eps_vec(b)))
+        k = self.index[b]
+        return tuple(phi[k] - eps[k] for phi, eps in zip(self._phi, self._eps))
 
     def root_weight(self, b):
         """Weight as a vector over the finite simple roots (0 for y and empty)."""

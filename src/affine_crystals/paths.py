@@ -24,6 +24,7 @@ from operator import add, mul
 
 from ._frozen import Frozen
 from .algebra import energy_propagate
+from .cartan import level_one_nodes
 from .crystal import build_crystal
 from .perfect import minimal_elements
 from .roots import RootVector
@@ -58,12 +59,11 @@ def ground_state(d, i, graph=None):
     """The homogeneous ground state of Lambda_i, for a node i with comark 1:
     the element b_lam with eps(b_lam) = phi(b_lam) = Lambda_i, so that
     b_lam (x) b_lam (x) ... is the ground path."""
+    if i not in level_one_nodes(d):
+        raise ValueError(f"Lambda_{i} is not a level-1 fundamental weight of {d.type.name}")
     if graph is None:
         graph = build_crystal(d)
-    table = minimal_elements(d, graph)
-    if i not in table:
-        raise ValueError(f"Lambda_{i} is not a level-1 fundamental weight of {d.type.name}")
-    up, down = table[i]
+    up, down = minimal_elements(d, graph)[i]
     if up != down:
         raise ValueError(
             f"no homogeneous ground state for Lambda_{i}: its phi-preimage "
@@ -393,8 +393,8 @@ def check_lattice_node(d, node):
     t = d.type
     if t.twist != 1 or t.family not in ("A", "D", "E"):
         raise OracleUnsupported(f"no independent oracle for {t.name}")
-    if not 0 <= node <= d.n or d.comarks[node] != 1:
-        raise ValueError(f"Lambda_{node} is not a level-1 weight of {t.name}")
+    if node not in level_one_nodes(d):
+        raise ValueError(f"Lambda_{node} is not a level-1 fundamental weight of {t.name}")
 
 
 def _shifted_norm2(fc, coeffs, node):
@@ -437,7 +437,6 @@ def oracle_cells(d, max_degree, node=0):
     No lattice point outside the ball carries a multiplicity at these
     degrees, since the shifted norm is at most twice the degree.
     """
-    check_lattice_node(d, node)
     series = list(_series(d.n, max_degree))
     lam = tuple(int(j == node) for j in range(d.n + 1))
     columns = [row[1:] for row in d.cartan]  # <h_j, alpha_k> at [j][k - 1]
@@ -454,6 +453,7 @@ def oracle_cells(d, max_degree, node=0):
 def lattice_points_up_to(d, max_norm2, node=0):
     """Root-lattice vectors beta with |w + beta|^2 - |w|^2 <= max_norm2, w
     the classical part of Lambda_node, in ascending coefficient order."""
+    check_lattice_node(d, node)
     return [RootVector(tuple(2 * x for x in c)) for c in sorted(_lattice_walk(d, max_norm2, node))]
 
 
@@ -469,7 +469,6 @@ def _lattice_walk(d, max_norm2, node):
     The norm is carried along the walk: a step s * alpha_j from beta adds
     2 s (w + beta | alpha_j) + (alpha_j | alpha_j).
     """
-    check_lattice_node(d, node)
     n = d.n
     fc = d.finite_cartan()  # symmetric on these families: row j is column j
     start = (0,) * n

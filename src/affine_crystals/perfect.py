@@ -6,7 +6,6 @@ bound and minimal-element axioms are machine-checked with witnesses on
 failure.
 """
 
-import json
 from operator import mul, sub
 
 from .cartan import level_one_nodes
@@ -15,40 +14,12 @@ from .roots import theta
 from .tensor import TensorCrystal
 
 
-class AxiomResult:
-    __slots__ = ("passed", "detail", "witness")
-
-    def __init__(self, passed, detail="", witness=""):
-        self.passed, self.detail, self.witness = passed, detail, witness
-
-    def to_json_dict(self):
-        out = {"passed": self.passed, "detail": self.detail}
-        if self.witness:
-            out["witness"] = self.witness
-        return out
-
-
-class PerfectReport:
-    __slots__ = ("type_name", "axioms", "minimal_elements")
-
-    def __init__(self, type_name):
-        self.type_name, self.axioms, self.minimal_elements = type_name, {}, {}
-
-    @property
-    def all_passed(self):
-        return all(r.passed for r in self.axioms.values())
-
-    def to_json_dict(self):
-        return {
-            "type": self.type_name,
-            "level": 1,
-            "passed": self.all_passed,
-            "axioms": {k: v.to_json_dict() for k, v in self.axioms.items()},
-            "minimal_elements": self.minimal_elements,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+def _axiom(passed, detail, witness=""):
+    """One axiom's entry of the report: the witness only when there is one."""
+    out = {"passed": passed, "detail": detail}
+    if witness:
+        out["witness"] = witness
+    return out
 
 
 def minimal_elements(d, graph):
@@ -79,20 +50,22 @@ def minimal_elements(d, graph):
 def verify_perfect(d, graph=None):
     """Check the machine-checkable level-1 axioms for one family.
 
+    Returns the report as the dict that ``crystal verify --json`` prints:
+    ``type``, ``level``, ``passed``, ``axioms`` (each ``passed`` and
+    ``detail``, plus a ``witness`` on failure) and ``minimal_elements``.
     The top-weight count, the eps-level bound and the minimal elements are
-    read off the eps and phi columns of the graph, with no per-element
-    weight objects."""
+    read off the eps and phi columns of the graph."""
     if graph is None:
         graph = build_crystal(d)
     tensor = TensorCrystal(graph)
-    report = PerfectReport(type_name=d.type.name)
-
-    report.axioms["module_asserted"] = AxiomResult(
-        True, "underlying module asserted by the uniform construction, not machine-verified"
-    )
+    axioms = {
+        "module_asserted": _axiom(
+            True, "underlying module asserted by the uniform construction, not machine-verified"
+        )
+    }
 
     _, count = tensor.component_labels(omit_zero=False)
-    report.axioms["tensor_square_connected"] = AxiomResult(
+    axioms["tensor_square_connected"] = _axiom(
         count == 1,
         f"B(x)B has {count} component(s) over {tensor.size} pairs",
         "" if count == 1 else "multiple components",
@@ -113,13 +86,10 @@ def verify_perfect(d, graph=None):
         ),
         None,
     )
-    weights = [
-        tuple(map(sub, phi, eps))
-        for phi, eps in zip(zip(*graph._phi), zip(*graph._eps))
-    ]
-    top_count = weights.count(weights[graph.index[XRoot(th)]])
+    weights = [graph.weight_of(b) for b in graph.elements]
+    top_count = weights.count(graph.weight_of(XRoot(th)))
     ok3 = bad is None and top_count == 1
-    report.axioms["weight_cone"] = AxiomResult(
+    axioms["weight_cone"] = _axiom(
         ok3,
         f"lambda_0 = theta, |B_lambda0| = {top_count}",
         "" if ok3 else (bad.label() if bad else f"{top_count} top-weight elements"),
@@ -128,23 +98,28 @@ def verify_perfect(d, graph=None):
     # <c, eps(b)> >= 1 everywhere
     levels = [sum(map(mul, d.comarks, eps)) for eps in zip(*graph._eps)]
     low = next((b for b, c in zip(graph.elements, levels) if c < 1), None)
-    report.axioms["eps_level_bound"] = AxiomResult(
+    axioms["eps_level_bound"] = _axiom(
         low is None,
         f"min <c, eps(b)> = {min(levels)}",
         "" if low is None else low.label(),
     )
 
     # unique minimal elements for every level-1 dominant weight
+    minimal = {}
     try:
         table = minimal_elements(d, graph)
-        report.minimal_elements = {
+        minimal = {
             f"Lambda_{i}": {"b_upper": up.label(), "b_lower": lo.label()}
             for i, (up, lo) in sorted(table.items())
         }
-        report.axioms["minimal_elements"] = AxiomResult(
-            True, f"{len(table)} level-1 dominant weight(s)"
-        )
+        axioms["minimal_elements"] = _axiom(True, f"{len(table)} level-1 dominant weight(s)")
     except ValueError as err:
-        report.axioms["minimal_elements"] = AxiomResult(False, str(err), str(err))
+        axioms["minimal_elements"] = _axiom(False, str(err), str(err))
 
-    return report
+    return {
+        "type": d.type.name,
+        "level": 1,
+        "passed": all(a["passed"] for a in axioms.values()),
+        "axioms": axioms,
+        "minimal_elements": minimal,
+    }

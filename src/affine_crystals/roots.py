@@ -3,8 +3,6 @@ little adjoint crystal as one filter of the roots per twist.
 
 Roots are stored with doubled integer coefficients over alpha_1..alpha_n so
 that the half-integral weights appearing for A_{2n}^(2) stay exact.
-``RootVector.coeff`` and ``RootVector.from_coeffs`` are the only users of
-``Fraction``; they import it on call, so building B never loads it.
 """
 
 from functools import cache
@@ -32,12 +30,6 @@ class RootVector(Frozen):
         return hash(self.twice)
 
     @staticmethod
-    def from_coeffs(coeffs):
-        from fractions import Fraction
-
-        return RootVector(tuple(int(2 * Fraction(c)) for c in coeffs))
-
-    @staticmethod
     def simple(i, n):
         """alpha_i inside a rank-n system."""
         if not 1 <= i <= n:
@@ -62,15 +54,6 @@ class RootVector(Frozen):
 
     def is_nonneg(self):
         return all(a >= 0 for a in self.twice)
-
-    def coeff(self, i):
-        """Coefficient of alpha_i as an exact Fraction."""
-        n = len(self.twice)
-        if not 1 <= i <= n:
-            raise ValueError(f"alpha_{i} is out of range for rank {n}")
-        from fractions import Fraction
-
-        return Fraction(self.twice[i - 1], 2)
 
     def support(self):
         return tuple(i + 1 for i, a in enumerate(self.twice) if a != 0)

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -60,8 +61,8 @@ def test_theta_alone_has_coefficient_two_at_valid_nodes(t):
     th = theta(d)
     lam_plus, _, _ = lambda_weights(d)
     for i in valid_psi_indices(d):
-        high = [g for g in lam_plus if g.coeff(i) >= 2]
-        assert high == ([th] if th.coeff(i) >= 2 else []), i
+        high = [g for g in lam_plus if g.twice[i - 1] >= 4]
+        assert high == ([th] if th.twice[i - 1] >= 4 else []), i
 
 
 def test_psi_fixed_images():
@@ -274,6 +275,38 @@ def test_energy_constant_on_classical_components():
             for k, down in enumerate(t.f[i]):
                 if down >= 0:
                     assert h[k] == h[down], (name, i, t.element(k).label())
+
+
+# The defining recurrence of the energy, checked along the arrows of the
+# two-factor signature rule (CrystalGraph.pair_e) rather than the raising
+# maps TensorCrystal.up that propagation reads: for a random pair l (x) r
+# of a family of rank <= 6 and every index i where e_i acts, H(e_i(l (x) r))
+# equals H(l (x) r) for i >= 1, and for i = 0 it is one more when the left
+# factor moved and one less when the right one did.
+_RECURRENCE_NAMES = [t.name for t in swept_types(6)]
+
+
+@functools.cache
+def _propagated(name):
+    return energy_propagate(family(name).tensor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_energy_recurrence_along_pair_arrows(data):
+    name = data.draw(st.sampled_from(_RECURRENCE_NAMES), label="family")
+    g = family(name).graph
+    h = _propagated(name)
+    m = len(g)
+    l = data.draw(st.integers(0, m - 1), label="left")
+    r = data.draw(st.integers(0, m - 1), label="right")
+    for i in range(g.n_indices):
+        raised = g.pair_e(l, r, i)
+        if raised is None:
+            continue
+        l2, r2 = raised
+        step = 0 if i else (1 if l2 != l else -1)
+        assert h[l2 * m + r2] - h[l * m + r] == step, (i, l, r)
 
 
 def test_zero_energy_components_beyond_named_classes():

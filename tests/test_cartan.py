@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from affine_crystals.cartan import (
+    MAX_RANK,
     AffineType,
     build_datum,
     level_one_nodes,
@@ -114,6 +115,28 @@ def test_rejection_message_names_rank_and_family():
         AffineType("A", 0, 1)
     with pytest.raises(ValueError, match=rf"^rank {sys.maxsize} is out of range for family A"):
         AffineType("A", sys.maxsize, 1)
+
+
+def test_unbounded_chains_stop_at_the_cap():
+    # each unbounded row takes every rank parameter up to MAX_RANK: 100 of
+    # A^(1), 98 of B^(1), 99 of C^(1), 97 of D^(1), 50 + 48 of A^(2) (even
+    # from 2, odd from 5), 98 of D^(2), and the 7 fixed families
+    assert MAX_RANK == 100
+    names = [t.name for t in swept_types(MAX_RANK)]
+    assert len(names) == len(set(names)) == 100 + 98 + 99 + 97 + 50 + 48 + 98 + 7
+    assert swept_types(MAX_RANK + 50) == swept_types(MAX_RANK)
+    for family, twist in [("A", 1), ("B", 1), ("C", 1), ("D", 1), ("A", 2), ("D", 2)]:
+        assert f"{family}{MAX_RANK}-{twist}" in names
+        with pytest.raises(
+            ValueError,
+            match=rf"^rank {MAX_RANK + 1} is out of range for family {family}\^\({twist}\) "
+            rf"\(ranks above {MAX_RANK} are not built\)$",
+        ):
+            AffineType(family, MAX_RANK + 1, twist)
+    assert "A99-2" in names
+    # any rank above the cap names it, on a fixed family too
+    with pytest.raises(ValueError, match=r"^rank 200 .* E\^\(1\) \(ranks above 100 .*\)$"):
+        AffineType("E", 200, 1)
 
 
 # The sweep order of swept_types(9, with_exceptional=False), which is the

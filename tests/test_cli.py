@@ -374,3 +374,24 @@ def test_parser_not_built_at_import():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"0\n"
+
+
+def test_build_rank_above_cap_is_a_usage_error():
+    # under a 1 GB address-space limit, set by the child itself: a rank past
+    # MAX_RANK fails before any (n+1) x (n+1) Cartan matrix is allocated
+    probe = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from affine_crystals.cli import main\n"
+        "sys.exit(main(['build', 'A1111111111111111-1']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        "error: rank 1111111111111111 is out of range for family A^(1) "
+        "(ranks above 100 are not built)\n",
+    )

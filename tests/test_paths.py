@@ -18,6 +18,7 @@ from affine_crystals.paths import (
     OracleUnsupported,
     PathModel,
     character_json,
+    check_lattice_node,
     ground_state,
     lattice_points_up_to,
     oracle_cells,
@@ -395,6 +396,24 @@ def test_ground_state_rejects_non_level_one():
             ground_state(d, node)
         with pytest.raises(ValueError, match="level-1 fundamental weight"):
             PathModel(d, node)
+
+
+def test_every_entry_point_rejects_non_level_one_alike():
+    # Lambda_2 of D4-1 has comark 2; the path model and the lattice oracle
+    # refuse it with one message, decided by level_one_nodes
+    d = build_datum("D4-1")
+    assert d.comarks[2] == 2 and 2 not in level_one_nodes(d)
+    message = r"^Lambda_2 is not a level-1 fundamental weight of D4-1$"
+    for call in (
+        lambda: ground_state(d, 2),
+        lambda: PathModel(d, 2),
+        lambda: check_lattice_node(d, 2),
+        lambda: oracle_multiplicity(d, RootVector.zero(d.n), 1, node=2),
+        lambda: lattice_points_up_to(d, 2, node=2),
+        lambda: list(oracle_cells(d, 1, node=2)),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 # Random walks from the ground path: a family of rank <= 4, one of its

@@ -246,7 +246,7 @@ def test_energy_and_verify_build_no_views(monkeypatch):
     monkeypatch.setattr(
         perfect, "TensorCrystal", lambda graph: squares.append(TensorCrystal(graph)) or squares[-1]
     )
-    assert verify_perfect(d, g).all_passed
+    assert verify_perfect(d, g)["passed"]
     assert len(squares) == 2  # verify_perfect builds its own square
     assert t._up is not None
     assert all(s._f is None for s in squares)

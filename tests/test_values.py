@@ -7,7 +7,7 @@ from affine_crystals.algebra import Box
 from affine_crystals.cartan import AffineType, build_datum, parse_type
 from affine_crystals.crystal import EMPTY, EmptyElement, XRoot, YElement
 from affine_crystals.paths import Path
-from affine_crystals.perfect import AxiomResult, PerfectReport
+from affine_crystals.perfect import verify_perfect
 from affine_crystals.roots import RootVector, lambda_weights
 from affine_crystals.tensor import TensorElement
 
@@ -81,12 +81,16 @@ def test_datum_equal_across_spellings_shares_the_cache():
 
 
 def test_report_fields_are_per_instance():
-    # each report starts with its own empty axioms and minimal elements
-    a, b = PerfectReport("A1-1"), PerfectReport("A2-1")
-    a.axioms["x"] = AxiomResult(True)
-    a.minimal_elements["Lambda_0"] = {}
-    assert b.axioms == {} and b.minimal_elements == {}
-    assert AxiomResult(False, "d", "w").to_json_dict() == {
-        "passed": False, "detail": "d", "witness": "w"
+    # each report is a fresh dict, down to its axioms and minimal elements
+    d = build_datum("A1-1")
+    a, b = verify_perfect(d), verify_perfect(d)
+    assert a == b and a is not b
+    a["axioms"]["x"] = {"passed": True, "detail": ""}
+    a["axioms"]["module_asserted"]["detail"] = "changed"
+    a["minimal_elements"]["Lambda_0"] = {}
+    assert b == verify_perfect(d)
+    # a passed axiom carries no witness key
+    assert b["axioms"]["module_asserted"] == {
+        "passed": True,
+        "detail": "underlying module asserted by the uniform construction, not machine-verified",
     }
-    assert AxiomResult(True).to_json_dict() == {"passed": True, "detail": ""}

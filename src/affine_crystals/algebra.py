@@ -10,12 +10,12 @@ import json
 from collections import deque
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, sub
+from operator import add
 
 from ._frozen import Frozen
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, _json_lines
 from .roots import RootVector, connect_support, dynkin_path, lambda_weights, theta
-from .tensor import TensorCrystal, TensorElement, _gather
+from .tensor import TensorCrystal, TensorElement
 
 EMPTY_EMPTY = "EmptyEmpty"
 THETA_MINUS_THETA = "ThetaMinusTheta"
@@ -213,25 +213,21 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
 
     H is one value on each classical component (``component_labels``), and
     across a 0-arrow t -> u = e_0(t) the step H(u) - H(t) is 1 when e_0
-    moved the left factor of t and -1 when it moved the right one.  The
-    0-arrows are the pairs that the loop-form raising map ``up[0]`` moves
-    (u != t), and which factor moved is read off u (u and t differ in
-    their left factor), so the signature rule is applied only in the
-    kernel that builds that map.  Values spread breadth first from the
-    anchor's component (empty (x) empty at level 0 unless another anchor
-    is given) along the distinct (lower, upper, step) links between
-    components; then every 0-arrow is checked against the result, by
-    gathers over the moved pairs only, so an inconsistent assignment
-    cannot survive.
+    moved the left factor of t and -1 when it moved the right one.  Values
+    spread breadth first from the anchor's component (empty (x) empty at
+    level 0 unless another anchor is given) along the distinct (lower,
+    upper, step) links between components (``TensorCrystal.zero_links``).
+    Then every link is checked against the result; H is constant on a
+    component, so this checks every 0-arrow, and an inconsistent assignment
+    cannot survive.  Only when a link fails are the 0-arrows scanned, row
+    by row, for the failing arrow with the smallest source pair.
     """
     if anchor is None:
         anchor = TensorElement(EMPTY, EMPTY)
     labels, count = tensor.component_labels(omit_zero=True)
-    m = len(tensor.base)
-    src, dst = tensor.zero_arrows()
-    steps = [1 if u // m != t // m else -1 for t, u in zip(src, dst)]
+    zero_links = tensor.zero_links()
     links = [[] for _ in range(count)]
-    for lo, hi, s in sorted(set(zip(_gather(labels, src), _gather(labels, dst), steps))):
+    for lo, hi, s in zero_links:
         links[lo].append((hi, s))
         links[hi].append((lo, -s))
     value = [None] * count
@@ -247,15 +243,16 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     if None in value:
         raise ValueError("tensor square is not connected; energy is partial")
     h = [value[c] for c in labels]
-    h_src = _gather(h, src)
-    jumps = list(map(sub, _gather(h, dst), h_src))
-    if jumps != steps:
-        bad = next(k for k, (jump, s) in enumerate(zip(jumps, steps)) if jump != s)
-        u = dst[bad]
-        raise ValueError(
-            f"inconsistent energy at {tensor.element(u).label()}: "
-            f"{h[u]} vs {h_src[bad] + steps[bad]} via index 0"
-        )
+    if any(value[hi] - value[lo] != s for lo, hi, s in zero_links):
+        m = len(tensor.base)
+        for l in range(m):
+            for t, u in enumerate(tensor.e_row(0, l), l * m):
+                step = 1 if u // m != l else -1
+                if u != t and h[u] - h[t] != step:
+                    raise ValueError(
+                        f"inconsistent energy at {tensor.element(u).label()}: "
+                        f"{h[u]} vs {h[t] + step} via index 0"
+                    )
     return h
 
 

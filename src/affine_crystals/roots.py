@@ -6,7 +6,7 @@ that the half-integral weights appearing for A_{2n}^(2) stay exact.
 """
 
 from functools import cache
-from operator import mul
+from operator import itemgetter, mul
 
 from ._frozen import Frozen
 
@@ -108,7 +108,18 @@ def finite_roots(d):
     followed by its negative.
     """
     n = d.n
-    fc = d.finite_cartan()
+    # <beta, h_i> sums over the nonzero entries of row i only (node i and
+    # its neighbours), so the walk costs about n^3 steps instead of n^4
+    rows = []
+    for row in d.finite_cartan():
+        cols = [j for j, a in enumerate(row) if a]
+        coeffs = [row[j] for j in cols]
+        if len(cols) == 1:
+            # itemgetter returns a bare item for a single index, so the
+            # lone diagonal entry of rank 1 is read twice, once with weight 0
+            cols.append(cols[0])
+            coeffs.append(0)
+        rows.append((itemgetter(*cols), coeffs))
     sym = d.symmetrizers[1:]
     known = {
         RootVector.simple(i, n).twice: "long" if s == max(sym) else "short"
@@ -116,8 +127,8 @@ def finite_roots(d):
     }
     queue = list(known)
     for beta in queue:  # grows while it is read
-        for i in range(n):
-            p = sum(map(mul, beta, fc[i])) // 2
+        for i, (at, coeffs) in enumerate(rows):
+            p = sum(map(mul, at(beta), coeffs)) // 2
             if p < 0:
                 up = beta[:i] + (beta[i] - 2 * p,) + beta[i + 1:]
                 if up not in known:

@@ -1,7 +1,7 @@
 """Tensor square of a crystal: product arrows, maximal vectors, components."""
 
-from itertools import compress
-from operator import eq, itemgetter
+from itertools import chain
+from operator import itemgetter
 
 from ._frozen import Frozen
 
@@ -17,29 +17,39 @@ class TensorElement(Frozen):
 
 
 class TensorCrystal:
-    """B (x) B, with its raising maps built on demand.
+    """B (x) B, labelled row by row from the strings of B.
 
-    Pairs are indexed left-major, k = l * m + r.  The raising maps ``up``
-    are built on first read, one flat list per index, in loop form:
-    ``up[i][t]`` is e_i(t), or t itself where e_i kills t.  The encoding is
-    unambiguous because ``CrystalGraph`` rejects every i-cycle, self-loops
-    included, so e_i(t) = t never happens in a product.  One kernel builds
-    each map from slices of a shared ``list(range(m * m))``: rows of left
-    factors that e_i raises, then columns of right factors with eps_i > 0,
-    then a small fix-up where the signature rule sends e_i left after all.
-    The lowering tables ``f`` (absent arrows marked -1, the inverse of
-    ``up``) are a derived view that nothing in the library reads.  A single
-    arrow of one pair needs no map: ``CrystalGraph.pair_f`` and ``pair_e``
-    apply the signature rule to the two factors.
+    Pairs are indexed left-major, k = l * m + r, so row l holds the pairs
+    l (x) r.  Under index i a pair depends on its left factor l only through
+    p = phi_i(l) and whether e_i(l) exists, so the signature rule is one
+    kernel per (i, p) (``_kernel``), built on first use from data of size m
+    and cached: the columns r that e_i moves on the right (eps_i(r) > p)
+    and their images; on the other columns e_i moves the left factor, or
+    kills the pair.  For a classical index the kernel also holds
+    sigma(r) = e_i^max(0, eps_i(r) - p)(r).  This is the only copy of the
+    rule at tensor level; ``CrystalGraph.pair_f`` and ``pair_e`` apply it
+    to a single pair.
 
     The classical components (no 0-arrows) are labelled once, on first use,
-    and cached, with whole-map gathers instead of loops over pairs.  The
-    classical maps are composed into one raising map, which pointer
-    doubling carries to its fixpoints; the heads (maximal vectors) are the
-    fixpoints that every classical map fixes.  A closure check over every
-    classical map then merges heads joined by an arrow, and chains that
-    never reach a head (classical cycles), so the labels are the exact
-    components of any graph; for a crystal it merges nothing.
+    and cached.  A row whose left factor is a classical head of B is
+    labelled by a union-find over its own right moves; every other row l is
+    one gather, the row of e_i(l) taken through sigma, since e_i carries
+    l (x) r to e_i(l) (x) sigma(r) inside one component.  Rows are reached
+    breadth first down the f-arrows from the heads; a row that no head
+    reaches (a classical cycle in a hand-built graph) is labelled like a
+    head row and the walk goes on from it.  A closure check then covers
+    every classical arrow, row by row: row l must equal the row of e_i(l)
+    taken through sigma, or, where e_i(l) is absent, keep its labels along
+    the right moves, and every pair of labels that differ is merged.  So
+    the labels are the exact components of any graph; for a crystal the
+    check merges nothing.  The 0-arrows become the distinct links between
+    classical components (``zero_links``).
+
+    The loop-form raising maps ``up`` (``up[i][t]`` is e_i(t), or t itself
+    where e_i kills t) and the -1-marked lowering tables ``f`` are views
+    derived from the kernels on first read; only tests and tooling read
+    them.  The loop form is unambiguous because ``CrystalGraph`` rejects
+    every i-cycle, self-loops included, so e_i(t) = t never happens.
     """
 
     def __init__(self, base):
@@ -49,15 +59,20 @@ class TensorCrystal:
         self.n_indices = base.n_indices
         self._up = None
         self._f = None
+        self._kernels = {}
         self._classical = None
+        self._links = None
 
     @property
     def up(self):
         """Raising maps in loop form, one flat list per index, built on
         first read."""
         if self._up is None:
-            ident = list(range(self.size))
-            self._up = [self._e_table(i, ident) for i in range(self.n_indices)]
+            rows = range(len(self.base))
+            self._up = [
+                list(chain.from_iterable(self.e_row(i, l) for l in rows))
+                for i in range(self.n_indices)
+            ]
         return self._up
 
     @property
@@ -74,27 +89,55 @@ class TensorCrystal:
                 self._f.append(flat)
         return self._f
 
-    def _e_table(self, i, ident):
-        """The loop-form map of e_i, made of slices of ``ident`` (the
-        identity map on pairs), so that only the fix-up allocates ints."""
+    def _kernel(self, i, p):
+        """e_i on the rows l with phi_i(l) = p, as (right, raised, at_right,
+        at_raised, at_other), built once per (i, p).
+
+        right holds the columns r with eps_i(r) > p, where e_i acts on the
+        right factor, and raised their images e_i(r); on the other columns
+        e_i acts on the left factor (a phi_i = eps_i tie sends it left) or
+        kills the pair when e_i(l) is absent.  The at_ entries gather a row
+        into a tuple: at right and at raised, and at_other at sigma, with
+        sigma(r) = e_i^max(0, eps_i(r) - p)(r), for a classical index, or
+        at the columns sent left for index 0, whose rows only the 0-arrow
+        links read."""
+        kernel = self._kernels.get((i, p))
+        if kernel is None:
+            eps, ei = self.base._eps[i], self.base.e[i]
+            right = [r for r, x in enumerate(eps) if x > p]
+            raised = [ei[r] for r in right]
+            if i:
+                other = list(range(len(eps)))
+                for r in right:
+                    s = r
+                    for _ in range(eps[r] - p):
+                        s = ei[s]
+                    other[r] = s
+            else:
+                other = [r for r, x in enumerate(eps) if x <= p]
+            kernel = self._kernels[i, p] = (
+                right, raised, _getter(right), _getter(raised), _getter(other)
+            )
+        return kernel
+
+    def _row_kernels(self, i):
+        """The kernel of each row under index i."""
+        row_p = self.base._phi[i]
+        by_p = {p: self._kernel(i, p) for p in set(row_p)}
+        return list(map(by_p.__getitem__, row_p))
+
+    def e_row(self, i, l):
+        """The loop-form map of e_i on row l: e_i(l (x) r) as a pair index
+        for each column r, or l (x) r itself where e_i kills it."""
         base = self.base
         m = len(base)
-        ei = base.e[i]
-        flat = ident[:]
-        for l, src in ei.items():
-            flat[l * m:(l + 1) * m] = ident[src * m:(src + 1) * m]
-        # e_i(r) exists exactly where eps_i(r) > 0; these columns act on the
-        # right unless phi_i(l) >= eps_i(r), which the fix-up restores
-        for r, src in ei.items():
-            flat[r::m] = ident[src::m]
-        raised = [(r, eps_r) for r, eps_r in enumerate(base._eps[i]) if eps_r]
-        for l, pl in enumerate(base._phi[i]):
-            if pl:
-                row, dst = l * m, ei.get(l, l) * m
-                for r, eps_r in raised:
-                    if eps_r <= pl:
-                        flat[row + r] = dst + r
-        return flat
+        # the columns sent left go to row e_i(l), or stay where e_i(l) is absent
+        up = base.e[i].get(l, l)
+        out = list(range(up * m, up * m + m))
+        right, raised = self._kernel(i, base._phi[i][l])[:2]
+        for r, s in zip(right, raised):
+            out[r] = l * m + s
+        return out
 
     def pair_index(self, t):
         m = len(self.base)
@@ -107,28 +150,60 @@ class TensorCrystal:
     def _classical_components(self):
         """(labels, count, maximal indices) without 0-arrows, computed once."""
         if self._classical is None:
-            ups = self.up[1:]
-            top = tuple(range(self.size))
-            for up in ups:
-                top = _gather(up, top)
-            fixed = compress(range(self.size), map(eq, top, range(self.size)))
-            heads = [k for k in fixed if all(up[k] == k for up in ups)]
-            # chains are shorter than size, so this many doublings reach
-            # every head; only pairs led into a classical cycle stay unsettled
-            for _ in range(self.size.bit_length()):
-                jumped = _gather(top, top)
-                if jumped == top:
-                    break
-                top = jumped
+            base = self.base
+            m = len(base)
+            classical = range(1, self.n_indices)
+            e, f = base.e, base.f
+            kernels = {i: self._row_kernels(i) for i in classical}
+            raisable = set().union(*(e[i] for i in classical))
+            heads = [l for l in range(m) if l not in raisable]
+            maximal = []
+            for l in heads:
+                moved = set().union(*(kernels[i][l][0] for i in classical))
+                maximal += [l * m + r for r in range(m) if r not in moved]
+            # each row's labels are pair indices of its own pairs or of rows
+            # above it, one per connected set of pairs
+            rows = [None] * m
+            for start in chain(heads, range(m)):
+                if rows[start] is not None:
+                    continue
+                moves = chain.from_iterable(zip(*kernels[i][start][:2]) for i in classical)
+                find = _union_find(m, moves)
+                rows[start] = tuple(start * m + find(r) for r in range(m))
+                queue = [start]
+                for u in queue:  # grows while it is read
+                    for i in classical:
+                        l = f[i].get(u)
+                        if l is not None and rows[l] is None:
+                            rows[l] = kernels[i][l][4](rows[u])
+                            queue.append(l)
+            # every i-arrow of row l joins equal labels exactly when row l is
+            # the row of e_i(l) taken through sigma, or, where e_i(l) is
+            # absent, when the right moves keep the label
             merges = []
-            for up in ups:
-                moved = _gather(top, up)
-                if moved != top:
-                    merges += [(a, b) for a, b in zip(top, moved) if a != b]
+            for l, row in enumerate(rows):
+                for i in classical:
+                    _, _, at_right, at_raised, at_sigma = kernels[i][l]
+                    up = e[i].get(l)
+                    if up is None:
+                        a, b = at_right(row), at_raised(row)
+                    else:
+                        a, b = row, at_sigma(rows[up])
+                    if a != b:
+                        merges += [(x, y) for x, y in zip(a, b) if x != y]
             if merges:
-                top = tuple(map(_union_find(self.size, merges), top))
-            ids = {c: k for k, c in enumerate(dict.fromkeys(top))}
-            self._classical = _gather(ids, top), len(ids), heads
+                find = _union_find(self.size, merges)
+                rows = [tuple(map(find, row)) for row in rows]
+            # ids in order of first appearance, found from the few distinct
+            # labels of each row
+            ids = {}
+            for row in rows:
+                new = set(row).difference(ids)
+                if new:
+                    for c in sorted(new, key=row.index):
+                        ids[c] = len(ids)
+            labels = [ids[c] for row in rows for c in row]
+            self._classical = labels, len(ids), maximal
         return self._classical
 
     def maximal_indices(self):
@@ -138,32 +213,47 @@ class TensorCrystal:
     def component_labels(self, omit_zero):
         """Component id per pair index; ids follow each component's smallest
         pair index.  With 0-arrows, the classical components are merged
-        along the distinct pairs of components that the 0-arrows join (a
-        pair that e_0 fixes would join only its own component; the union is
-        symmetric)."""
+        along ``zero_links``."""
         labels, count, _ = self._classical_components()
         if omit_zero:
             return list(labels), count
-        src, dst = self.zero_arrows()
-        find = _union_find(count, set(zip(_gather(labels, src), _gather(labels, dst))))
+        find = _union_find(count, [(lo, hi) for lo, hi, _ in self.zero_links()])
         ids = {}
         merged = [ids.setdefault(find(c), len(ids)) for c in range(count)]
         return [merged[c] for c in labels], len(ids)
 
-    def zero_arrows(self):
-        """The 0-arrows t -> e_0(t), as the pairs src that ``up[0]`` moves
-        and their images dst."""
-        up0 = self.up[0]
-        src = [t for t, u in enumerate(up0) if u != t]
-        return src, _gather(up0, src)
+    def zero_links(self):
+        """The distinct (lower, upper, step) over the 0-arrows t -> e_0(t):
+        the classical component ids of t and e_0(t), and step -1 where e_0
+        moved the right factor, 1 where it moved the left one.  Sorted, and
+        computed once, row by row with the index-0 kernels."""
+        if self._links is None:
+            base = self.base
+            m = len(base)
+            labels = self._classical_components()[0]
+            rows = [labels[k:k + m] for k in range(0, self.size, m)]
+            e0 = base.e[0]
+            right, left = set(), set()
+            for l, (row, kernel) in enumerate(zip(rows, self._row_kernels(0))):
+                _, _, at_right, at_raised, at_left = kernel
+                right.update(zip(at_right(row), at_raised(row)))
+                if l in e0:
+                    left.update(zip(at_left(row), at_left(rows[e0[l]])))
+            links = [(lo, hi, -1) for lo, hi in right] + [(lo, hi, 1) for lo, hi in left]
+            self._links = sorted(links)
+        return self._links
 
 
-def _gather(seq, idx):
-    """(seq[k] for k in idx) as a tuple, by one C-level itemgetter call;
-    itemgetter returns a bare item, not a tuple, for a single index."""
+def _getter(idx):
+    """A callable that gathers (seq[k] for k in idx) into a tuple, by one
+    C-level itemgetter call; itemgetter returns a bare item, not a tuple,
+    for a single index, and needs at least one."""
     if len(idx) > 1:
-        return itemgetter(*idx)(seq)
-    return tuple(seq[k] for k in idx)
+        return itemgetter(*idx)
+    if idx:
+        k = idx[0]
+        return lambda seq: (seq[k],)
+    return lambda seq: ()
 
 
 def _union_find(n, links):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_crystals import perfect
+from affine_crystals import paths, perfect
 from affine_crystals.algebra import (
     Box,
     energy_by_classification,
@@ -22,6 +22,7 @@ from affine_crystals.crystal import (
     YElement,
     build_crystal,
 )
+from affine_crystals.paths import PathModel
 from affine_crystals.perfect import verify_perfect
 from affine_crystals.roots import RootVector, finite_roots, lambda_weights, theta
 from affine_crystals.tensor import TensorCrystal, TensorElement
@@ -117,7 +118,7 @@ def _reference_maximal(t):
 
 
 def _hand_built(name):
-    a, b, c = Box(1), Box(2), Box(3)
+    a, b, c, d = Box(1), Box(2), Box(3), Box(4)
     arrows = {
         "three-box": None,
         # box 2 is reached from boxes 1 and 3, so the component of 2 (x) 2
@@ -126,14 +127,17 @@ def _hand_built(name):
         # classical cycles of length 2 and 3 that mix indices
         "cycle-2": [(1, a, b), (2, b, a), (0, a, c)],
         "cycle-3": [(1, a, b), (2, b, c), (1, c, a)],
+        # a classical head (box 1) beside a classical cycle that no head
+        # reaches (boxes 3 and 4), joined by a 0-arrow
+        "head-cycle": [(1, a, b), (1, c, d), (2, d, c), (0, b, c)],
     }[name]
     if arrows is None:
         return three_box_crystal()
-    boxes = [a, b, c] + ([EMPTY] if name == "four-heads" else [])
-    return CrystalGraph(boxes, arrows, 3)
+    extra = {"four-heads": [EMPTY], "head-cycle": [d]}.get(name, [])
+    return CrystalGraph([a, b, c] + extra, arrows, 3)
 
 
-HAND_BUILT = ["three-box", "four-heads", "cycle-2", "cycle-3"]
+HAND_BUILT = ["three-box", "four-heads", "cycle-2", "cycle-3", "head-cycle"]
 
 
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4)] + HAND_BUILT)
@@ -143,10 +147,12 @@ def test_component_labels_match_search(ty):
     for omit_zero in (True, False):
         assert t.component_labels(omit_zero) == _reference_labels(t, omit_zero)
     assert t.maximal_indices() == _reference_maximal(t)
-    if ty.startswith("cycle"):
+    if ty in ("cycle-2", "cycle-3", "head-cycle"):
         # some classical component has no maximal vector at all
         labels, count = t.component_labels(omit_zero=True)
         assert len({labels[k] for k in t.maximal_indices()}) < count
+    if ty == "head-cycle":
+        assert t.maximal_indices()
 
 
 def test_component_labels_are_cached_copies():
@@ -236,20 +242,37 @@ def test_verify_psi_builds_no_table(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["embedding_verified"] is True
 
 
+def test_inconsistent_energy_names_smallest_failing_pair():
+    # two 0-arrows fail once H has spread from 1 (x) 1: the one from
+    # 2 (x) 1 (to 1 (x) 1) and the one from 3 (x) 2 (to 3 (x) 1); the error
+    # names the target of the arrow with the smaller source pair
+    a, b, c = Box(1), Box(2), Box(3)
+    g = CrystalGraph([a, b, c], [(0, a, b), (0, b, c), (1, a, b)], 3)
+    t = TensorCrystal(g)
+    with pytest.raises(ValueError) as err:
+        energy_propagate(t, anchor=TensorElement(a, a))
+    assert str(err.value) == "inconsistent energy at 1 (x) 1: 0 vs 1 via index 0"
+
+
 def test_energy_and_verify_build_no_views(monkeypatch):
-    # the library reads only the loop-form maps, never the -1 view
+    # energy, verify and the path model read the row kernels only: neither
+    # the loop-form maps up nor the -1 view f is ever built
     d = build_datum("C8-1")
     g = build_crystal(d)
     t = TensorCrystal(g)
     assert energy_propagate(t) == energy_by_classification(t)
     squares = [t]
-    monkeypatch.setattr(
-        perfect, "TensorCrystal", lambda graph: squares.append(TensorCrystal(graph)) or squares[-1]
-    )
+
+    def recorded(graph):
+        squares.append(TensorCrystal(graph))
+        return squares[-1]
+
+    monkeypatch.setattr(perfect, "TensorCrystal", recorded)
+    monkeypatch.setattr(paths, "TensorCrystal", recorded)
     assert verify_perfect(d, g)["passed"]
-    assert len(squares) == 2  # verify_perfect builds its own square
-    assert t._up is not None
-    assert all(s._f is None for s in squares)
+    PathModel(d, 0)
+    assert len(squares) == 3  # verify_perfect and PathModel build their own
+    assert all(s._up is None and s._f is None for s in squares)
 
 
 def test_tensor_f_example():

@@ -8,9 +8,9 @@ classical components, once from the closed component classification.
 
 import json
 from collections import deque
-from itertools import chain, repeat
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from operator import add
+from operator import add, ne
 
 from ._frozen import Frozen
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, _json_lines
@@ -183,7 +183,8 @@ def multiplication_table_json(graph, psi, node, verified, witness=None):
     """``multiplication_table`` plus the fields ``node``,
     ``embedding_verified`` and, when given, ``witness``, as the bytes of
     ``json.dumps(..., indent=2)``.  The ``order`` and ``rows`` lists are
-    written line by line, each distinct entry encoded once; the scalar
+    written line by line, each distinct entry encoded once, and each row
+    carries its own separator, so the text is joined once; the scalar
     fields go through ``json.dumps``."""
     table = multiplication_table(graph, psi)
     order = table["order"]
@@ -193,18 +194,21 @@ def multiplication_table_json(graph, psi, node, verified, witness=None):
     }
     inner = {x: "      " + e for x, e in entries.items()}
     rows = [
-        "    [" + _json_lines(list(map(inner.__getitem__, row)), 4) + "]"
+        "\n    [" + _json_lines(list(map(inner.__getitem__, row)), 4) + "],"
         for row in table["rows"]
     ]
+    if rows:
+        rows[-1] = rows[-1][:-1] + "\n  "
     fields = [
-        '  "order": [' + _json_lines(["    " + entries[x] for x in order], 2) + "]",
-        '  "rows": [' + _json_lines(rows, 2) + "]",
         f'  "node": {json.dumps(node)}',
         f'  "embedding_verified": {json.dumps(verified)}',
     ]
     if witness:
         fields.append(f'  "witness": {json.dumps(witness)}')
-    return "{" + _json_lines(fields, 0) + "}\n"
+    return "".join([
+        '{\n  "order": [', _json_lines(["    " + entries[x] for x in order], 2),
+        '],\n  "rows": [', *rows, "],\n", ",\n".join(fields), "\n}\n",
+    ])
 
 
 def energy_propagate(tensor, anchor=None, anchor_value=0):
@@ -487,12 +491,21 @@ def _keys_may_coincide(labels):
 
 
 def _pair_rows(heads, tails, h, cells):
-    """heads[left] + tails[right] + cells[H] over the pairs, one join per row."""
+    """Yield heads[left] + tails[right] + cells[H] over the pairs, row by row.
+
+    ``cols[v][r]`` is ``tails[r] + cells[v]``, so each run of equal H in a
+    row is one slice of a column list, and a row is one join over the runs.
+    """
     m = len(tails)
-    return [
-        "".join(chain.from_iterable(zip(repeat(head, m), tails, map(cells.__getitem__, row))))
-        for head, row in zip(heads, (h[u:u + m] for u in range(0, len(h), m)))
-    ]
+    cols = {v: [tail + cell for tail in tails] for v, cell in cells.items()}
+    for k, head in enumerate(heads):
+        row = h[k * m:k * m + m]
+        pieces = []
+        a = 0
+        for b in chain(compress(range(1, m), map(ne, row, row[1:])), (m,)):
+            pieces += cols[row[a]][a:b]
+            a = b
+        yield head + head.join(pieces)
 
 
 def energy_table_json(tensor, h):
@@ -511,10 +524,13 @@ def energy_table_json(tensor, h):
     cells = {v: json.dumps(v) + ",\n" for v in set(h)}
     if _keys_may_coincide(labels):
         keys = [head + tail for head in heads for tail in tails]
-        body = "".join(chain.from_iterable(dict(zip(keys, map(cells.__getitem__, h))).items()))
+        parts = list(chain.from_iterable(dict(zip(keys, map(cells.__getitem__, h))).items()))
     else:
-        body = "".join(_pair_rows(heads, tails, h, cells))
-    return "{\n" + body[:-2] + "\n}\n" if body else "{}\n"
+        parts = list(_pair_rows(heads, tails, h, cells))
+    if not parts:
+        return "{}\n"
+    parts[-1] = parts[-1][:-2] + "\n}\n"
+    return "".join(["{\n", *parts])
 
 
 class Box(Frozen):

@@ -7,7 +7,9 @@ All output goes to stdout unless --out is given; runs are deterministic.
 import argparse
 import functools
 import json
+import os
 import sys
+from itertools import chain
 
 from .algebra import (
     _pair_rows,
@@ -32,13 +34,29 @@ from .perfect import verify_perfect
 from .tensor import TensorCrystal
 
 
-def _emit(text, out):
+def _emit(chunks, out):
+    """Write an iterable of string chunks to the file ``out``, or to stdout.
+
+    A bare ``str`` is wrapped in a list: ``writelines`` would write it one
+    character at a time.  When a reader closes stdout early (``| head``),
+    the rest of the output is dropped: stdout's descriptor is pointed at
+    ``os.devnull`` so the interpreter's final flush does not fail again,
+    and the command's own exit code stands.
+    """
+    if isinstance(chunks, str):
+        chunks = [chunks]
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as err:
         _usage_error(f"cannot write {out}: {err.strerror}")
 
@@ -98,14 +116,14 @@ def cmd_energy(args):
     h2 = energy_by_classification(tensor)
     agree = h1 == h2
     if args.format == "json":
-        text = energy_table_json(tensor, h1)
+        chunks = energy_table_json(tensor, h1)
     else:
         labels = [b.label() for b in g.elements]
         heads = [label + " (x) " for label in labels]
         tails = [label + "\t" for label in labels]
         rows = _pair_rows(heads, tails, h1, {v: f"{v}\n" for v in set(h1)})
-        text = f"# {d.type.name}: {tensor.size} pairs, methods agree: {agree}\n" + "".join(rows)
-    _emit(text, args.out)
+        chunks = chain([f"# {d.type.name}: {tensor.size} pairs, methods agree: {agree}\n"], rows)
+    _emit(chunks, args.out)
     return 0 if agree else 1
 
 

@@ -4,11 +4,12 @@ import random
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_crystals.algebra import (
     GENERIC,
+    _pair_rows,
     Box,
     TWO_THETA,
     build_psi,
@@ -533,6 +534,28 @@ def _multiplication_oracle(graph, psi, node, verified, witness):
     if witness:
         table["witness"] = witness
     return json.dumps(table, indent=2) + "\n"
+
+
+_SQUARE_H = st.integers(0, 7).flatmap(
+    lambda m: st.lists(st.integers(-3, 3), min_size=m * m, max_size=m * m).map(lambda h: (m, h))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SQUARE_H)
+@example((0, []))
+@example((1, [-2]))
+@example((3, [5, 5, 5, -1, 2, 2, 0, 0, -4]))  # one value; a run at each end
+def test_pair_rows_match_per_pair_formula(square):
+    m, h = square
+    heads = [f"<{left}|" for left in range(m)]
+    tails = [f"{right}>" for right in range(m)]
+    cells = {v: f"={v};" for v in set(h)}
+    want = [
+        "".join(heads[left] + tails[right] + cells[h[left * m + right]] for right in range(m))
+        for left in range(m)
+    ]
+    assert list(_pair_rows(heads, tails, h, cells)) == want
 
 
 @pytest.mark.parametrize("name", SWEPT_NAMES)

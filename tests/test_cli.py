@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from affine_crystals import cli
 from affine_crystals.algebra import energy_propagate
-from affine_crystals.cartan import build_datum
+from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.cli import main
 from affine_crystals.crystal import CrystalGraph, build_crystal
 from affine_crystals.tensor import TensorCrystal
@@ -120,15 +121,31 @@ def test_energy_labels_follow_pair_order(capsys, ty):
     ]
 
 
-@pytest.mark.parametrize("ty", ["A2-1", "C2-1", "A4-2", "D4-3"])
-def test_energy_text_is_one_line_per_pair(capsys, ty):
+@pytest.mark.parametrize("ty", [t.name for t in swept_types(4)])
+def test_energy_text_is_one_line_per_pair(capsys, tmp_path, ty):
     t = TensorCrystal(build_crystal(build_datum(ty)))
     h = energy_propagate(t)
     pairs = [t.element(k) for k in range(t.size)]
     lines = [f"# {ty}: {t.size} pairs, methods agree: True"]
     lines += [f"{p.left.label()} (x) {p.right.label()}\t{v}" for p, v in zip(pairs, h)]
+    want = "\n".join(lines) + "\n"
     _, text, _ = run(capsys, "energy", ty)
-    assert text == "\n".join(lines) + "\n"
+    assert text == want
+    target = tmp_path / "energy.txt"
+    assert run(capsys, "energy", ty, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == want
+
+
+def test_energy_text_peak_memory_below_its_file(tmp_path):
+    # the table goes to its sink row by row: it is never held whole
+    target = tmp_path / "energy.txt"
+    tracemalloc.start()
+    try:
+        assert main(["energy", "E8-1", "--out", str(target)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < target.stat().st_size
 
 
 def test_multiply_table(capsys):
@@ -312,6 +329,22 @@ def test_output_independent_of_hash_seed(argv):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] != b""
+
+
+@pytest.mark.parametrize("argv", [["energy", "E8-1"], ["multiply", "E8-1"]], ids=" ".join)
+def test_closed_stdout_pipe_exits_quietly(argv):
+    # a reader that stops early (`| head -1`) is not an error of the command
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affine_crystals.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first and (proc.returncode, err) == (0, b"")
 
 
 # main builds its argparse tree on the first call and reuses it

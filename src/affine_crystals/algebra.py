@@ -159,44 +159,54 @@ def multiply(psi, b1, b2):
     return inverse.get(TensorElement(b1, b2))
 
 
+def _products(graph, psi):
+    """The labels of the little adjoint crystal in canonical order, and per
+    row a map column -> product label.  Pairs with a factor outside the
+    domain (empty, or not in B) are skipped; of two entries on one pair the
+    last wins."""
+    index = graph.index
+    domain = [
+        k for k, b in enumerate(graph.elements) if not isinstance(b, EmptyElement)
+    ]
+    position = {k: p for p, k in enumerate(domain)}
+    rows = [{} for _ in domain]
+    for b, t in psi.items():
+        l = position.get(index.get(t.left))
+        r = position.get(index.get(t.right))
+        if l is not None and r is not None:
+            rows[l][r] = b.label()
+    return [graph.elements[k].label() for k in domain], rows
+
+
 def multiplication_table(graph, psi):
     """Dense product table over the little adjoint crystal.
 
     Rows and columns follow the canonical element order; entries are labels,
     None for absent products.
     """
-    index = graph.index
-    domain = [
-        k for k, b in enumerate(graph.elements) if not isinstance(b, EmptyElement)
-    ]
-    position = {k: p for p, k in enumerate(domain)}
-    rows = [[None] * len(domain) for _ in domain]
-    for b, t in psi.items():
-        l = position.get(index.get(t.left))
-        r = position.get(index.get(t.right))
-        if l is not None and r is not None:
-            rows[l][r] = b.label()
-    return {"order": [graph.elements[k].label() for k in domain], "rows": rows}
+    order, rows = _products(graph, psi)
+    return {"order": order, "rows": [[row.get(r) for r in range(len(order))] for row in rows]}
 
 
 def multiplication_table_json(graph, psi, node, verified, witness=None):
     """``multiplication_table`` plus the fields ``node``,
     ``embedding_verified`` and, when given, ``witness``, as the bytes of
-    ``json.dumps(..., indent=2)``.  The ``order`` and ``rows`` lists are
-    written line by line, each distinct entry encoded once, and each row
-    carries its own separator, so the text is joined once; the scalar
-    fields go through ``json.dumps``."""
-    table = multiplication_table(graph, psi)
-    order = table["order"]
-    entries = {
-        x: "null" if x is None else encode_basestring_ascii(x)
-        for x in dict.fromkeys(chain(order, *table["rows"]))
-    }
-    inner = {x: "      " + e for x, e in entries.items()}
-    rows = [
-        "\n    [" + _json_lines(list(map(inner.__getitem__, row)), 4) + "],"
-        for row in table["rows"]
-    ]
+    ``json.dumps(..., indent=2)``.  No dense table is built: each row is
+    written from its own products (the table holds at most one per domain
+    element), with the null lines between them cut from one precomputed
+    run.  Each row carries its own separator, so the text is
+    joined once; the scalar fields go through ``json.dumps``."""
+    order, products = _products(graph, psi)
+    null = ",\n      null"
+    nulls = null * len(order)
+    rows = []
+    for row in products:
+        pieces, at = [], 0
+        for r, label in sorted(row.items()):
+            pieces += [nulls[:len(null) * (r - at)], ",\n      ", encode_basestring_ascii(label)]
+            at = r + 1
+        pieces.append(nulls[len(null) * at:])
+        rows.append("\n    [" + "".join(pieces)[1:] + "\n    ],")
     if rows:
         rows[-1] = rows[-1][:-1] + "\n  "
     fields = [
@@ -205,8 +215,9 @@ def multiplication_table_json(graph, psi, node, verified, witness=None):
     ]
     if witness:
         fields.append(f'  "witness": {json.dumps(witness)}')
+    order = ["    " + encode_basestring_ascii(x) for x in order]
     return "".join([
-        '{\n  "order": [', _json_lines(["    " + entries[x] for x in order], 2),
+        '{\n  "order": [', _json_lines(order, 2),
         '],\n  "rows": [', *rows, "],\n", ",\n".join(fields), "\n}\n",
     ])
 

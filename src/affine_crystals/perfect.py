@@ -64,7 +64,7 @@ def verify_perfect(d, graph=None):
         )
     }
 
-    _, count = tensor.component_labels(omit_zero=False)
+    _, count = tensor.connected_components()
     axioms["tensor_square_connected"] = _axiom(
         count == 1,
         f"B(x)B has {count} component(s) over {tensor.size} pairs",

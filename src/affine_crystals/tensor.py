@@ -42,8 +42,15 @@ class TensorCrystal:
     taken through sigma, or, where e_i(l) is absent, keep its labels along
     the right moves, and every pair of labels that differ is merged.  So
     the labels are the exact components of any graph; for a crystal the
-    check merges nothing.  The 0-arrows become the distinct links between
-    classical components (``zero_links``).
+    check merges nothing.  It skips the comparisons that hold by
+    construction: on a union-find row, the right moves under every index
+    where e_i(l) is absent, which the union-find joined; on a gathered row,
+    the index whose gather built it.  The labels are kept as one tuple of
+    component ids per row, ids in order of first appearance.  The 0-arrows
+    become the distinct links between classical components
+    (``zero_links``); ``connected_components`` unites the classical
+    components over them and gives the count that ``verify_perfect``
+    reads.
 
     The loop-form raising maps ``up`` (``up[i][t]`` is e_i(t), or t itself
     where e_i kills t) and the -1-marked lowering tables ``f`` are views
@@ -148,7 +155,8 @@ class TensorCrystal:
         return TensorElement(self.base.elements[k // m], self.base.elements[k % m])
 
     def _classical_components(self):
-        """(labels, count, maximal indices) without 0-arrows, computed once."""
+        """(one tuple of component ids per row, count, maximal indices)
+        without 0-arrows, computed once."""
         if self._classical is None:
             base = self.base
             m = len(base)
@@ -161,30 +169,43 @@ class TensorCrystal:
             for l in heads:
                 moved = set().union(*(kernels[i][l][0] for i in classical))
                 maximal += [l * m + r for r in range(m) if r not in moved]
-            # each row's labels are pair indices of its own pairs or of rows
-            # above it, one per connected set of pairs
+            # a start row is labelled by a union-find over its right moves,
+            # one new provisional id per class, and every other row is a
+            # gather of the row above it; root[l] is the start row
+            # above row l, via[l] the index whose gather built it (0 on a
+            # start row), and left[s] the number of ids of start row s
             rows = [None] * m
+            root, via, left = [0] * m, [0] * m, {}
+            n = 0
             for start in chain(heads, range(m)):
                 if rows[start] is not None:
                     continue
                 moves = chain.from_iterable(zip(*kernels[i][start][:2]) for i in classical)
                 find = _union_find(m, moves)
-                rows[start] = tuple(start * m + find(r) for r in range(m))
+                first = {}
+                rows[start] = tuple(first.setdefault(find(r), n + len(first)) for r in range(m))
+                root[start], left[start] = start, len(first)
+                n += len(first)
                 queue = [start]
                 for u in queue:  # grows while it is read
                     for i in classical:
                         l = f[i].get(u)
                         if l is not None and rows[l] is None:
                             rows[l] = kernels[i][l][4](rows[u])
+                            root[l], via[l] = start, i
                             queue.append(l)
             # every i-arrow of row l joins equal labels exactly when row l is
             # the row of e_i(l) taken through sigma, or, where e_i(l) is
-            # absent, when the right moves keep the label
+            # absent, when the right moves keep the label; a start row's
+            # union-find joined its right moves, and a walked row is its
+            # gather under via[l], so those comparisons are skipped
             merges = []
-            for l, row in enumerate(rows):
+            for l, (row, walked) in enumerate(zip(rows, via)):
                 for i in classical:
-                    _, _, at_right, at_raised, at_sigma = kernels[i][l]
                     up = e[i].get(l)
+                    if i == walked or up is None and not walked:
+                        continue
+                    _, _, at_right, at_raised, at_sigma = kernels[i][l]
                     if up is None:
                         a, b = at_right(row), at_raised(row)
                     else:
@@ -192,18 +213,22 @@ class TensorCrystal:
                     if a != b:
                         merges += [(x, y) for x, y in zip(a, b) if x != y]
             if merges:
-                find = _union_find(self.size, merges)
+                find = _union_find(n, merges)
                 rows = [tuple(map(find, row)) for row in rows]
-            # ids in order of first appearance, found from the few distinct
-            # labels of each row
+            # final ids in order of first appearance; a row holds only ids of
+            # its start row, so once those are all seen its rows are skipped
+            # (a merge can only make left[s] too large, which skips less)
             ids = {}
-            for row in rows:
-                new = set(row).difference(ids)
-                if new:
-                    for c in sorted(new, key=row.index):
-                        ids[c] = len(ids)
-            labels = [ids[c] for row in rows for c in row]
-            self._classical = labels, len(ids), maximal
+            for row, s in zip(rows, root):
+                if left[s]:
+                    new = set(row).difference(ids)
+                    if new:
+                        for c in sorted(new, key=row.index):
+                            ids[c] = len(ids)
+                        left[s] -= len(new)
+            dense = [ids.get(c, 0) for c in range(n)]
+            rows = [_getter(row)(dense) for row in rows]
+            self._classical = rows, len(ids), maximal
         return self._classical
 
     def maximal_indices(self):
@@ -212,15 +237,25 @@ class TensorCrystal:
 
     def component_labels(self, omit_zero):
         """Component id per pair index; ids follow each component's smallest
-        pair index.  With 0-arrows, the classical components are merged
-        along ``zero_links``."""
-        labels, count, _ = self._classical_components()
+        pair index.  The flat list is built from the per-row ids on each
+        call.  With 0-arrows, the classical components are merged along
+        ``zero_links`` by ``connected_components``."""
+        rows, count, _ = self._classical_components()
         if omit_zero:
-            return list(labels), count
+            return list(chain.from_iterable(rows)), count
+        merged, count = self.connected_components()
+        return [merged[c] for row in rows for c in row], count
+
+    def connected_components(self):
+        """(merged, count) with 0-arrows: the classical components united
+        over ``zero_links``, merged[c] the id of classical component c, ids
+        in order of first appearance.  ``verify_perfect`` reads the count
+        alone, and no list over the pairs is built."""
+        count = self._classical_components()[1]
         find = _union_find(count, [(lo, hi) for lo, hi, _ in self.zero_links()])
         ids = {}
         merged = [ids.setdefault(find(c), len(ids)) for c in range(count)]
-        return [merged[c] for c in labels], len(ids)
+        return merged, len(ids)
 
     def zero_links(self):
         """The distinct (lower, upper, step) over the 0-arrows t -> e_0(t):
@@ -228,11 +263,8 @@ class TensorCrystal:
         moved the right factor, 1 where it moved the left one.  Sorted, and
         computed once, row by row with the index-0 kernels."""
         if self._links is None:
-            base = self.base
-            m = len(base)
-            labels = self._classical_components()[0]
-            rows = [labels[k:k + m] for k in range(0, self.size, m)]
-            e0 = base.e[0]
+            rows = self._classical_components()[0]
+            e0 = self.base.e[0]
             right, left = set(), set()
             for l, (row, kernel) in enumerate(zip(rows, self._row_kernels(0))):
                 _, _, at_right, at_raised, at_left = kernel

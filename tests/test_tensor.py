@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from affine_crystals import paths, perfect
 from affine_crystals.algebra import (
@@ -153,6 +155,82 @@ def test_component_labels_match_search(ty):
         assert len({labels[k] for k in t.maximal_indices()}) < count
     if ty == "head-cycle":
         assert t.maximal_indices()
+
+
+def _a2_cut():
+    """A2-1 without its two 0-arrows at empty, as a graph with the datum."""
+    d = build_datum("A2-1")
+    g = build_crystal(d)
+    arrows = [
+        (i, g.elements[s], g.elements[t])
+        for i, f in enumerate(g.f)
+        for s, t in f.items()
+        if not (i == 0 and EMPTY in (g.elements[s], g.elements[t]))
+    ]
+    assert len(arrows) == sum(map(len, g.f)) - 2
+    return d, CrystalGraph(g.elements, arrows, g.n_indices, datum=d)
+
+
+def test_connectivity_axiom_fails_without_zero_arrows_at_empty():
+    d, g = _a2_cut()
+    report = verify_perfect(d, g)
+    assert not report["passed"]
+    assert report["axioms"]["tensor_square_connected"] == {
+        "passed": False,
+        "detail": "B(x)B has 5 component(s) over 81 pairs",
+        "witness": "multiple components",
+    }
+
+
+@pytest.mark.parametrize("ty", [t.name for t in swept_types(4)] + HAND_BUILT + ["A2-1 cut"])
+def test_connected_components_count_matches_search(ty):
+    if ty == "A2-1 cut":
+        g = _a2_cut()[1]
+    else:
+        g = _hand_built(ty) if ty in HAND_BUILT else build_crystal(build_datum(ty))
+    t = TensorCrystal(g)
+    assert t.connected_components()[1] == _reference_labels(t, False)[1]
+
+
+def test_verify_reads_only_the_component_count(monkeypatch):
+    # the connectivity axiom builds no label list over the pairs
+    def refuse(self, omit_zero):
+        raise AssertionError("verify_perfect built a label list")
+
+    monkeypatch.setattr(TensorCrystal, "component_labels", refuse)
+    assert verify_perfect(build_datum("C2-1"))["passed"]
+
+
+@st.composite
+def _random_graphs(draw):
+    """Graphs of up to 6 boxes under 3 indices with random arrows; the
+    draws that CrystalGraph refuses (an i-cycle) are rejected."""
+    n = draw(st.integers(1, 6))
+    arrow = st.tuples(st.integers(0, 2), st.integers(0, n - 1), st.integers(0, n - 1))
+    arrows = draw(
+        st.lists(
+            arrow.filter(lambda a: a[1] != a[2]),
+            max_size=3 * n,
+            # no two i-arrows leave or enter one box
+            unique_by=(lambda a: a[:2], lambda a: (a[0], a[2])),
+        )
+    )
+    boxes = [Box(k) for k in range(n)]
+    try:
+        return CrystalGraph(boxes, [(i, boxes[s], boxes[t]) for i, s, t in arrows], 3)
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_graphs())
+def test_component_labels_match_search_on_random_graphs(g):
+    # the closure comparisons that the labelling skips can hide no merge
+    t = TensorCrystal(g)
+    for omit_zero in (True, False):
+        assert t.component_labels(omit_zero) == _reference_labels(t, omit_zero)
+    assert t.connected_components()[1] == _reference_labels(t, False)[1]
+    assert t.maximal_indices() == _reference_maximal(t)
 
 
 def test_component_labels_are_cached_copies():

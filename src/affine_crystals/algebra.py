@@ -239,14 +239,14 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     """
     if anchor is None:
         anchor = TensorElement(EMPTY, EMPTY)
-    labels, count = tensor.component_labels(omit_zero=True)
+    rows, count = tensor.component_labels()
     zero_links = tensor.zero_links()
     links = [[] for _ in range(count)]
     for lo, hi, s in zero_links:
         links[lo].append((hi, s))
         links[hi].append((lo, -s))
     value = [None] * count
-    start = labels[tensor.pair_index(anchor)]
+    start = rows[tensor.base.index[anchor.left]][tensor.base.index[anchor.right]]
     value[start] = anchor_value
     queue = deque([start])
     while queue:
@@ -257,7 +257,7 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
                 queue.append(nb)
     if None in value:
         raise ValueError("tensor square is not connected; energy is partial")
-    h = [value[c] for c in labels]
+    h = [value[c] for row in rows for c in row]
     if any(value[hi] - value[lo] != s for lo, hi, s in zero_links):
         m = len(tensor.base)
         for l in range(m):
@@ -416,10 +416,10 @@ def two_theta_order_indices(graph):
 def two_theta_indices(tensor):
     """The classical component of x_theta (x) x_theta (exact), read off the
     component labels of the square."""
-    top = XRoot(theta(tensor.base.datum))
-    labels, _ = tensor.component_labels(omit_zero=True)
-    c = labels[tensor.pair_index(TensorElement(top, top))]
-    return {k for k, label in enumerate(labels) if label == c}
+    top = tensor.base.index[XRoot(theta(tensor.base.datum))]
+    rows, _ = tensor.component_labels()
+    c = rows[top][top]
+    return {k for k, label in enumerate(chain.from_iterable(rows)) if label == c}
 
 
 def classify_components(tensor):
@@ -467,10 +467,10 @@ def energy_by_classification(tensor):
     m = len(base)
     eps0 = base._eps[0]
     i_empty = base.index[EMPTY]
-    labels, count = tensor.component_labels(omit_zero=True)
+    rows, count = tensor.component_labels()
     heads = [[] for _ in range(count)]
     for k in tensor.maximal_indices():
-        heads[labels[k]].append(k)
+        heads[rows[k // m][k % m]].append(k)
     value = []
     for found in heads:
         if len(found) != 1:
@@ -482,7 +482,7 @@ def energy_by_classification(tensor):
             value.append(0 if r == i_empty else 1)
         else:
             value.append(eps0[r])
-    return [value[c] for c in labels]
+    return [value[c] for row in rows for c in row]
 
 
 def _keys_may_coincide(labels):

@@ -46,11 +46,11 @@ class TensorCrystal:
     construction: on a union-find row, the right moves under every index
     where e_i(l) is absent, which the union-find joined; on a gathered row,
     the index whose gather built it.  The labels are kept as one tuple of
-    component ids per row, ids in order of first appearance.  The 0-arrows
-    become the distinct links between classical components
-    (``zero_links``); ``connected_components`` unites the classical
-    components over them and gives the count that ``verify_perfect``
-    reads.
+    component ids per row, ids in labelling order; only when the check
+    merges are they compressed to 0..count-1.  The 0-arrows become the
+    distinct links between classical components (``zero_links``);
+    ``connected_components`` unites the classical components over them and
+    gives the count that ``verify_perfect`` reads.
 
     The loop-form raising maps ``up`` (``up[i][t]`` is e_i(t), or t itself
     where e_i kills t) and the -1-marked lowering tables ``f`` are views
@@ -170,12 +170,11 @@ class TensorCrystal:
                 moved = set().union(*(kernels[i][l][0] for i in classical))
                 maximal += [l * m + r for r in range(m) if r not in moved]
             # a start row is labelled by a union-find over its right moves,
-            # one new provisional id per class, and every other row is a
-            # gather of the row above it; root[l] is the start row
-            # above row l, via[l] the index whose gather built it (0 on a
-            # start row), and left[s] the number of ids of start row s
+            # one new id per class, and every other row is a gather of the
+            # row above it, so ids follow labelling order; via[l] is the
+            # index whose gather built row l (0 on a start row)
             rows = [None] * m
-            root, via, left = [0] * m, [0] * m, {}
+            via = [0] * m
             n = 0
             for start in chain(heads, range(m)):
                 if rows[start] is not None:
@@ -184,7 +183,6 @@ class TensorCrystal:
                 find = _union_find(m, moves)
                 first = {}
                 rows[start] = tuple(first.setdefault(find(r), n + len(first)) for r in range(m))
-                root[start], left[start] = start, len(first)
                 n += len(first)
                 queue = [start]
                 for u in queue:  # grows while it is read
@@ -192,7 +190,7 @@ class TensorCrystal:
                         l = f[i].get(u)
                         if l is not None and rows[l] is None:
                             rows[l] = kernels[i][l][4](rows[u])
-                            root[l], via[l] = start, i
+                            via[l] = i
                             queue.append(l)
             # every i-arrow of row l joins equal labels exactly when row l is
             # the row of e_i(l) taken through sigma, or, where e_i(l) is
@@ -214,43 +212,29 @@ class TensorCrystal:
                         merges += [(x, y) for x, y in zip(a, b) if x != y]
             if merges:
                 find = _union_find(n, merges)
-                rows = [tuple(map(find, row)) for row in rows]
-            # final ids in order of first appearance; a row holds only ids of
-            # its start row, so once those are all seen its rows are skipped
-            # (a merge can only make left[s] too large, which skips less)
-            ids = {}
-            for row, s in zip(rows, root):
-                if left[s]:
-                    new = set(row).difference(ids)
-                    if new:
-                        for c in sorted(new, key=row.index):
-                            ids[c] = len(ids)
-                        left[s] -= len(new)
-            dense = [ids.get(c, 0) for c in range(n)]
-            rows = [_getter(row)(dense) for row in rows]
-            self._classical = rows, len(ids), maximal
+                ids = {}
+                dense = [ids.setdefault(find(c), len(ids)) for c in range(n)]
+                rows = [_getter(row)(dense) for row in rows]
+                n = len(ids)
+            self._classical = rows, n, maximal
         return self._classical
 
     def maximal_indices(self):
         """Pairs fixed by every raising map with index != 0."""
         return list(self._classical_components()[2])
 
-    def component_labels(self, omit_zero):
-        """Component id per pair index; ids follow each component's smallest
-        pair index.  The flat list is built from the per-row ids on each
-        call.  With 0-arrows, the classical components are merged along
-        ``zero_links`` by ``connected_components``."""
+    def component_labels(self):
+        """(rows, count) without 0-arrows: a fresh list of the cached
+        per-row id tuples, the classical component of l (x) r at
+        ``rows[l][r]``, ids 0..count-1 in labelling order."""
         rows, count, _ = self._classical_components()
-        if omit_zero:
-            return list(chain.from_iterable(rows)), count
-        merged, count = self.connected_components()
-        return [merged[c] for row in rows for c in row], count
+        return list(rows), count
 
     def connected_components(self):
         """(merged, count) with 0-arrows: the classical components united
-        over ``zero_links``, merged[c] the id of classical component c, ids
-        in order of first appearance.  ``verify_perfect`` reads the count
-        alone, and no list over the pairs is built."""
+        over ``zero_links``, merged[c] the id, in 0..count-1, of classical
+        component c.  ``verify_perfect`` reads the count alone, and no list
+        over the pairs is built."""
         count = self._classical_components()[1]
         find = _union_find(count, [(lo, hi) for lo, hi, _ in self.zero_links()])
         ids = {}

@@ -88,10 +88,11 @@ def _helper_tables(g):
     return tuple(tables)
 
 
-def _reference_labels(t, omit_zero):
-    """Components by depth-first search over every arrow table, ids in
-    order of each component's smallest pair index."""
-    first = 1 if omit_zero else 0
+def _reference_labels(t, classical):
+    """Components by depth-first search over every arrow table (without the
+    0-arrows when classical), ids in order of each component's smallest
+    pair index."""
+    first = 1 if classical else 0
     # a loop-form fixed point up[i][k] == k is already labelled
     tables = t.f[first:] + t.up[first:]
     labels = [-1] * t.size
@@ -142,16 +143,46 @@ def _hand_built(name):
 HAND_BUILT = ["three-box", "four-heads", "cycle-2", "cycle-3", "head-cycle"]
 
 
+def _canonical(labels):
+    """The same partition, relabelled by first appearance."""
+    ids = {}
+    return [ids.setdefault(c, len(ids)) for c in labels]
+
+
+def _flat_labels(t):
+    """(labels, count) over the pairs, left-major, from the per-row ids."""
+    rows, count = t.component_labels()
+    return [c for row in rows for c in row], count
+
+
+def _assert_partitions_match_search(t):
+    # ids carry no order, so both partitions are compared by first appearance
+    labels, count = _flat_labels(t)
+    assert (_canonical(labels), count) == _reference_labels(t, True)
+    merged, total = t.connected_components()
+    assert (_canonical([merged[c] for c in labels]), total) == _reference_labels(t, False)
+
+
+def _assert_dense_rows(t):
+    # ids are exactly 0..count-1, one row of length m per left factor
+    rows, count = t.component_labels()
+    m = len(t.base)
+    assert len(rows) == m and all(len(row) == m for row in rows)
+    assert set().union(*rows) == set(range(count))
+
+
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4)] + HAND_BUILT)
 def test_component_labels_match_search(ty):
     g = _hand_built(ty) if ty in HAND_BUILT else build_crystal(build_datum(ty))
     t = TensorCrystal(g)
-    for omit_zero in (True, False):
-        assert t.component_labels(omit_zero) == _reference_labels(t, omit_zero)
+    _assert_partitions_match_search(t)
+    # on four-heads and head-cycle the closure check merges ids, which are
+    # then compressed
+    _assert_dense_rows(t)
     assert t.maximal_indices() == _reference_maximal(t)
     if ty in ("cycle-2", "cycle-3", "head-cycle"):
         # some classical component has no maximal vector at all
-        labels, count = t.component_labels(omit_zero=True)
+        labels, count = _flat_labels(t)
         assert len({labels[k] for k in t.maximal_indices()}) < count
     if ty == "head-cycle":
         assert t.maximal_indices()
@@ -194,7 +225,7 @@ def test_connected_components_count_matches_search(ty):
 
 def test_verify_reads_only_the_component_count(monkeypatch):
     # the connectivity axiom builds no label list over the pairs
-    def refuse(self, omit_zero):
+    def refuse(self, *args):
         raise AssertionError("verify_perfect built a label list")
 
     monkeypatch.setattr(TensorCrystal, "component_labels", refuse)
@@ -227,18 +258,19 @@ def _random_graphs(draw):
 def test_component_labels_match_search_on_random_graphs(g):
     # the closure comparisons that the labelling skips can hide no merge
     t = TensorCrystal(g)
-    for omit_zero in (True, False):
-        assert t.component_labels(omit_zero) == _reference_labels(t, omit_zero)
-    assert t.connected_components()[1] == _reference_labels(t, False)[1]
+    _assert_partitions_match_search(t)
+    _assert_dense_rows(t)
     assert t.maximal_indices() == _reference_maximal(t)
 
 
 def test_component_labels_are_cached_copies():
     t = TensorCrystal(three_box_crystal())
-    labels, count = t.component_labels(omit_zero=True)
-    labels[0] = -1
+    rows, count = t.component_labels()
+    want = list(rows)
+    rows.clear()
     t.maximal_indices().clear()
-    assert t.component_labels(omit_zero=True) == _reference_labels(t, True)
+    assert t.component_labels() == (want, count)
+    _assert_partitions_match_search(t)
     assert t.maximal_indices() == _reference_maximal(t)
 
 
@@ -285,8 +317,8 @@ def test_one_element_square(n_indices):
     a = Box(1)
     t = TensorCrystal(CrystalGraph([a], [], n_indices))
     assert t.up == [[0]] * n_indices
-    for omit_zero in (True, False):
-        assert t.component_labels(omit_zero) == _reference_labels(t, omit_zero)
+    _assert_partitions_match_search(t)
+    assert t.component_labels() == ([(0,)], 1)
     assert t.maximal_indices() == _reference_maximal(t) == [0]
     assert energy_propagate(t, anchor=TensorElement(a, a), anchor_value=3) == [3]
 
@@ -483,13 +515,13 @@ def test_no_theta_y_maximal_for_half_weight_families():
 def test_full_square_connected():
     for ty in swept_types(4, with_exceptional=False):
         d, g, t = _setup(ty.name)
-        assert t.component_labels(omit_zero=False)[1] == 1
+        assert t.connected_components()[1] == 1
 
 
 def test_classical_components_partition_with_unique_maximal():
     for name in ["A2-1", "C2-1", "D4-3", "A4-2", "B3-1"]:
         d, g, t = _setup(name)
-        labels, count = t.component_labels(omit_zero=True)
+        labels, count = _flat_labels(t)
         assert len(labels) == t.size and set(labels) == set(range(count))
         # one maximal vector in each component
         assert sorted(labels[k] for k in t.maximal_indices()) == list(range(count))
@@ -510,7 +542,7 @@ def test_component_sizes_match_weyl_dimension(ty):
     d, g, t = ctx.datum, ctx.graph, ctx.tensor
     sym = d.symmetrizers[1:]
     positives = [r.twice for r, _ in finite_roots(d) if r.is_nonneg()]
-    labels, _ = t.component_labels(omit_zero=True)
+    labels, _ = _flat_labels(t)
     sizes = Counter(labels)
     m = len(g)
     for k in t.maximal_indices():
@@ -532,7 +564,7 @@ def test_component_sizes_match_weyl_dimension(ty):
 def test_named_components():
     d, g, t = _setup("C2-1")
     th = theta(d)
-    labels, _ = t.component_labels(omit_zero=True)
+    labels, _ = _flat_labels(t)
 
     def component_of(pair):
         c = labels[t.pair_index(pair)]

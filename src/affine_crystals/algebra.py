@@ -234,8 +234,9 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     upper, step) links between components (``TensorCrystal.zero_links``).
     Then every link is checked against the result; H is constant on a
     component, so this checks every 0-arrow, and an inconsistent assignment
-    cannot survive.  Only when a link fails are the 0-arrows scanned, row
-    by row, for the failing arrow with the smallest source pair.
+    cannot survive.  Only when a link fails are the 0-arrows scanned, pair
+    by pair with ``CrystalGraph.pair_e``, for the failing arrow with the
+    smallest source pair.
     """
     if anchor is None:
         anchor = TensorElement(EMPTY, EMPTY)
@@ -260,14 +261,15 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
     h = [value[c] for row in rows for c in row]
     if any(value[hi] - value[lo] != s for lo, hi, s in zero_links):
         m = len(tensor.base)
-        for l in range(m):
-            for t, u in enumerate(tensor.e_row(0, l), l * m):
-                step = 1 if u // m != l else -1
-                if u != t and h[u] - h[t] != step:
-                    raise ValueError(
-                        f"inconsistent energy at {tensor.element(u).label()}: "
-                        f"{h[u]} vs {h[t] + step} via index 0"
-                    )
+        for t in range(tensor.size):
+            pair = tensor.base.pair_e(*divmod(t, m), 0)
+            u = t if pair is None else pair[0] * m + pair[1]
+            step = 1 if u // m != t // m else -1
+            if u != t and h[u] - h[t] != step:
+                raise ValueError(
+                    f"inconsistent energy at {tensor.element(u).label()}: "
+                    f"{h[u]} vs {h[t] + step} via index 0"
+                )
     return h
 
 
@@ -461,7 +463,8 @@ def energy_by_classification(tensor):
     carries x_theta with eps_0 = 2, the theta - alpha heads carry one
     incoming 0-arrow) and extends them to the components with eps_0 = 0
     heads that the named classes do not cover.  No 0-arrow of the product
-    graph is traversed, so the computation is independent of propagation.
+    graph is traversed, but both routes read the same row kernels and
+    component labels of the square, so a fault there reaches both.
     """
     base = tensor.base
     m = len(base)

@@ -21,7 +21,7 @@ from .algebra import (
     valid_psi_indices,
     verify_psi,
 )
-from .cartan import build_datum, level_one_nodes, parse_type, swept_types
+from .cartan import MAX_RANK, build_datum, level_one_nodes, parse_type, swept_types
 from .crystal import build_crystal
 from .paths import (
     OracleUnsupported,
@@ -85,6 +85,8 @@ def cmd_verify(args):
         _usage_error("give a type or --all, not both")
     if args.all:
         max_rank = 5 if args.max_rank is None else args.max_rank
+        if max_rank > MAX_RANK:
+            _usage_error(f"--max-rank {max_rank}: ranks above {MAX_RANK} are not built")
         types = [t.name for t in swept_types(max_rank, with_exceptional=False)]
         if not types:
             _usage_error(f"no families of rank <= {max_rank}")

@@ -213,7 +213,7 @@ def test_criterion_8_property_suites():
         k = rng.randrange(t.size)
         down = t.f[i][k]
         if down >= 0:
-            assert t.up[i][down] == k
+            assert g.pair_e(*divmod(down, len(g)), i) == divmod(k, len(g))
         cases += 2
 
     # phi - eps equals the weight pairing

@@ -279,8 +279,8 @@ def test_energy_constant_on_classical_components():
 
 
 # The defining recurrence of the energy, checked along the arrows of the
-# two-factor signature rule (CrystalGraph.pair_e) rather than the raising
-# maps TensorCrystal.up that propagation reads: for a random pair l (x) r
+# two-factor signature rule (CrystalGraph.pair_e) rather than the row
+# kernels of TensorCrystal that propagation reads: for a random pair l (x) r
 # of a family of rank <= 6 and every index i where e_i acts, H(e_i(l (x) r))
 # equals H(l (x) r) for i >= 1, and for i = 0 it is one more when the left
 # factor moved and one less when the right one did.
@@ -341,9 +341,10 @@ def test_two_theta_closure_under_classical_operators():
         comp = two_theta_indices(t)
         for k in comp:
             for i in range(1, d.n + 1):
-                for nb in (t.f[i][k], t.up[i][k]):
-                    if nb >= 0:
-                        assert nb in comp
+                down = t.f[i][k]
+                assert down < 0 or down in comp
+                up = g.pair_e(*divmod(k, len(g)), i)
+                assert up is None or up[0] * len(g) + up[1] in comp
 
 
 def test_order_formula_matches_component_where_sound():

@@ -216,6 +216,22 @@ def test_verify_all_without_families_rejected(capsys):
     assert "no families" in err
 
 
+def test_verify_all_rank_above_cap_is_a_usage_error(capsys, monkeypatch):
+    # a rank past MAX_RANK fails before any family is built, instead of
+    # sweeping up to rank 100
+    def refuse(*args):
+        raise AssertionError("verify --all built a family")
+
+    monkeypatch.setattr(cli, "_datum", refuse)
+    monkeypatch.setattr(cli, "build_crystal", refuse)
+    code, out, err = run(capsys, "verify", "--all", "--max-rank", "101")
+    assert (code, out, err) == (
+        2,
+        "",
+        "error: --max-rank 101: ranks above 100 are not built\n",
+    )
+
+
 def test_verify_max_rank_needs_all(capsys):
     # --max-rank selects families for --all; on one type it is a usage error
     for argv in (["A4-2", "--max-rank", "3"], ["--max-rank", "3"]):

@@ -89,12 +89,12 @@ def _helper_tables(g):
 
 
 def _reference_labels(t, classical):
-    """Components by depth-first search over every arrow table (without the
-    0-arrows when classical), ids in order of each component's smallest
-    pair index."""
+    """Components by depth-first search over the arrow tables of the
+    pairwise rule (without the 0-arrows when classical), ids in order of
+    each component's smallest pair index."""
     first = 1 if classical else 0
-    # a loop-form fixed point up[i][k] == k is already labelled
-    tables = t.f[first:] + t.up[first:]
+    f_tabs, e_tabs = _reference_tables(t.base)
+    tables = f_tabs[first:] + e_tabs[first:]
     labels = [-1] * t.size
     comp = 0
     for start in range(t.size):
@@ -114,10 +114,9 @@ def _reference_labels(t, classical):
 
 
 def _reference_maximal(t):
-    """Pairs that every classical raising map fixes."""
-    if t.n_indices == 1:
-        return list(range(t.size))
-    return [k for k, col in enumerate(zip(*t.up[1:])) if all(u == k for u in col)]
+    """Pairs that every classical raising map of the pairwise rule kills."""
+    e_tabs = _reference_tables(t.base)[1][1:]
+    return [k for k in range(t.size) if all(e[k] < 0 for e in e_tabs)]
 
 
 def _hand_built(name):
@@ -276,19 +275,16 @@ def test_component_labels_are_cached_copies():
 
 @pytest.mark.parametrize("ty", SWEPT_NAMES + HAND_BUILT)
 def test_row_tables_match_pairwise_rule(ty):
-    # the row kernel, the per-pair helper and the reference rule agree on
+    # the row kernels, the per-pair helper and the reference rule agree on
     # every pair and index
     g = _hand_built(ty) if ty in HAND_BUILT else build_crystal(build_datum(ty))
     want = _reference_tables(g)
     assert _helper_tables(g) == want
-    t = TensorCrystal(g)
-    # loop form: up[i][k] == k exactly where pair_e kills the pair
-    assert t.up == [[k if u < 0 else u for k, u in enumerate(e)] for e in want[1]]
-    assert t.f == want[0]
+    assert TensorCrystal(g).f == want[0]
 
 
 def test_self_loop_rejected():
-    # the loop-form maps rely on e_i(t) = t never happening
+    # an arrow from a box to itself is an i-cycle of length 1
     a = Box(1)
     with pytest.raises(ValueError, match="cycle"):
         CrystalGraph([a], [(0, a, a)], 1)
@@ -313,10 +309,17 @@ def test_maximal_indices_match_kashiwara_rule(ty):
 
 @pytest.mark.parametrize("n_indices", [1, 2])
 def test_one_element_square(n_indices):
+    # no pair: the constructor labels and links nothing
+    t = TensorCrystal(CrystalGraph([], [], n_indices))
+    assert t.component_labels() == ([], 0)
+    assert t.zero_links() == []
+    assert t.connected_components() == ([], 0)
+    assert t.maximal_indices() == []
+    assert t.f == [[]] * n_indices
     # one pair: every gather has a single index
     a = Box(1)
     t = TensorCrystal(CrystalGraph([a], [], n_indices))
-    assert t.up == [[0]] * n_indices
+    assert t.f == [[-1]] * n_indices
     _assert_partitions_match_search(t)
     assert t.component_labels() == ([(0,)], 1)
     assert t.maximal_indices() == _reference_maximal(t) == [0]
@@ -365,8 +368,8 @@ def test_inconsistent_energy_names_smallest_failing_pair():
 
 
 def test_energy_and_verify_build_no_views(monkeypatch):
-    # energy, verify and the path model read the row kernels only: neither
-    # the loop-form maps up nor the -1 view f is ever built
+    # energy, verify and the path model read the labels and links the
+    # constructor built: the -1 view f is never built
     d = build_datum("C8-1")
     g = build_crystal(d)
     t = TensorCrystal(g)
@@ -382,7 +385,7 @@ def test_energy_and_verify_build_no_views(monkeypatch):
     assert verify_perfect(d, g)["passed"]
     PathModel(d, 0)
     assert len(squares) == 3  # verify_perfect and PathModel build their own
-    assert all(s._up is None and s._f is None for s in squares)
+    assert all(s._f is None for s in squares)
 
 
 def test_tensor_f_example():
@@ -404,15 +407,16 @@ def test_inverse_pairs_on_product():
     rng = random.Random(20240301)
     for name in ["A2-1", "C2-1", "D4-3", "A4-2", "B3-1"]:
         d, g, t = _setup(name)
+        m = len(g)
         for _ in range(300):
             k = rng.randrange(t.size)
             i = rng.randrange(d.n + 1)
             down = t.f[i][k]
             if down >= 0:
-                assert t.up[i][down] == k
-            up = t.up[i][k]
-            if up != k:
-                assert t.f[i][up] == k
+                assert g.pair_e(*divmod(down, m), i) == divmod(k, m)
+            up = g.pair_e(*divmod(k, m), i)
+            if up is not None:
+                assert t.f[i][up[0] * m + up[1]] == k
 
 
 def _pair_stats(g, l, r, i):

@@ -360,29 +360,19 @@ def _directions(graph, crystals):
     Raises ValueError unless that crystal is unique and lies inside every
     other crystal holding the element.
     """
-    # (size, bitmask, mu), smallest crystal first
-    by_size = sorted(
-        (
-            (len(members), sum(1 << k for k in members), mu)
-            for mu, members in crystals.items()
-        ),
-        key=lambda entry: entry[0],
-    )
+    by_size = sorted(crystals, key=lambda mu: len(crystals[mu]))
     out = {}
     for k, b in enumerate(graph.elements):
         if isinstance(b, EmptyElement):
             continue
-        holding = [entry for entry in by_size if entry[1] >> k & 1]
-        smallest = holding[0] if holding else None
-        if smallest is None or any(
-            size == smallest[0] or smallest[1] & ~mask
-            for size, mask, _ in holding[1:]
-        ):
+        holding = [mu for mu in by_size if k in crystals[mu]]
+        # a proper subset is strictly smaller, so this also rules out a tie
+        if not holding or not all(crystals[holding[0]] < crystals[mu] for mu in holding[1:]):
             raise ValueError(
                 f"{b.label()} has no unique smallest Demazure crystal; "
                 "B is not B(theta) + B(0) as a classical crystal"
             )
-        out[k] = smallest[2]
+        out[k] = holding[0]
     return out
 
 
@@ -401,18 +391,10 @@ def two_theta_order_indices(graph):
     unique direction, which happens only when B is not B(theta) + B(0).
     """
     down = demazure_crystals(graph)
+    x_iota = {r: graph.index[XRoot(mu)] for r, mu in _directions(graph, down).items()}
+    kappa = _directions(graph, demazure_crystals(graph, opposite=True))
     m = len(graph)
-    by_iota = {}
-    for r, mu in _directions(graph, down).items():
-        by_iota.setdefault(graph.index[XRoot(mu)], []).append(r)
-    out = set()
-    for l, nu in _directions(graph, demazure_crystals(graph, opposite=True)).items():
-        below = down[nu]
-        row = l * m
-        for x, rights in by_iota.items():
-            if x in below:
-                out.update(row + r for r in rights)
-    return out
+    return {l * m + r for l, nu in kappa.items() for r, x in x_iota.items() if x in down[nu]}
 
 
 def two_theta_indices(tensor):

@@ -17,7 +17,6 @@ cross-checks the simply-laced untwisted families at every level-1 weight;
 point.
 """
 
-import functools
 import json
 from collections import deque
 from operator import add, mul
@@ -40,13 +39,6 @@ class Path(Frozen):
     """
 
     __slots__ = ("lam", "prefix")
-
-    def __init__(self, lam, prefix):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "prefix", prefix)
-
-    def __eq__(self, other):
-        return type(other) is Path and other.prefix == self.prefix and other.lam == self.lam
 
     def __hash__(self):
         return hash((self.lam, self.prefix))
@@ -380,13 +372,6 @@ def partition_series(colors, max_degree):
     return c
 
 
-@functools.lru_cache(maxsize=None)
-def _series(colors, max_degree):
-    """partition_series, kept for the process: `oracle_multiplicity` asks
-    it per cell."""
-    return tuple(partition_series(colors, max_degree))
-
-
 def check_lattice_node(d, node):
     """Check that the lattice oracle covers Lambda_node of d; raises
     OracleUnsupported off the simply-laced untwisted families."""
@@ -422,7 +407,7 @@ def oracle_multiplicity(d, beta, degree, node=0):
     exponent = degree - _shifted_norm2(d.finite_cartan(), coeffs, node) // 2
     if exponent < 0:
         return 0
-    return _series(d.n, degree)[exponent]
+    return partition_series(d.n, degree)[exponent]
 
 
 def oracle_cells(d, max_degree, node=0):
@@ -437,7 +422,7 @@ def oracle_cells(d, max_degree, node=0):
     No lattice point outside the ball carries a multiplicity at these
     degrees, since the shifted norm is at most twice the degree.
     """
-    series = list(_series(d.n, max_degree))
+    series = partition_series(d.n, max_degree)
     lam = tuple(int(j == node) for j in range(d.n + 1))
     columns = [row[1:] for row in d.cartan]  # <h_j, alpha_k> at [j][k - 1]
     for beta in lattice_points_up_to(d, 2 * max_degree, node=node):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from affine_crystals.algebra import (
     GENERIC,
+    _directions,
     _pair_rows,
     Box,
     TWO_THETA,
@@ -458,6 +459,28 @@ def test_order_indices_reject_crystal_without_directions():
     cut = CrystalGraph(g.elements, arrows, g.n_indices, datum=d)
     with pytest.raises(ValueError, match="no unique smallest Demazure crystal"):
         two_theta_order_indices(cut)
+
+
+def test_directions_reject_tied_smallest_crystals():
+    # y_1 and x_{-theta} of A1-1 lie in two crystals of three elements, the
+    # same set under two keys, and in no smaller one
+    _, g, _ = _setup("A1-1")
+    crystals = {
+        "theta": frozenset({0}),
+        "-theta": frozenset({0, 1, 2}),
+        "copy": frozenset({0, 1, 2}),
+    }
+    with pytest.raises(ValueError, match="no unique smallest Demazure crystal"):
+        _directions(g, crystals)
+
+
+def test_directions_reject_smallest_crystal_outside_a_larger_one():
+    # y_1 of A1-1 lies in {x_theta, y_1} and in the larger {y_1, x_{-theta},
+    # empty}, which does not hold x_theta
+    _, g, _ = _setup("A1-1")
+    crystals = {"theta": frozenset({0, 1}), "-theta": frozenset({1, 2, 3})}
+    with pytest.raises(ValueError, match="no unique smallest Demazure crystal"):
+        _directions(g, crystals)
 
 
 def test_three_box_fixture():

@@ -221,6 +221,36 @@ def test_transfer_matrix_matches_generation(name, max_degree):
         assert pm.root_character(max_degree) == derived
 
 
+@pytest.mark.parametrize("name", [t.name for t in swept_types(4)])
+def test_transfer_matrix_length_is_enough(name):
+    # L = max(max_degree + zero_run, 1) positions hold every path of degree
+    # at most max_degree: one or two more add nothing
+    ctx = family(name)
+    energy = energy_propagate(ctx.tensor)
+    for node in level_one_nodes(ctx.datum):
+        pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
+        run = pm.zero_run
+        for max_degree in range(4):
+            derived = pm.character(max_degree), pm.root_character(max_degree)
+            for extra in (1, 2):
+                pm.zero_run = run + extra
+                longer = pm.character(max_degree), pm.root_character(max_degree)
+                assert longer == derived, (node, max_degree, extra)
+            pm.zero_run = run
+
+
+def test_transfer_matrix_length_is_not_more_than_enough():
+    # one position fewer cuts off paths of degree 2, at every level-1 node
+    for t in swept_types(5):
+        ctx = family(t.name)
+        energy = energy_propagate(ctx.tensor)
+        for node in level_one_nodes(ctx.datum):
+            pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
+            derived = pm.character(2)
+            pm.zero_run -= 1
+            assert pm.character(2) != derived, (t.name, node)
+
+
 def test_fixed_length_misses_paths():
     # a length of max_degree + 3 cuts off paths whose zero-energy run below
     # the ground entry is longer than 2

@@ -3,6 +3,7 @@ from operator import mul
 
 import pytest
 
+from affine_crystals import perfect
 from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import CrystalGraph, EMPTY, XRoot, YElement, build_crystal
 from affine_crystals.perfect import minimal_elements, verify_perfect
@@ -133,6 +134,39 @@ def test_weight_cone_counts_top_weight_elements():
     cone = verify_perfect(d, wide)["axioms"]["weight_cone"]
     assert (cone["passed"], cone["detail"], cone["witness"]) == (
         False, "lambda_0 = theta, |B_lambda0| = 2", "2 top-weight elements"
+    )
+
+
+def test_weight_cone_without_x_theta():
+    # a graph with no x_theta has no top-weight element: the axiom fails
+    # instead of the lookup of x_theta
+    from affine_crystals.algebra import Box
+
+    a, b = Box(1), Box(2)
+    g = CrystalGraph([a, b], [(1, a, b)], 2)
+    rep = verify_perfect(build_datum("A1-1"), g)
+    assert rep["axioms"]["weight_cone"] == {
+        "passed": False,
+        "detail": "lambda_0 = theta, |B_lambda0| = 0",
+        "witness": "0 top-weight elements",
+    }
+    assert not rep["passed"]
+
+
+@pytest.mark.parametrize("ty", [t.name for t in swept_types(8)])
+def test_connectivity_certificate_closes(ty, monkeypatch):
+    # the head certificate proves every family's square connected, so the
+    # exact labelling of the whole square is never reached
+    def refuse(graph):
+        raise AssertionError("verify_perfect labelled the whole square")
+
+    monkeypatch.setattr(perfect, "TensorCrystal", refuse)
+    d = build_datum(ty)
+    rep = verify_perfect(d)
+    assert rep["passed"]
+    m = len(build_crystal(d))
+    assert rep["axioms"]["tensor_square_connected"]["detail"] == (
+        f"B(x)B has 1 component(s) over {m * m} pairs"
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -132,6 +133,9 @@ def _hand_built(name):
         # a classical head (box 1) beside a classical cycle that no head
         # reaches (boxes 3 and 4), joined by a 0-arrow
         "head-cycle": [(1, a, b), (1, c, d), (2, d, c), (0, b, c)],
+        # an isolated box (1) beside a classical 2-cycle (boxes 2 and 3):
+        # the one classical head, 1 (x) 1, is a component of its own
+        "isolated-cycle": [(1, b, c), (2, c, b)],
     }[name]
     if arrows is None:
         return three_box_crystal()
@@ -139,7 +143,7 @@ def _hand_built(name):
     return CrystalGraph([a, b, c] + extra, arrows, 3)
 
 
-HAND_BUILT = ["three-box", "four-heads", "cycle-2", "cycle-3", "head-cycle"]
+HAND_BUILT = ["three-box", "four-heads", "cycle-2", "cycle-3", "head-cycle", "isolated-cycle"]
 
 
 def _canonical(labels):
@@ -179,7 +183,7 @@ def test_component_labels_match_search(ty):
     # then compressed
     _assert_dense_rows(t)
     assert t.maximal_indices() == _reference_maximal(t)
-    if ty in ("cycle-2", "cycle-3", "head-cycle"):
+    if ty in ("cycle-2", "cycle-3", "head-cycle", "isolated-cycle"):
         # some classical component has no maximal vector at all
         labels, count = _flat_labels(t)
         assert len({labels[k] for k in t.maximal_indices()}) < count
@@ -222,6 +226,29 @@ def test_connected_components_count_matches_search(ty):
     assert t.connected_components()[1] == _reference_labels(t, False)[1]
 
 
+def _verify_count(g):
+    """The component count in the connectivity detail of ``verify_perfect``
+    on a graph under three indices, checked against its pair count."""
+    axiom = verify_perfect(build_datum("A2-1"), g)["axioms"]["tensor_square_connected"]
+    found = re.fullmatch(r"B\(x\)B has (\d+) component\(s\) over (\d+) pairs", axiom["detail"])
+    count, pairs = map(int, found.groups())
+    assert pairs == len(g) ** 2
+    assert axiom["passed"] == (count == 1)
+    return count
+
+
+@pytest.mark.parametrize("ty", HAND_BUILT + ["A2-1 cut"])
+def test_verify_counts_components_on_hand_built(ty):
+    # where the head certificate does not close (a classical cycle, or heads
+    # the 0-arrows leave apart), verify reads the exact count of the square
+    g = _a2_cut()[1] if ty == "A2-1 cut" else _hand_built(ty)
+    count = _verify_count(g)
+    assert count == TensorCrystal(g).connected_components()[1]
+    if ty == "isolated-cycle":
+        # its one head would prove it connected but for the cycle check
+        assert count > 1
+
+
 def test_verify_reads_only_the_component_count(monkeypatch):
     # the connectivity axiom builds no label list over the pairs
     def refuse(self, *args):
@@ -229,6 +256,8 @@ def test_verify_reads_only_the_component_count(monkeypatch):
 
     monkeypatch.setattr(TensorCrystal, "component_labels", refuse)
     assert verify_perfect(build_datum("C2-1"))["passed"]
+    # nor does the exact count where the head certificate does not close
+    assert not verify_perfect(*_a2_cut())["passed"]
 
 
 @st.composite
@@ -260,6 +289,9 @@ def test_component_labels_match_search_on_random_graphs(g):
     _assert_partitions_match_search(t)
     _assert_dense_rows(t)
     assert t.maximal_indices() == _reference_maximal(t)
+    # and the head certificate of verify proves no disconnected square
+    # connected
+    assert _verify_count(g) == t.connected_components()[1]
 
 
 def test_component_labels_are_cached_copies():
@@ -368,8 +400,8 @@ def test_inconsistent_energy_names_smallest_failing_pair():
 
 
 def test_energy_and_verify_build_no_views(monkeypatch):
-    # energy, verify and the path model read the labels and links the
-    # constructor built: the -1 view f is never built
+    # energy and the path model read the labels and links the constructor
+    # built: the -1 view f is never built; verify builds no square
     d = build_datum("C8-1")
     g = build_crystal(d)
     t = TensorCrystal(g)
@@ -384,7 +416,7 @@ def test_energy_and_verify_build_no_views(monkeypatch):
     monkeypatch.setattr(paths, "TensorCrystal", recorded)
     assert verify_perfect(d, g)["passed"]
     PathModel(d, 0)
-    assert len(squares) == 3  # verify_perfect and PathModel build their own
+    assert len(squares) == 2  # PathModel builds its own
     assert all(s._f is None for s in squares)
 
 

@@ -22,8 +22,9 @@ for name in ["A2-1", "D4-3", "C2-1", "A4-2"]:
     print(f"\n=== {name}: finite algebra {d.finite_type}, {len(g)} elements ===")
     print("  elements:", ", ".join(b.label() for b in g.elements))
     print("  theta =", theta(d).label())
+    els = g.elements
     for i, src, dst in g.arrows():
-        print(f"    {src.label():12s} --{i}--> {dst.label()}")
+        print(f"    {els[src].label():12s} --{i}--> {els[dst].label()}")
 
 # Kashiwara operators are partial maps; absent is a value, not an error.
 d = build_datum("A2-1")

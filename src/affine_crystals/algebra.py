@@ -120,7 +120,7 @@ def verify_psi(d, graph, psi, i):
             return False, f"not injective at {b.label()}"
         taken.add(pair)
         image[index[b]] = pair
-    weight = [graph.weight_of(b) for b in graph.elements]
+    weight = graph.weights()
     for k, (l, r) in image.items():
         if weight[k] != tuple(map(add, weight[l], weight[r])):
             return False, f"weight mismatch at {graph.elements[k].label()}"
@@ -543,8 +543,7 @@ def three_box_crystal():
     """The three-element loop crystal used as the energy fixture: boxes
     1 -> 2 -> 3 under indices 1, 2 and a 0-arrow closing 3 back to 1."""
     boxes = [Box(1), Box(2), Box(3)]
-    arrows = [(1, boxes[0], boxes[1]), (2, boxes[1], boxes[2]), (0, boxes[2], boxes[0])]
-    return CrystalGraph(boxes, arrows, 3)
+    return CrystalGraph(boxes, [(1, 0, 1), (2, 1, 2), (0, 2, 0)], 3)
 
 
 def fixture_energy_check():

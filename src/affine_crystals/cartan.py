@@ -14,8 +14,9 @@ import sys
 from ._frozen import Frozen
 
 # The last rank parameter of the unbounded chains.  Building B grows about
-# as rank^4 (B100-1: 12 s, 72 MB; README has the timings), so a larger
-# rank is refused rather than built until memory runs out.
+# as rank^3 in time and memory (B100-1: 1.3 s, 74 MB; A200-1: 4.6 s,
+# 230 MB; README has the timings), so a larger rank is refused rather than
+# built until memory runs out.
 MAX_RANK = 100
 
 # One row per affine family X_m^(r), in sweep order: (X, r, the valid rank

@@ -5,7 +5,7 @@ in it, and a single empty element; arrows follow the subtraction rule for
 classical indices and the theta-translation rule for index 0.
 """
 
-from operator import add
+from operator import mul, sub
 
 from ._frozen import Frozen
 from .roots import RootVector, lambda_weights, theta
@@ -59,7 +59,8 @@ EMPTY = EmptyElement()
 class CrystalGraph:
     """A finite edge-colored graph with the crystal query operations.
 
-    Arrows are the lowering maps; raising maps are derived.  String
+    Arrows are the lowering maps, given as (i, s, t) with s and t
+    positions in ``elements``; raising maps are derived.  String
     statistics, weights in Lambda-coordinates, and exports all come from
     the arrow structure alone, so any labelled graph with the crystal
     axioms can be wrapped (the energy fixture uses this).
@@ -70,20 +71,22 @@ class CrystalGraph:
         self.elements = tuple(elements)
         self.n_indices = n_indices
         self.index = {b: k for k, b in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+        size = len(self.elements)
+        if len(self.index) != size:
             raise ValueError("duplicate crystal elements")
         self.f = [dict() for _ in range(n_indices)]
         self.e = [dict() for _ in range(n_indices)]
-        for i, src, dst in arrows:
-            si, di = self.index[src], self.index[dst]
-            if si in self.f[i] or di in self.e[i]:
-                raise ValueError(f"parallel {i}-arrows at {src.label()}")
-            self.f[i][si] = di
-            self.e[i][di] = si
+        for i, s, t in arrows:
+            if not (0 <= s < size and 0 <= t < size):
+                raise ValueError(f"{i}-arrow {s} -> {t} has an end outside the {size} elements")
+            f, e = self.f[i], self.e[i]
+            if s in f or t in e:
+                raise ValueError(f"parallel {i}-arrows at {self.elements[s].label()}")
+            f[s] = t
+            e[t] = s
         # eps_i and phi_i are read off each i-string from its top: depth
         # below the top, and length left below.  Every arrow lies on a
         # string from a top unless some i-arrows close a cycle.
-        size = len(self.elements)
         self._eps = [[0] * size for _ in range(n_indices)]
         self._phi = [[0] * size for _ in range(n_indices)]
         for i in range(n_indices):
@@ -158,6 +161,12 @@ class CrystalGraph:
         k = self.index[b]
         return tuple(phi[k] - eps[k] for phi, eps in zip(self._phi, self._eps))
 
+    def weights(self):
+        """The classical weights of all elements, in element order, read
+        column-wise from the string statistics."""
+        rows = [list(map(sub, phi, eps)) for phi, eps in zip(self._phi, self._eps)]
+        return list(zip(*rows))
+
     def root_weight(self, b):
         """Weight as a vector over the finite simple roots (0 for y and empty)."""
         if isinstance(b, XRoot):
@@ -165,9 +174,9 @@ class CrystalGraph:
         return RootVector.zero(self.n_indices - 1)
 
     def arrows(self):
-        """All arrows as (i, src, dst), ordered by index then source."""
-        els = self.elements
-        return [(i, els[s], els[t]) for i, f in enumerate(self.f) for s, t in sorted(f.items())]
+        """All arrows as (i, s, t) on element indices, ordered by index then
+        source."""
+        return [(i, s, t) for i, f in enumerate(self.f) for s, t in sorted(f.items())]
 
     def to_dot(self):
         lines = ["digraph crystal {", "  rankdir=LR;"]
@@ -231,38 +240,37 @@ def build_crystal(d):
 
     Order: positive x-elements by height then lexicographically, then y_i
     by index, then the negative x-elements mirroring the positives, then
-    the empty element.  The arrows are found on the integer keys
-    ``RootVector.twice``: index i >= 1 lowers key a to a - alpha_i (entry
-    i - 1 down by 2) when that is a weight, index 0 raises it by theta.
-    Sources are visited in ascending key order, so ``arrows()`` and the
-    exports list them in that order.
+    the empty element.  Arrows are found on integer keys: each
+    ``RootVector.twice`` packed with balanced digits in radix
+    R = 4 max|theta_j| + 3, coordinate 0 first.  The digits of a weight,
+    of a - alpha_i and of a + theta lie in (-R/2, R/2), so keys never
+    collide and keep tuple order.  Sources are visited in ascending key
+    order: each ``f[i]`` holds its arrows between x-elements in that
+    order, ahead of those through y_i and empty.
     """
     lam_plus, has_y, _ = lambda_weights(d)
-    th = theta(d).twice
-    pos = [XRoot(r) for r in lam_plus]
-    neg = [XRoot(-r) for r in lam_plus]
-    elements = pos + [YElement(i) for i in sorted(has_y)] + neg + [EMPTY]
-    x = {b.root.twice: b for b in pos + neg}
-    keys = sorted(x)
     n = d.n
+    th = theta(d).twice
+    radix = 4 * max(map(abs, th)) + 3
+    place = [radix ** (n - 1 - k) for k in range(n)]
+    p = len(lam_plus)
+    y = {i: p + k for k, i in enumerate(sorted(has_y))}
+    q = p + len(y)
+    empty = q + p
+    elements = [XRoot(r) for r in lam_plus] + [YElement(i) for i in y]
+    elements += [XRoot(-r) for r in lam_plus] + [EMPTY]
+    keys = [sum(map(mul, r.twice, place)) for r in lam_plus]
+    at = dict(zip(keys, range(p)))
+    at.update(zip([-a for a in keys], range(q, empty)))
+    sources = sorted(at.items())
     arrows = []
     for i in range(1, n + 1):
-        k = i - 1
-        for a in keys:
-            b = x.get(a[:k] + (a[k] - 2,) + a[k + 1:])
-            if b is not None:
-                arrows.append((i, x[a], b))
-        if i in has_y:
-            alpha_i = x[tuple(2 if j == k else 0 for j in range(n))]
-            arrows.append((i, alpha_i, YElement(i)))
-            arrows.append((i, YElement(i), x[tuple(-c for c in alpha_i.root.twice)]))
-    neg_th = tuple(-c for c in th)
-    for a in keys:
-        if a == th or a == neg_th:
-            continue
-        b = x.get(tuple(map(add, a, th)))
-        if b is not None:
-            arrows.append((0, x[a], b))
-    arrows.append((0, x[neg_th], EMPTY))
-    arrows.append((0, EMPTY, x[th]))
+        step = 2 * place[i - 1]
+        arrows += [(i, s, t) for a, s in sources if (t := at.get(a - step)) is not None]
+        if i in y:
+            arrows += [(i, at[step], y[i]), (i, y[i], at[-step])]
+    # theta and -theta find no image: 2 theta and 0 are not keys of x-elements
+    top = sum(map(mul, th, place))
+    arrows += [(0, s, t) for a, s in sources if (t := at.get(a + top)) is not None]
+    arrows += [(0, at[-top], empty), (0, empty, at[top])]
     return CrystalGraph(elements, arrows, n + 1, datum=d)

@@ -117,9 +117,10 @@ class PathModel:
         # the Lambda-keys of `character` agree with the root keys of
         # `root_character` (and the lattice oracle's beta -> Lambda map of
         # `oracle_cells`) only when each weight is the pairing of its root
-        for b in g.elements:
+        weights = g.weights()
+        for b, w in zip(g.elements, weights):
             root = g.root_weight(b)
-            if g.weight_of(b) != tuple(root.pairing(d, j) for j in range(d.n + 1)):
+            if w != tuple(root.pairing(d, j) for j in range(d.n + 1)):
                 raise ValueError(f"the weight of {b.label()} is not the pairing of its root")
         cols = [
             sorted((h - base, b) for b, h in enumerate(energy[u * m:(u + 1) * m]))
@@ -145,7 +146,7 @@ class PathModel:
         self._ground_index = top
         # wt(b_lam) = phi - eps = 0, so its root is 0 by the check above
         self._root_offsets = [g.root_weight(b).twice for b in g.elements]
-        self._weight_offsets = [g.weight_of(b) for b in g.elements]
+        self._weight_offsets = weights
 
     def _canonical(self, entries):
         n = len(entries)

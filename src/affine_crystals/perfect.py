@@ -166,8 +166,8 @@ def verify_perfect(d, graph=None):
     )
     # a graph without x_theta has no element of its weight
     top = XRoot(th)
-    weights = [graph.weight_of(b) for b in graph.elements]
-    top_count = weights.count(graph.weight_of(top)) if top in graph.index else 0
+    weights = graph.weights()
+    top_count = weights.count(weights[graph.index[top]]) if top in graph.index else 0
     ok3 = bad is None and top_count == 1
     axioms["weight_cone"] = _axiom(
         ok3,

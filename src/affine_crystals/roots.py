@@ -151,7 +151,7 @@ def lambda_weights(d):
     the cached result is safe to share.
     """
     n = d.n
-    positive = [(r, cls) for r, cls in finite_roots(d) if r.is_nonneg()]
+    positive = finite_roots(d)[::2]
     if d.d0 == 2:
         long = (r.twice for r, cls in positive if cls == "long")
         plus = [RootVector(tuple(a // 2 for a in t)) for t in long]

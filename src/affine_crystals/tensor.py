@@ -52,7 +52,8 @@ class TensorCrystal:
     merges are they compressed to 0..count-1.  The 0-arrows become the
     distinct links between classical components (``zero_links``);
     ``connected_components`` unites the classical components over them and
-    gives the count that ``verify_perfect`` reads.
+    gives the count that ``verify_perfect`` falls back on where its head
+    certificate does not close (only on hand-built graphs).
 
     The -1-marked lowering tables ``f`` are the one view derived from the
     kernels, on first read; only tests and tooling read it.
@@ -187,8 +188,9 @@ class TensorCrystal:
     def connected_components(self):
         """(merged, count) with 0-arrows: the classical components united
         over ``zero_links``, merged[c] the id, in 0..count-1, of classical
-        component c.  ``verify_perfect`` reads the count alone, and no list
-        over the pairs is built."""
+        component c.  No list over the pairs is built.  ``verify_perfect``
+        reads the count alone, and only where its head certificate does
+        not close."""
         find = _union_find(self._count, [(lo, hi) for lo, hi, _ in self._links])
         ids = {}
         merged = [ids.setdefault(find(c), len(ids)) for c in range(self._count)]

@@ -37,7 +37,8 @@ def test_criterion_1_crystal_shape_fixtures():
     for name, expected_edges in FIXTURES.items():
         g = family(name).graph
         assert len(g) == COUNTS[name], name
-        got = {(i, s.label(), t.label()) for i, s, t in g.arrows()}
+        els = g.elements
+        got = {(i, els[s].label(), els[t].label()) for i, s, t in g.arrows()}
         assert got == expected_edges, name
     elapsed = time.time() - start
     assert elapsed < 1.0

@@ -58,7 +58,8 @@ COUNTS = {"A2-1": 9, "D4-3": 8, "C2-1": 11, "A4-2": 5, "A6-2": 7}
 def test_drawn_graphs_edge_for_edge(name):
     g = build_crystal(build_datum(name))
     assert len(g) == COUNTS[name]
-    got = {(i, s.label(), t.label()) for i, s, t in g.arrows()}
+    els = g.elements
+    got = {(i, els[s].label(), els[t].label()) for i, s, t in g.arrows()}
     assert got == FIXTURES[name]
 
 
@@ -209,14 +210,11 @@ def test_arrow_cycle_inside_one_index_rejected():
     from affine_crystals.crystal import CrystalGraph
 
     boxes = [Box(1), Box(2), Box(3), Box(4)]
-    arrows = [
-        (1, boxes[0], boxes[1]), (1, boxes[1], boxes[2]), (1, boxes[2], boxes[0]),
-        (2, boxes[2], boxes[3]),
-    ]
+    arrows = [(1, 0, 1), (1, 1, 2), (1, 2, 0), (2, 2, 3)]
     with pytest.raises(ValueError, match=r"^1-arrows form a cycle through [123]$"):
         CrystalGraph(boxes, arrows, 3)
     # a cycle that mixes indices is not an i-string and is accepted
-    mixed = [(1, boxes[0], boxes[1]), (2, boxes[1], boxes[2]), (1, boxes[2], boxes[0])]
+    mixed = [(1, 0, 1), (2, 1, 2), (1, 2, 0)]
     g = CrystalGraph(boxes, mixed, 3)
     assert g.string_stats(boxes[1], 1) == (2, 0)
 
@@ -227,16 +225,37 @@ def test_parallel_arrows_rejected_by_label():
     from affine_crystals.algebra import Box
 
     boxes = [Box(1), Box(2), Box(3)]
-    out_twice = [(1, boxes[0], boxes[1]), (1, boxes[0], boxes[2])]
+    out_twice = [(1, 0, 1), (1, 0, 2)]
     with pytest.raises(ValueError, match=r"^parallel 1-arrows at 1$"):
         CrystalGraph(boxes, out_twice, 3)
-    in_twice = [(2, boxes[0], boxes[2]), (2, boxes[1], boxes[2])]
+    in_twice = [(2, 0, 2), (2, 1, 2)]
     with pytest.raises(ValueError, match=r"^parallel 2-arrows at 2$"):
         CrystalGraph(boxes, in_twice, 3)
     d = build_datum("A2-1")
     x = XRoot(theta(d))
     with pytest.raises(ValueError, match=r"^parallel 0-arrows at x\[1,1\]$"):
-        CrystalGraph([x, EMPTY, YElement(1)], [(0, x, EMPTY), (0, x, YElement(1))], 3)
+        CrystalGraph([x, EMPTY, YElement(1)], [(0, 0, 1), (0, 0, 2)], 3)
+
+
+@pytest.mark.parametrize(
+    "arrow, message",
+    [
+        ((1, 0, 3), r"^1-arrow 0 -> 3 has an end outside the 3 elements$"),
+        ((2, 3, 0), r"^2-arrow 3 -> 0 has an end outside the 3 elements$"),
+        # a negative index would otherwise count from the end of the list
+        ((1, -1, 0), r"^1-arrow -1 -> 0 has an end outside the 3 elements$"),
+        ((0, 1, -3), r"^0-arrow 1 -> -3 has an end outside the 3 elements$"),
+    ],
+)
+def test_arrow_index_out_of_range_rejected(arrow, message):
+    from affine_crystals.algebra import Box
+
+    boxes = [Box(1), Box(2), Box(3)]
+    with pytest.raises(ValueError, match=message):
+        CrystalGraph(boxes, [(1, 0, 1), arrow], 3)
+    # checked before the parallel-arrow test names a source by its label
+    with pytest.raises(ValueError, match=message):
+        CrystalGraph(boxes, [arrow, arrow], 3)
 
 
 def test_duplicate_elements_rejected():
@@ -275,12 +294,39 @@ def _reference_arrows(d):
     return out
 
 
-@pytest.mark.parametrize("name", SWEPT_NAMES)
+# the widest root keys within reach: high rank and, for the A<n>-2 chains,
+# half-integral weights; build_crystal packs each key into one integer
+WIDE_NAMES = ["A20-1", "B12-1", "C12-1", "D16-1", "D16-2", "A24-2", "A25-2"]
+
+
+@pytest.mark.parametrize("name", SWEPT_NAMES + WIDE_NAMES)
 def test_arrows_match_definition(name):
     d = build_datum(name)
-    arrows = build_crystal(d).arrows()
+    g = build_crystal(d)
+    els = g.elements
+    arrows = [(i, els[s], els[t]) for i, s, t in g.arrows()]
     assert len(arrows) == len(set(arrows))
     assert set(arrows) == _reference_arrows(d)
+
+
+@pytest.mark.parametrize("name", SWEPT_NAMES + WIDE_NAMES)
+def test_x_arrows_in_ascending_key_order(name):
+    # each f[i] holds its arrows between x-elements in ascending order of
+    # the source's RootVector.twice, ahead of those through y_i and empty
+    g = build_crystal(build_datum(name))
+    els = g.elements
+    for f in g.f:
+        x_to_x = [isinstance(els[s], XRoot) and isinstance(els[t], XRoot) for s, t in f.items()]
+        run = x_to_x.count(True)
+        assert x_to_x == [True] * run + [False] * (len(f) - run)
+        keys = [els[s].root.twice for s in list(f)[:run]]
+        assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name", SWEPT_NAMES)
+def test_weights_column_wise(name):
+    g = build_crystal(build_datum(name))
+    assert g.weights() == [g.weight_of(b) for b in g.elements]
 
 
 def _reference_roots(d):
@@ -399,7 +445,7 @@ def test_to_json_matches_json_dumps_on_random_labels(data):
     elements = [Labelled(k, t) for k, t in enumerate(texts)] + real
     n_indices = data.draw(st.integers(1, 3))
     arrows = [
-        (i, elements[k], elements[k + 1])
+        (i, k, k + 1)
         for i in range(n_indices)
         for k in data.draw(st.sets(st.integers(0, max(len(elements) - 2, 0))))
         if k + 1 < len(elements)

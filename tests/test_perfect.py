@@ -45,10 +45,8 @@ def test_minimal_elements_values():
 def test_corrupted_graph_fails_with_witness():
     d = build_datum("A2-1")
     g = build_crystal(d)
-    arrows = [(i, s, t) for i, s, t in g.arrows()]
-    dropped = [
-        (i, s, t) for i, s, t in arrows if not (i == 1 and s == YElement(1))
-    ]
+    y1 = g.index[YElement(1)]
+    dropped = [(i, s, t) for i, s, t in g.arrows() if not (i == 1 and s == y1)]
     broken = CrystalGraph(g.elements, dropped, g.n_indices, datum=d)
     rep = verify_perfect(d, broken)
     assert not rep["passed"]
@@ -95,7 +93,7 @@ def test_minimal_elements_rejects_two_preimages():
     from affine_crystals.algebra import Box
 
     a, b, c, d, e = map(Box, range(1, 6))
-    g = CrystalGraph([a, b, c, d, e], [(0, a, b), (0, c, d), (1, c, e)], 2)
+    g = CrystalGraph([a, b, c, d, e], [(0, 0, 1), (0, 2, 3), (1, 2, 4)], 2)
     assert [g.eps_vec(x) for x in g.elements] == [
         (0, 0), (1, 0), (0, 0), (1, 0), (0, 1)
     ]
@@ -127,10 +125,11 @@ def test_weight_cone_counts_top_weight_elements():
 
     d = build_datum("A2-1")
     g = build_crystal(d)
-    top, p, q, r, s = map(Box, range(1, 6))
+    boxes = tuple(map(Box, range(1, 6)))
+    top, p, q, r, s = range(len(g), len(g) + 5)
     arrows = g.arrows() + [(1, top, p), (2, top, q), (0, r, s), (0, s, top)]
-    wide = CrystalGraph(g.elements + (top, p, q, r, s), arrows, g.n_indices, datum=d)
-    assert wide.weight_of(top) == wide.weight_of(XRoot(theta(d)))
+    wide = CrystalGraph(g.elements + boxes, arrows, g.n_indices, datum=d)
+    assert wide.weight_of(boxes[0]) == wide.weight_of(XRoot(theta(d)))
     cone = verify_perfect(d, wide)["axioms"]["weight_cone"]
     assert (cone["passed"], cone["detail"], cone["witness"]) == (
         False, "lambda_0 = theta, |B_lambda0| = 2", "2 top-weight elements"
@@ -143,7 +142,7 @@ def test_weight_cone_without_x_theta():
     from affine_crystals.algebra import Box
 
     a, b = Box(1), Box(2)
-    g = CrystalGraph([a, b], [(1, a, b)], 2)
+    g = CrystalGraph([a, b], [(1, 0, 1)], 2)
     rep = verify_perfect(build_datum("A1-1"), g)
     assert rep["axioms"]["weight_cone"] == {
         "passed": False,

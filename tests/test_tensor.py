@@ -121,12 +121,14 @@ def _reference_maximal(t):
 
 
 def _hand_built(name):
-    a, b, c, d = Box(1), Box(2), Box(3), Box(4)
+    # boxes 1, 2, 3 sit at indices 0, 1, 2 (a, b, c); index 3 (d) is empty
+    # in four-heads and box 4 in head-cycle
+    a, b, c, d = range(4)
     arrows = {
         "three-box": None,
         # box 2 is reached from boxes 1 and 3, so the component of 2 (x) 2
         # has four maximal vectors
-        "four-heads": [(1, a, b), (2, c, b), (0, b, EMPTY), (0, EMPTY, a)],
+        "four-heads": [(1, a, b), (2, c, b), (0, b, d), (0, d, a)],
         # classical cycles of length 2 and 3 that mix indices
         "cycle-2": [(1, a, b), (2, b, a), (0, a, c)],
         "cycle-3": [(1, a, b), (2, b, c), (1, c, a)],
@@ -139,8 +141,8 @@ def _hand_built(name):
     }[name]
     if arrows is None:
         return three_box_crystal()
-    extra = {"four-heads": [EMPTY], "head-cycle": [d]}.get(name, [])
-    return CrystalGraph([a, b, c] + extra, arrows, 3)
+    extra = {"four-heads": [EMPTY], "head-cycle": [Box(4)]}.get(name, [])
+    return CrystalGraph([Box(1), Box(2), Box(3)] + extra, arrows, 3)
 
 
 HAND_BUILT = ["three-box", "four-heads", "cycle-2", "cycle-3", "head-cycle", "isolated-cycle"]
@@ -195,12 +197,8 @@ def _a2_cut():
     """A2-1 without its two 0-arrows at empty, as a graph with the datum."""
     d = build_datum("A2-1")
     g = build_crystal(d)
-    arrows = [
-        (i, g.elements[s], g.elements[t])
-        for i, f in enumerate(g.f)
-        for s, t in f.items()
-        if not (i == 0 and EMPTY in (g.elements[s], g.elements[t]))
-    ]
+    empty = g.index[EMPTY]
+    arrows = [(i, s, t) for i, s, t in g.arrows() if not (i == 0 and empty in (s, t))]
     assert len(arrows) == sum(map(len, g.f)) - 2
     return d, CrystalGraph(g.elements, arrows, g.n_indices, datum=d)
 
@@ -276,7 +274,7 @@ def _random_graphs(draw):
     )
     boxes = [Box(k) for k in range(n)]
     try:
-        return CrystalGraph(boxes, [(i, boxes[s], boxes[t]) for i, s, t in arrows], 3)
+        return CrystalGraph(boxes, arrows, 3)
     except ValueError:
         reject()
 
@@ -319,7 +317,7 @@ def test_self_loop_rejected():
     # an arrow from a box to itself is an i-cycle of length 1
     a = Box(1)
     with pytest.raises(ValueError, match="cycle"):
-        CrystalGraph([a], [(0, a, a)], 1)
+        CrystalGraph([a], [(0, 0, 0)], 1)
 
 
 @pytest.mark.parametrize("ty", SWEPT_NAMES + HAND_BUILT)
@@ -392,7 +390,7 @@ def test_inconsistent_energy_names_smallest_failing_pair():
     # 2 (x) 1 (to 1 (x) 1) and the one from 3 (x) 2 (to 3 (x) 1); the error
     # names the target of the arrow with the smaller source pair
     a, b, c = Box(1), Box(2), Box(3)
-    g = CrystalGraph([a, b, c], [(0, a, b), (0, b, c), (1, a, b)], 3)
+    g = CrystalGraph([a, b, c], [(0, 0, 1), (0, 1, 2), (1, 0, 1)], 3)
     t = TensorCrystal(g)
     with pytest.raises(ValueError) as err:
         energy_propagate(t, anchor=TensorElement(a, a))

@@ -26,13 +26,15 @@ for name in ["A2-1", "B3-1", "C2-1", "D4-3", "A4-2"]:
 
 d = build_datum("D4-3")
 g = build_crystal(d)
-psi = build_psi(d, 1)
-ok, witness = verify_psi(d, g, psi, 1)
+psi = build_psi(g, 1)  # psi[k] is the index pair of the image of element k
+ok, witness = verify_psi(g, psi, 1)
 print(f"\nD4-3 embedding at node 1 verified as a crystal morphism: {ok}")
 
 print("\nimages under the embedding:")
-for b, pair in sorted(psi.items(), key=lambda kv: g.index[kv[0]]):
-    print(f"  {b.label():10s} -> {pair.label()}")
+for b, pair in zip(g.elements, psi):
+    if pair is not None:
+        left, right = (g.elements[k].label() for k in pair)
+        print(f"  {b.label():10s} -> {left} (x) {right}")
 
 table = multiplication_table(g, psi)
 order = table["order"]
@@ -45,6 +47,6 @@ for label, row in zip(order, table["rows"]):
 
 # products are recovered by inverting the embedding
 left = [b for b in g.elements if not isinstance(b, EmptyElement)]
-sample = multiply(psi, left[2], left[5])
+sample = multiply(g, psi, left[2], left[5])
 print(f"\nmultiply({left[2].label()}, {left[5].label()}) = ",
       sample.label() if sample else None)

@@ -1,6 +1,7 @@
 """Crystal algebra structure and the energy function.
 
-Builds the embedding of the little adjoint crystal into its tensor square,
+Builds the embedding of the little adjoint crystal into its tensor square
+as index pairs of the elements of B, checks it as a crystal morphism,
 inverts it into a multiplication, and computes the energy function twice:
 once by propagating the defining recurrence across the 0-arrows between
 classical components, once from the closed component classification.
@@ -10,7 +11,7 @@ import json
 from collections import deque
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from operator import add, ne
+from operator import add, ne, neg, sub
 
 from ._frozen import Frozen
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, _json_lines
@@ -38,21 +39,9 @@ def valid_psi_indices(d):
     return [i for i in range(1, d.n + 1) if d.cartan[0][i] != 0 and i in has_y]
 
 
-def _x_or_y(vec, i):
-    """x element for a nonzero weight vector, y_i for zero."""
-    if vec.is_zero():
-        return YElement(i)
-    return XRoot(vec)
-
-
-def _simple_sum(nodes, n):
-    """The sum of the simple roots alpha_k over distinct nodes k."""
-    return RootVector(tuple(2 if k in nodes else 0 for k in range(1, n + 1)))
-
-
-def build_psi(d, i):
-    """Embedding of the little adjoint crystal onto the component of
-    x_theta (x) y_i, by one rule for every family.
+def build_psi(graph, i):
+    """Embedding of the little adjoint crystal in ``graph`` onto the
+    component of x_theta (x) y_i, by one rule for every family.
 
     For gamma in lambda_+ let S be the sum of the simple roots on the
     Dynkin-tree path from supp(gamma) to node i that lie outside the
@@ -65,117 +54,127 @@ def build_psi(d, i):
     otherwise.  Zero vectors in either slot become y_i.  No weight but theta
     has coefficient 2 or more at a valid node, and there rest = 0, so that
     grade needs no case of its own.
+
+    Works on ``RootVector.twice`` tuples, with S found once per support.
+    Returns ``psi``: psi[k] = (l, r), the index pair of the image of element
+    k (None for a vector that is no weight of B), and None at empty.
     """
+    d = graph.datum
     choices = valid_psi_indices(d)
     if i not in choices:
         raise ValueError(
             f"node {i} is not a valid embedding node for {d.type.name}; "
             f"valid choices: {choices or 'none'}"
         )
-    n = d.n
-    th = theta(d)
-    lam_plus, has_y, _ = lambda_weights(d)
+    th = theta(d).twice
     mirror = d.type.twist == 1 and d.type.family in ("A", "C")
-    psi = {}
-    for gamma in lam_plus:
-        s = _simple_sum(() if gamma.twice[i - 1] else connect_support(d, gamma, i), n)
-        rest = th - gamma - s
-        a_part, b_part = (rest, s) if mirror else (s, rest)
-        head = th - a_part
-        psi[XRoot(gamma)] = TensorElement(XRoot(head), _x_or_y(-b_part, i))
-        psi[XRoot(-gamma)] = TensorElement(_x_or_y(b_part, i), XRoot(-head))
-    for j in sorted(has_y):
+    at = {b.root.twice: k for k, b in enumerate(graph.elements) if isinstance(b, XRoot)}
+    ys = {b.index: k for k, b in enumerate(graph.elements) if isinstance(b, YElement)}
+    at[(0,) * d.n] = ys[i]
+
+    def sum_of(nodes):
+        return tuple(2 if k in nodes else 0 for k in range(1, d.n + 1))
+
+    psi = [None] * len(graph)
+    sums = {}
+    for gamma in lambda_weights(d)[0]:
+        g = gamma.twice
+        supp = () if g[i - 1] else gamma.support()
+        if supp not in sums:
+            sums[supp] = sum_of(connect_support(d, gamma, i) if supp else ())
+        b_part = sums[supp] if mirror else tuple(map(sub, map(sub, th, g), sums[supp]))
+        head = tuple(map(add, g, b_part))  # theta - A, as A + B = theta - gamma
+        psi[at[g]] = at.get(head), at.get(tuple(map(neg, b_part)))
+        psi[at[tuple(map(neg, g))]] = at.get(b_part), at.get(tuple(map(neg, head)))
+    for j, k in ys.items():
         path = dynkin_path(d, j, i)
-        v = _simple_sum(path[1:], n) if mirror else th - _simple_sum(path, n)
-        psi[YElement(j)] = TensorElement(_x_or_y(v, i), _x_or_y(-v, i))
+        v = sum_of(path[1:]) if mirror else tuple(map(sub, th, sum_of(path)))
+        psi[k] = at.get(v), at.get(tuple(map(neg, v)))
     return psi
 
 
-def verify_psi(d, graph, psi, i):
-    """Full morphism check of an embedding, on index pairs of B.
+def verify_psi(graph, psi, i):
+    """Full morphism check of an embedding ``psi`` from ``build_psi``.
 
-    Checks, in order, that the domain is exactly the non-empty elements,
-    that every image is a pair of elements of B, and that psi is injective,
-    preserves weight and sends x_theta to x_theta (x) y_i.  Then one walk
-    from x_theta along the classical arrows of B compares f_j and e_j at
-    each element b (j = 1..n) with ``CrystalGraph.pair_f`` and ``pair_e``
-    at psi(b): absent must match absent, present must match psi of the
-    image.  The walk must reach the whole domain, so the image is connected
-    and closed under every classical e_j and f_j: it is the classical
+    Checks, in order, that the domain is exactly the non-empty elements
+    (psi is None at the empty element alone), that every image is a pair
+    of elements of B, and that psi is injective, preserves weight and sends
+    x_theta to x_theta (x) y_i.  Then one walk from x_theta along the
+    classical arrows of B compares f_j and e_j at each element b
+    (j = 1..n) with ``CrystalGraph.pair_f`` and ``pair_e`` at psi(b):
+    absent must match absent, present must match psi of the image.  The
+    walk must reach the whole domain, so the image is connected and
+    closed under every classical e_j and f_j: it is the classical
     component of x_theta (x) y_i, and the string statistics agree.  No
     arrow table of the square is built.  Returns (ok, witness), witness
     None on success.
     """
-    index = graph.index
-    domain = [b for b in graph.elements if not isinstance(b, EmptyElement)]
-    if psi.keys() != set(domain):
+    elements = graph.elements
+    if [t is None for t in psi] != [isinstance(b, EmptyElement) for b in elements]:
         return False, "domain is not the little adjoint crystal"
-    image, taken = {}, set()
-    for b in domain:
-        t = psi[b]
-        pair = index.get(t.left), index.get(t.right)
+    image = {k: t for k, t in enumerate(psi) if t is not None}
+    taken = set()
+    for k, pair in image.items():
         if None in pair:
-            return False, f"image outside B (x) B at {b.label()}"
+            return False, f"image outside B (x) B at {elements[k].label()}"
         if pair in taken:
-            return False, f"not injective at {b.label()}"
+            return False, f"not injective at {elements[k].label()}"
         taken.add(pair)
-        image[index[b]] = pair
     weight = graph.weights()
     for k, (l, r) in image.items():
         if weight[k] != tuple(map(add, weight[l], weight[r])):
-            return False, f"weight mismatch at {graph.elements[k].label()}"
-    top = index[XRoot(theta(d))]
-    if image[top] != (top, index[YElement(i)]):
+            return False, f"weight mismatch at {elements[k].label()}"
+    top = graph.index[XRoot(theta(graph.datum))]
+    if psi[top] != (top, graph.index[YElement(i)]):
         return False, "x_theta does not map to x_theta (x) y_i"
+    steps = [(j, arrows, op) for j in range(1, graph.n_indices)
+             for arrows, op in ((graph.f[j], graph.pair_f), (graph.e[j], graph.pair_e))]
     seen = {top}
     queue = deque(seen)
     while queue:
         k = queue.popleft()
-        for j in range(1, d.n + 1):
-            for arrows, op in ((graph.f[j], graph.pair_f), (graph.e[j], graph.pair_e)):
-                nb = arrows.get(k)
-                got = op(*image[k], j)
-                if (nb is None) != (got is None):
-                    label = graph.elements[k].label()
-                    return False, f"operator domain differs at ({label}, {j})"
-                if nb is None:
-                    continue
-                if image[nb] != got:
-                    label = graph.elements[k].label()
-                    return False, f"operators do not commute at ({label}, {j})"
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-    if len(seen) != len(domain):
-        missed = next(b for b in domain if index[b] not in seen)
-        return False, f"walk from x_theta misses {missed.label()}"
+        for j, arrows, op in steps:
+            nb = arrows.get(k)
+            got = op(*psi[k], j)
+            if (nb is None) != (got is None):
+                return False, f"operator domain differs at ({elements[k].label()}, {j})"
+            if nb is None:
+                continue
+            if psi[nb] != got:
+                return False, f"operators do not commute at ({elements[k].label()}, {j})"
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    if len(seen) != len(image):
+        missed = next(k for k in image if k not in seen)
+        return False, f"walk from x_theta misses {elements[missed].label()}"
     return True, None
 
 
-def multiply(psi, b1, b2):
+def multiply(graph, psi, b1, b2):
     """Product on the little adjoint crystal: the inverse of the embedding
-    on its image, absent elsewhere."""
-    inverse = {t: b for b, t in psi.items()}
-    return inverse.get(TensorElement(b1, b2))
+    ``psi`` (index pairs of ``graph``) on its image, absent elsewhere."""
+    inverse = dict(zip(psi, graph.elements))
+    return inverse.get((graph.index.get(b1), graph.index.get(b2)))
 
 
 def _products(graph, psi):
     """The labels of the little adjoint crystal in canonical order, and per
     row a map column -> product label.  Pairs with a factor outside the
-    domain (empty, or not in B) are skipped; of two entries on one pair the
-    last wins."""
-    index = graph.index
+    domain (empty, or not in B) are skipped.  Of two entries on one pair
+    the last in element order wins; the CLI reaches that case only for an
+    unverified, non-injective psi."""
+    labels = [b.label() for b in graph.elements]
     domain = [
         k for k, b in enumerate(graph.elements) if not isinstance(b, EmptyElement)
     ]
     position = {k: p for p, k in enumerate(domain)}
     rows = [{} for _ in domain]
-    for b, t in psi.items():
-        l = position.get(index.get(t.left))
-        r = position.get(index.get(t.right))
+    for t, label in compress(zip(psi, labels), psi):
+        l, r = map(position.get, t)
         if l is not None and r is not None:
-            rows[l][r] = b.label()
-    return [graph.elements[k].label() for k in domain], rows
+            rows[l][r] = label
+    return [labels[k] for k in domain], rows
 
 
 def multiplication_table(graph, psi):
@@ -429,8 +428,8 @@ def classify_components(tensor):
         labels[k] = TWO_THETA
     for i in valid_psi_indices(d):
         tag = theta_comp(i)
-        for t in build_psi(d, i).values():
-            labels[tensor.pair_index(t)] = tag
+        for l, r in filter(None, build_psi(base, i)):
+            labels[l * m + r] = tag
     return labels
 
 

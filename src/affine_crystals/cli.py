@@ -137,10 +137,10 @@ def cmd_multiply(args):
         _usage_error(f"{d.type.name} has no node adjacent to 0 carrying a y element")
     i = args.node if args.node is not None else choices[0]
     try:
-        psi = build_psi(d, i)
+        psi = build_psi(g, i)
     except ValueError as err:
         _usage_error(err)
-    ok, witness = verify_psi(d, g, psi, i)
+    ok, witness = verify_psi(g, psi, i)
     _emit(multiplication_table_json(g, psi, i, ok, witness), args.out)
     return 0 if ok else 1
 

@@ -28,7 +28,7 @@ class FamilyContext:
     def psis(self):
         if self._psis is None:
             self._psis = {
-                i: build_psi(self.datum, i)
+                i: build_psi(self.graph, i)
                 for i in valid_psi_indices(self.datum)
             }
         return self._psis

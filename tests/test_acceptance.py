@@ -117,7 +117,7 @@ def test_criterion_5_embedding_and_multiplication():
     for name in SWEPT_NAMES:
         ctx = family(name)
         for i, psi in ctx.psis.items():
-            ok, witness = verify_psi(ctx.datum, ctx.graph, psi, i)
+            ok, witness = verify_psi(ctx.graph, psi, i)
             assert ok, (name, i, witness)
             count += 1
         if ctx.datum.type.family == "A" and ctx.datum.type.twist == 1 and ctx.datum.n >= 2:
@@ -127,7 +127,7 @@ def test_criterion_5_embedding_and_multiplication():
     by_label = {b.label(): b for b in ctx.graph.elements}
     for r, row in enumerate(G2_TABLE_ROWS):
         for c, col in enumerate(G2_TABLE_COLS):
-            got = multiply(psi, by_label[row], by_label[col])
+            got = multiply(ctx.graph, psi, by_label[row], by_label[col])
             assert (got.label() if got else None) == G2_TABLE[r][c], (row, col)
     listed = {(r, c) for r in G2_TABLE_ROWS for c in G2_TABLE_COLS}
     domain = [b for b in ctx.graph.elements if not isinstance(b, EmptyElement)]
@@ -139,7 +139,7 @@ def test_criterion_5_embedding_and_multiplication():
     ]
     rng = random.Random(11)
     for a, b in rng.sample(unlisted, 20):
-        assert multiply(psi, a, b) is None, (a.label(), b.label())
+        assert multiply(ctx.graph, psi, a, b) is None, (a.label(), b.label())
     print(
         f"\nACCEPTANCE 5: PASS - {count} embeddings verified; 16-cell table and "
         f"20 sampled absent products match"

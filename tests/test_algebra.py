@@ -33,10 +33,18 @@ from affine_crystals.algebra import (
 )
 from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import EMPTY, CrystalGraph, XRoot, YElement, build_crystal
-from affine_crystals.roots import RootVector, finite_roots, lambda_weights, theta
+from affine_crystals.roots import (
+    RootVector,
+    connect_support,
+    dynkin_path,
+    finite_roots,
+    lambda_weights,
+    theta,
+)
 from affine_crystals.tensor import TensorCrystal, TensorElement
 
 from conftest import SWEPT_NAMES, family
+from test_crystal import WIDE_NAMES
 
 
 def _setup(name):
@@ -67,96 +75,143 @@ def test_theta_alone_has_coefficient_two_at_valid_nodes(t):
         assert high == ([th] if th.twice[i - 1] >= 4 else []), i
 
 
-def test_psi_fixed_images():
-    d, g, t = _setup("A1-1")
-    psi = build_psi(d, 1)
-    assert psi[YElement(1)] == TensorElement(YElement(1), YElement(1))
-    d, g, t = _setup("D4-3")
-    psi = build_psi(d, 1)
+def _reference_psi(d, i):
+    """The rule of ``build_psi`` written on elements: RootVector arithmetic
+    and a dict element -> TensorElement, zero vectors as y_i."""
+    def x_or_y(vec):
+        return YElement(i) if vec.is_zero() else XRoot(vec)
+
+    def simple_sum(nodes):
+        return RootVector(tuple(2 if k in nodes else 0 for k in range(1, d.n + 1)))
+
     th = theta(d)
-    assert psi[XRoot(-th)] == TensorElement(YElement(1), XRoot(-th))
-    assert psi[XRoot(th)] == TensorElement(XRoot(th), YElement(1))
-    d, g, t = _setup("C3-1")
-    psi = build_psi(d, 1)
-    a1 = RootVector.simple(1, 3)
-    assert psi[XRoot(a1)] == TensorElement(XRoot(a1), YElement(1))
+    lam_plus, has_y, _ = lambda_weights(d)
+    mirror = d.type.twist == 1 and d.type.family in ("A", "C")
+    psi = {}
+    for gamma in lam_plus:
+        s = simple_sum(() if gamma.twice[i - 1] else connect_support(d, gamma, i))
+        rest = th - gamma - s
+        a_part, b_part = (rest, s) if mirror else (s, rest)
+        head = th - a_part
+        psi[XRoot(gamma)] = TensorElement(XRoot(head), x_or_y(-b_part))
+        psi[XRoot(-gamma)] = TensorElement(x_or_y(b_part), XRoot(-head))
+    for j in sorted(has_y):
+        path = dynkin_path(d, j, i)
+        v = simple_sum(path[1:]) if mirror else th - simple_sum(path)
+        psi[YElement(j)] = TensorElement(x_or_y(v), x_or_y(-v))
+    return psi
+
+
+@pytest.mark.parametrize("name", SWEPT_NAMES + WIDE_NAMES)
+def test_psi_matches_reference(name):
+    g = family(name).graph
+    for i in valid_psi_indices(g.datum):
+        ref = _reference_psi(g.datum, i)
+        want = [
+            (g.index.get(ref[b].left), g.index.get(ref[b].right)) if b in ref else None
+            for b in g.elements
+        ]
+        assert ref.keys() <= set(g.elements)
+        assert build_psi(g, i) == want, i
+
+
+def _index_pair(g, left, right):
+    return g.index[left], g.index[right]
+
+
+def test_psi_fixed_images():
+    g = family("A1-1").graph
+    psi = build_psi(g, 1)
+    assert psi[g.index[YElement(1)]] == _index_pair(g, YElement(1), YElement(1))
+    g = family("D4-3").graph
+    psi = build_psi(g, 1)
+    th = theta(g.datum)
+    assert psi[g.index[XRoot(-th)]] == _index_pair(g, YElement(1), XRoot(-th))
+    assert psi[g.index[XRoot(th)]] == _index_pair(g, XRoot(th), YElement(1))
+    assert psi[g.index[EMPTY]] is None
+    g = family("C3-1").graph
+    psi = build_psi(g, 1)
+    a1 = XRoot(RootVector.simple(1, 3))
+    assert psi[g.index[a1]] == _index_pair(g, a1, YElement(1))
 
 
 def test_psi_rejects_bad_node():
-    d, g, _ = _setup("B3-1")
+    _, g, _ = _setup("B3-1")
     with pytest.raises(ValueError, match="valid choices"):
-        build_psi(d, 1)
+        build_psi(g, 1)
 
 
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4, with_exceptional=False)])
 def test_psi_verifies_small_sweep(ty):
     d, g, t = _setup(ty)
     for i in valid_psi_indices(d):
-        ok, witness = verify_psi(d, g, build_psi(d, i), i)
+        ok, witness = verify_psi(g, build_psi(g, i), i)
         assert ok, witness
 
 
 def test_psi_verifies_e6():
     d, g, t = _setup("E6-1")
     assert len(g) == 79
-    ok, witness = verify_psi(d, g, build_psi(d, 6), 6)
+    ok, witness = verify_psi(g, build_psi(g, 6), 6)
     assert ok, witness
 
 
 def test_corrupted_psi_rejected():
     d, g, t = _setup("A2-1")
-    psi = build_psi(d, 1)
-    th = XRoot(theta(d))
-    a1 = XRoot(RootVector.simple(1, 2))
+    psi = build_psi(g, 1)
+    th = g.index[XRoot(theta(d))]
+    a1 = g.index[XRoot(RootVector.simple(1, 2))]
     psi[th], psi[a1] = psi[a1], psi[th]
-    ok, witness = verify_psi(d, g, psi, 1)
+    ok, witness = verify_psi(g, psi, 1)
     assert ok is False
     assert witness.startswith("weight mismatch at")
 
 
 def _break_domain(d, g, psi):
-    del psi[XRoot(-theta(d))]
+    psi[g.index[XRoot(-theta(d))]] = None
     return g, 1
 
 
 def _break_injectivity(d, g, psi):
     th = theta(d)
-    psi[XRoot(-th)] = psi[XRoot(th)]
+    psi[g.index[XRoot(-th)]] = psi[g.index[XRoot(th)]]
     return g, 1
 
 
 def _break_outside(d, g, psi):
-    # (4, 4) is the doubled key of 2 theta, which is no weight of B
-    a1 = XRoot(RootVector.simple(1, 2))
-    psi[a1] = TensorElement(XRoot(RootVector((4, 4))), psi[a1].right)
+    # the left slot of an image at 2 theta, which is no weight of B
+    a1 = g.index[XRoot(RootVector.simple(1, 2))]
+    psi[a1] = None, psi[a1][1]
     return g, 1
 
 
 def _break_top(d, g, psi):
     # x_theta (x) empty has the weight of x_theta and is no other image
-    psi[XRoot(theta(d))] = TensorElement(XRoot(theta(d)), EMPTY)
+    top = g.index[XRoot(theta(d))]
+    psi[top] = top, g.index[EMPTY]
     return g, 1
 
 
 def _break_operator_domain(d, g, psi):
     # start at x_theta (x) y_2 and follow f_1 once, so the walk first fails
     # at f_2, which kills x_theta but not x_theta (x) y_2
-    top = XRoot(theta(d))
-    below = g.f_tilde(top, 1)
-    psi[top] = TensorElement(top, YElement(2))
-    psi[below] = TensorElement(below, YElement(2))
+    top = g.index[XRoot(theta(d))]
+    below = g.f[1][top]
+    y2 = g.index[YElement(2)]
+    psi[top] = top, y2
+    psi[below] = below, y2
     return g, 2
 
 
 def _break_commutation(d, g, psi):
-    a2 = XRoot(RootVector.simple(2, 2))
-    psi[a2] = TensorElement(a2, EMPTY)
+    a2 = g.index[XRoot(RootVector.simple(2, 2))]
+    psi[a2] = a2, g.index[EMPTY]
     return g, 1
 
 
 def _break_walk(d, g, psi):
     # an element with no classical arrows: nothing leads to it from x_theta
-    psi[Box(0)] = TensorElement(EMPTY, EMPTY)
+    psi.append(_index_pair(g, EMPTY, EMPTY))
     return CrystalGraph(g.elements + (Box(0),), g.arrows(), g.n_indices, datum=d), 1
 
 
@@ -174,37 +229,48 @@ def _break_walk(d, g, psi):
 )
 def test_verify_psi_failure_branches(name, corrupt, prefix):
     d, g, _ = _setup(name)
-    psi = build_psi(d, 1)
+    psi = build_psi(g, 1)
     graph, node = corrupt(d, g, psi)
-    ok, witness = verify_psi(d, graph, psi, node)
+    ok, witness = verify_psi(graph, psi, node)
     assert ok is False
     assert witness.startswith(prefix)
 
 
 def test_verify_psi_domain_rejects_extra_key():
     d, g, _ = _setup("A2-1")
-    psi = build_psi(d, 1)
-    psi[EMPTY] = TensorElement(EMPTY, EMPTY)
-    assert verify_psi(d, g, psi, 1) == (False, "domain is not the little adjoint crystal")
+    psi = build_psi(g, 1)
+    psi[g.index[EMPTY]] = _index_pair(g, EMPTY, EMPTY)
+    assert verify_psi(g, psi, 1) == (False, "domain is not the little adjoint crystal")
+
+
+def test_verify_psi_domain_rejects_wrong_length():
+    # one entry per element: a missing or a surplus entry is a domain fault
+    d, g, _ = _setup("A2-1")
+    psi = build_psi(g, 1)
+    for wrong in (psi[:-1], psi + [None], psi + [_index_pair(g, EMPTY, EMPTY)]):
+        assert verify_psi(g, wrong, 1) == (False, "domain is not the little adjoint crystal")
 
 
 def test_disjoint_embeddings_for_type_a():
     for name in ["A2-1", "A3-1", "A4-1"]:
         d, g, t = _setup(name)
-        psi1 = build_psi(d, 1)
-        psin = build_psi(d, d.n)
-        img1 = {t.pair_index(v) for v in psi1.values()}
-        imgn = {t.pair_index(v) for v in psin.values()}
+        img1 = set(filter(None, build_psi(g, 1)))
+        imgn = set(filter(None, build_psi(g, d.n)))
+        assert len(img1) == len(imgn) == len(g) - 1
         assert not img1 & imgn
 
 
-def test_multiply_round_trip():
-    for name in ["A2-1", "C2-1", "D4-3", "B3-1"]:
-        d, g, t = _setup(name)
-        for i in valid_psi_indices(d):
-            psi = build_psi(d, i)
-            for b, pair in psi.items():
-                assert multiply(psi, pair.left, pair.right) == b
+@pytest.mark.parametrize(
+    "name, node",
+    [(t.name, i) for t in swept_types(8) for i in valid_psi_indices(build_datum(t))],
+)
+def test_multiply_round_trip(name, node):
+    g = family(name).graph
+    psi = build_psi(g, node)
+    for b, pair in zip(g.elements, psi):
+        if pair is not None:
+            l, r = pair
+            assert multiply(g, psi, g.elements[l], g.elements[r]) == b
 
 
 G2_TABLE_ROWS = ["x[2,1]", "x[1,1]", "x[1,0]", "y_1"]
@@ -219,18 +285,18 @@ G2_TABLE = [
 
 def test_g2_octonion_multiplication_table():
     d, g, _ = _setup("D4-3")
-    psi = build_psi(d, 1)
+    psi = build_psi(g, 1)
     by_label = {b.label(): b for b in g.elements}
     for r, row_label in enumerate(G2_TABLE_ROWS):
         for c, col_label in enumerate(G2_TABLE_COLS):
-            got = multiply(psi, by_label[row_label], by_label[col_label])
+            got = multiply(g, psi, by_label[row_label], by_label[col_label])
             want = G2_TABLE[r][c]
             assert (got.label() if got else None) == want, (row_label, col_label)
 
 
 def test_g2_unlisted_products_absent():
     d, g, _ = _setup("D4-3")
-    psi = build_psi(d, 1)
+    psi = build_psi(g, 1)
     table = multiplication_table(g, psi)
     order = table["order"]
     listed = {(r, c) for r in G2_TABLE_ROWS for c in G2_TABLE_COLS}
@@ -622,8 +688,7 @@ def test_writers_on_one_element_square(only):
     t = TensorCrystal(g)
     for h in ([0], [-3]):
         assert energy_table_json(t, h) == _energy_oracle(t, h)
-    pair = TensorElement(only, only)
-    for psi in ({}, {only: pair}):
+    for psi in ([None], [(0, 0)]):
         for witness in WITNESSES:
             got = multiplication_table_json(g, psi, 1, True, witness)
             assert got == _multiplication_oracle(g, psi, 1, True, witness)
@@ -648,8 +713,10 @@ def test_writers_match_json_dumps_on_random_labels(data):
     t = TensorCrystal(g)
     h = data.draw(st.lists(st.integers(-3, 3), min_size=t.size, max_size=t.size))
     assert energy_table_json(t, h) == _energy_oracle(t, h)
-    pairs = st.builds(TensorElement, st.sampled_from(g.elements), st.sampled_from(g.elements))
-    psi = data.draw(st.dictionaries(st.sampled_from(g.elements), pairs))
+    # index pairs, None in a slot standing for a factor outside B
+    slot = st.one_of(st.none(), st.integers(0, len(g) - 1))
+    entry = st.one_of(st.none(), st.tuples(slot, slot))
+    psi = data.draw(st.lists(entry, min_size=len(g), max_size=len(g)))
     witness = data.draw(st.one_of(st.none(), st.text(max_size=6)))
     verified = data.draw(st.booleans())
     got = multiplication_table_json(g, psi, 2, verified, witness)

@@ -153,9 +153,14 @@ def verify_psi(graph, psi, i):
 
 def multiply(graph, psi, b1, b2):
     """Product on the little adjoint crystal: the inverse of the embedding
-    ``psi`` (index pairs of ``graph``) on its image, absent elsewhere."""
-    inverse = dict(zip(psi, graph.elements))
-    return inverse.get((graph.index.get(b1), graph.index.get(b2)))
+    ``psi`` (index pairs of ``graph``) on its image, absent elsewhere.  Of
+    two elements with one image the last wins, as in a dict built from
+    ``psi``; the search runs from the end of ``psi``."""
+    try:
+        k = psi[::-1].index((graph.index.get(b1), graph.index.get(b2)))
+    except ValueError:
+        return None
+    return graph.elements[len(psi) - 1 - k]
 
 
 def _products(graph, psi):

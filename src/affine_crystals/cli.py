@@ -173,14 +173,26 @@ def cmd_character(args):
     else:
         oracle = {"supported": True, "checked": False}
     if args.oracle and oracle["supported"]:
-        diffs = []
+        diffs, weights, matched = [], set(), 0
         for beta, weight, wants in oracle_cells(d, args.max_degree, node):
+            weights.add(weight)
             for deg, want in enumerate(wants):
-                got = counts.get((weight, -deg), 0)
+                got = counts.get((weight, -deg))
+                if got is None:
+                    got = 0
+                else:
+                    matched += 1
                 if got != want:
                     diffs.append(
                         {"beta": beta.label(), "degree": deg, "got": got, "want": want}
                     )
+        # a row whose key no cell matched lies outside the ball: want 0
+        if matched < len(counts):
+            diffs += [
+                {"weight": list(coeffs), "degree": -delta, "got": got, "want": 0}
+                for (coeffs, delta), got in counts.items()
+                if coeffs not in weights or not 0 <= -delta <= args.max_degree
+            ]
         oracle = {"supported": True, "differences": diffs}
     _emit(character_json(d.type.name, f"L{node}", counts, oracle), args.out)
     return 1 if oracle.get("differences") else 0

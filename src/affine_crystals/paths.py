@@ -8,18 +8,20 @@ come from a transfer matrix over positions, which counts paths by entry,
 degree and weight offset without building any: `PathModel.character` sums the
 Lambda-coordinate weights wt(b) (wt(b_lam) = 0) and keys its counts by
 affine weight directly, `PathModel.root_character` runs the same DP on root
-offsets.  The DP runs down from the ground entry at the top position;
-every step adds a non-negative energy term, so it prunes on the degree
-alone, with no look-ahead bound.  Breadth-first generation of the paths
-themselves is kept as its oracle.  A lattice generating-function oracle
-cross-checks the simply-laced untwisted families at every level-1 weight;
-`oracle_cells` reads it in one pass, one partition-series row per lattice
-point.
+offsets; both return their rows in payload order (degree, then coordinates).
+The DP runs down from the ground entry at the top position; every step adds
+a non-negative energy term, so it prunes on the degree alone.  Breadth-first
+generation of the paths themselves is its oracle.  Coroot pairings are
+column kernels over the sparse rows of the Cartan matrix.  A lattice
+generating-function oracle cross-checks the simply-laced untwisted families
+at every level-1 weight; `oracle_cells` reads it in one pass from a walk
+that carries each point's pairings, one partition-series row per point, and
+`character --oracle` also flags the rows at no lattice point.
 """
 
 import json
 from collections import deque
-from operator import add, mul
+from operator import add, mul, sub
 
 from ._frozen import Frozen
 from .algebra import energy_propagate
@@ -115,13 +117,16 @@ class PathModel:
         if min(energy) < base:
             raise ValueError("an energy lies below the ground pair; degrees are unbounded")
         # the Lambda-keys of `character` agree with the root keys of
-        # `root_character` (and the lattice oracle's beta -> Lambda map of
-        # `oracle_cells`) only when each weight is the pairing of its root
+        # `root_character` (and `oracle_cells`' beta -> Lambda map) only when
+        # each weight is the pairing of its root; the scan names a failure
         weights = g.weights()
-        for b, w in zip(g.elements, weights):
-            root = g.root_weight(b)
-            if w != tuple(root.pairing(d, j) for j in range(d.n + 1)):
-                raise ValueError(f"the weight of {b.label()} is not the pairing of its root")
+        roots = [g.root_weight(b).twice for b in g.elements]
+        doubled = _pairing_columns(d, list(zip(*roots)))
+        if doubled != [list(map(add, col, col)) for col in zip(*weights)]:
+            for b, w in zip(g.elements, weights):
+                root = g.root_weight(b)
+                if w != tuple(root.pairing(d, j) for j in range(d.n + 1)):
+                    raise ValueError(f"the weight of {b.label()} is not the pairing of its root")
         cols = [
             sorted((h - base, b) for b, h in enumerate(energy[u * m:(u + 1) * m]))
             for u in range(m)
@@ -145,7 +150,7 @@ class PathModel:
         self._cols = cols
         self._ground_index = top
         # wt(b_lam) = phi - eps = 0, so its root is 0 by the check above
-        self._root_offsets = [g.root_weight(b).twice for b in g.elements]
+        self._root_offsets = roots
         self._weight_offsets = weights
 
     def _canonical(self, entries):
@@ -259,8 +264,9 @@ class PathModel:
     def character(self, max_degree):
         """Multiplicities of affine weights down to delta degree -max_degree.
 
-        Returns a map (classical Lambda-coordinates, delta) -> multiplicity,
-        counted by `_count` over the Lambda-offsets wt(b) of the entries.
+        Returns a map (classical Lambda-coordinates, delta) -> multiplicity
+        in payload row order, counted by `_count` over the Lambda-offsets
+        wt(b) of the entries.
         """
         counts = self._count(max_degree, self._weight_offsets, self.lam)
         return {(coeffs, -degree): count for coeffs, degree, count in counts}
@@ -274,8 +280,9 @@ class PathModel:
 
     def _count(self, max_degree, offsets, base):
         """(base + summed offsets, degree, number of paths) for every path of
-        degree at most max_degree; offsets[b] is entry b's offset from the
-        ground entry, so the sum over a path's entries is finite.
+        degree at most max_degree, by degree and then summed offsets;
+        offsets[b] is entry b's offset from the ground entry, so the sum
+        over a path's entries is finite.
 
         A transfer matrix over positions, run down from the ground entry
         held at position L = max(max_degree + zero_run, 1): a path of degree
@@ -292,11 +299,13 @@ class PathModel:
         length = max(max_degree + self.zero_run, 1)
         cols = self._cols
         # Offsets are packed one balanced digit per coordinate, so adding an
-        # entry's offset to a state is one integer addition.
+        # entry's offset to a state is one integer addition.  Coordinate 0 is
+        # the top digit, and a sum's digits stay within half the radix, so
+        # integer order is the order of the coordinate tuples.
         widest = max(abs(x) for offset in offsets for x in offset)
         radix = 2 * (length + 1) * widest + 2
         half = radix // 2
-        packed = [sum(x * radix**j for j, x in enumerate(t)) for t in offsets]
+        packed = [sum(x * radix**j for j, x in enumerate(reversed(t))) for t in offsets]
         layer = {(self._ground_index, 0): {0: 1}}
         for k in range(length, 0, -1):
             nxt = {}
@@ -314,16 +323,16 @@ class PathModel:
         # a sum recurs across degrees, so each is decoded once
         bias = sum(half * radix**j for j in range(len(base)))
         decoded = {}
-        for degree, sums in layer.items():
-            for key, count in sums.items():
+        for degree, sums in sorted(layer.items()):
+            for key in sorted(sums):
                 coords = decoded.get(key)
                 if coords is None:
                     digits, rest = [], key + bias
-                    for c in base:
+                    for c in reversed(base):
                         rest, digit = divmod(rest, radix)
                         digits.append(c + digit - half)
-                    coords = decoded[key] = tuple(digits)
-                yield coords, degree, count
+                    coords = decoded[key] = tuple(digits[::-1])
+                yield coords, degree, sums[key]
 
 
 def character_json(type_name, weight, counts, oracle):
@@ -418,22 +427,37 @@ def oracle_cells(d, max_degree, node=0):
     part of Lambda_node + beta in Lambda-coordinates and wants[n] equals
     `oracle_multiplicity(d, beta, n, node)` for n = 0..max_degree.
 
-    Each beta's norm and Lambda-coordinates are computed once, and its
-    wants are one row of the partition series shifted by half the norm.
-    No lattice point outside the ball carries a multiplicity at these
-    degrees, since the shifted norm is at most twice the degree.
+    The points' pairings and norms are computed column by column, and each
+    beta's wants are one row of the partition series shifted by half its
+    norm.  No lattice point outside the ball carries a multiplicity at
+    these degrees, since the shifted norm is at most twice the degree.
     """
     series = partition_series(d.n, max_degree)
-    lam = tuple(int(j == node) for j in range(d.n + 1))
-    columns = [row[1:] for row in d.cartan]  # <h_j, alpha_k> at [j][k - 1]
-    for beta in lattice_points_up_to(d, 2 * max_degree, node=node):
-        coeffs = [x // 2 for x in beta.twice]
-        pairings = [sum(map(mul, coeffs, col)) for col in columns]
-        # (beta | alpha_j) = <h_j, beta> on these families, so
-        # |w + beta|^2 - |w|^2 = sum_j coeffs_j <h_j, beta> + 2 (w | beta)
-        shift = sum(map(mul, coeffs, pairings[1:])) // 2 + (coeffs[node - 1] if node else 0)
-        weight = tuple(map(add, lam, pairings))
+    points = lattice_points_up_to(d, 2 * max_degree, node=node)
+    coeffs = [[beta.twice[k] // 2 for beta in points] for k in range(d.n)]
+    pairings = _pairing_columns(d, coeffs)  # <h_j, beta>
+    # (beta | alpha_j) = <h_j, beta> on these families, so the doubled shift
+    # |w + beta|^2 - |w|^2 = sum_j coeffs_j <h_j, beta> + 2 (w | beta)
+    norms = list(map(add, coeffs[node - 1], coeffs[node - 1])) if node else [0] * len(points)
+    for col, pairing in zip(coeffs, pairings[1:]):
+        norms = list(map(add, norms, map(mul, col, pairing)))
+    pairings[node] = [x + 1 for x in pairings[node]]  # the weight of Lambda_node + beta
+    for beta, weight, norm in zip(points, zip(*pairings), norms):
+        shift = norm // 2
         yield beta, weight, [0] * shift + series[: max_degree + 1 - shift]
+
+
+def _pairing_columns(d, columns):
+    """The columns <h_j, .>, j = 0..n, of vectors given by their alpha-coordinate
+    columns, each summed over the nonzero entries of row j of the Cartan matrix."""
+    out = []
+    for row in d.cartan:
+        total = [0] * len(columns[0])
+        for a, col in zip(row[1:], columns):
+            if a:
+                total = list(map(add, total, map(a.__mul__, col)))
+        out.append(total)
+    return out
 
 
 def lattice_points_up_to(d, max_norm2, node=0):
@@ -452,25 +476,25 @@ def _lattice_walk(d, max_norm2, node):
     never exceed the end points', and a weight that is not minuscule has a
     Weyl conjugate with (., alpha_i) >= 2 for some i, whose step -alpha_i
     shortens it; the only minuscule weights of the coset are the orbit of w.
-    The norm is carried along the walk: a step s * alpha_j from beta adds
-    2 s (w + beta | alpha_j) + (alpha_j | alpha_j).
+    The norm and the pairings p_j = (w + beta | alpha_j) are carried along
+    the walk: a step s * alpha_j from beta adds 2 s p_j + (alpha_j | alpha_j)
+    to the norm and s times row j of the Cartan matrix to the pairings.
     """
     n = d.n
     fc = d.finite_cartan()  # symmetric on these families: row j is column j
     start = (0,) * n
     norms = {start: 0} if max_norm2 >= 0 else {}
-    todo = list(norms)
+    todo = [(start, tuple(int(j == node - 1) for j in range(n)))] if norms else []
     while todo:
-        c = todo.pop()
+        c, pairings = todo.pop()
         norm = norms[c]
         for j, row in enumerate(fc):
-            pairing = sum(map(mul, c, row)) + (j == node - 1)
-            for step in (1, -1):
-                reached = norm + 2 * step * pairing + row[j]
+            for step, move in ((1, add), (-1, sub)):
+                reached = norm + 2 * step * pairings[j] + row[j]
                 if reached > max_norm2:
                     continue
                 nxt = c[:j] + (c[j] + step,) + c[j + 1 :]
                 if nxt not in norms:
                     norms[nxt] = reached
-                    todo.append(nxt)
+                    todo.append((nxt, tuple(map(move, pairings, row))))
     return norms

@@ -273,6 +273,22 @@ def test_multiply_round_trip(name, node):
             assert multiply(g, psi, g.elements[l], g.elements[r]) == b
 
 
+def test_multiply_on_non_injective_psi():
+    # elements 1 and 5 share the image of 5: the last in element order is
+    # the product, and the old image of 1 has none
+    d, g, _ = _setup("A2-1")
+    psi = build_psi(g, 1)
+    shared = list(psi)
+    shared[1] = psi[5]
+    assert multiply(g, shared, *(g.elements[k] for k in psi[5])) == g.elements[5]
+    assert multiply(g, shared, *(g.elements[k] for k in psi[1])) is None
+    assert multiply(g, psi, *(g.elements[k] for k in psi[1])) == g.elements[1]
+    # a factor outside B
+    stranger = XRoot(RootVector((1, 1, 1)))
+    assert stranger not in g.index
+    assert multiply(g, psi, stranger, g.elements[psi[1][1]]) is None
+
+
 G2_TABLE_ROWS = ["x[2,1]", "x[1,1]", "x[1,0]", "y_1"]
 G2_TABLE_COLS = ["x[-2,-1]", "x[-1,-1]", "x[-1,0]", "y_1"]
 G2_TABLE = [

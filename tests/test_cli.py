@@ -191,6 +191,26 @@ def test_character_oracle_shifted_lattice(capsys):
     assert top in data["rows"]
 
 
+def test_character_oracle_flags_rows_outside_the_ball(capsys, monkeypatch):
+    # rows that no lattice cell looks up: a weight of no point in the ball,
+    # and the top weight at a degree past --max-degree
+    character = cli.PathModel.character
+
+    def padded(self, max_degree):
+        counts = character(self, max_degree)
+        counts[((1, 40, -40, 0, 0), -1)] = 7
+        counts[((1, 0, 0, 0, 0), -3)] = 2
+        return counts
+
+    monkeypatch.setattr(cli.PathModel, "character", padded)
+    code, out, _ = run(capsys, "character", "D4-1", "L0", "--max-degree", "2", "--oracle")
+    assert code == 1
+    assert json.loads(out)["oracle"]["differences"] == [
+        {"weight": [1, 40, -40, 0, 0], "degree": 1, "got": 7, "want": 0},
+        {"weight": [1, 0, 0, 0, 0], "degree": 3, "got": 2, "want": 0},
+    ]
+
+
 def test_character_echoes_canonical_weight(capsys):
     # the weight is parsed from stripped, upper-cased text; the payload
     # names the weight that was meant, not the text that was typed

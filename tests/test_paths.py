@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from affine_crystals.paths import (
 )
 from affine_crystals.perfect import minimal_elements
 from affine_crystals.roots import RootVector
+from affine_crystals.tensor import TensorCrystal
 
 
 def _model(name, node=0):
@@ -272,6 +274,34 @@ def test_zero_energy_cycle_rejected():
     energy[top * m + other] = energy[other * m + top] = base
     with pytest.raises(ValueError, match="zero-energy cycle"):
         PathModel(d, 0, graph=pm.graph, energy=energy)
+
+
+def _tampered(name):
+    """A fresh B of `name` and its energy table, for a test to alter B
+    before it builds a PathModel at Lambda_0."""
+    d = build_datum(name)
+    graph = build_crystal(d)
+    return d, graph, energy_propagate(TensorCrystal(graph))
+
+
+def test_set_up_names_first_weight_off_its_root():
+    # two elements' string data disagree with their roots, the later one
+    # at a lower node, so a scan node by node would meet it first
+    d, graph, energy = _tampered("A2-1")
+    first, later = 1, 5
+    graph._phi[2][first] += 5
+    graph._phi[1][later] += 5
+    label = re.escape(graph.elements[first].label())
+    with pytest.raises(ValueError, match=f"the weight of {label} is not the pairing"):
+        PathModel(d, 0, graph=graph, energy=energy)
+
+
+def test_set_up_rejects_odd_doubled_pairing():
+    d, graph, energy = _tampered("A2-1")
+    odd, rooted = graph.elements[2], graph.root_weight
+    graph.root_weight = lambda b: RootVector((1, 0)) if b == odd else rooted(b)
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        PathModel(d, 0, graph=graph, energy=energy)
 
 
 def test_negative_degree_rejected():
@@ -542,6 +572,35 @@ def test_lattice_walk_carries_norm(name):
         assert sorted(norms) == [tuple(x // 2 for x in beta.twice) for beta in points]
         for c, norm in norms.items():
             assert norm == paths._shifted_norm2(fc, c, node) <= 8
+
+
+@pytest.mark.parametrize(
+    "name",
+    [t.name for t in swept_types(6, with_exceptional=False) if t.twist == 1 and t.family in "ADE"],
+)
+def test_oracle_cells_match_pairings_and_norms(name):
+    d = build_datum(name)
+    fc = d.finite_cartan()
+    series = partition_series(d.n, 3)
+    for node in level_one_nodes(d):
+        lam = _fundamental(d, node)
+        for beta, weight, wants in oracle_cells(d, 3, node=node):
+            assert weight == tuple(c + beta.pairing(d, j) for j, c in enumerate(lam))
+            shift = paths._shifted_norm2(fc, [x // 2 for x in beta.twice], node) // 2
+            assert wants == [0] * shift + series[: 4 - shift], (node, beta)
+
+
+# rows leave the DP by degree, then coordinates: the payload's row order
+@pytest.mark.parametrize("name", [t.name for t in swept_types(4)])
+def test_rows_leave_in_payload_order(name):
+    ctx = family(name)
+    energy = energy_propagate(ctx.tensor)
+    for node in level_one_nodes(ctx.datum):
+        pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
+        keys = list(pm.character(3))
+        assert keys == sorted(keys, key=lambda key: (-key[1], key[0])), node
+        keys = list(pm.root_character(3))
+        assert keys == sorted(keys, key=lambda key: (key[1], key[0])), node
 
 
 # The character payload is written row by row; json.dumps(..., indent=2)

@@ -9,11 +9,11 @@ always the empty element for Lambda_0 and y_i for the other level-1
 fundamental weights.
 """
 
-from affine_crystals import build_datum, swept_types, verify_perfect
+from affine_crystals import build_crystal, build_datum, swept_types, verify_perfect
 
 families = swept_types(max_rank=5)
 for t in families:
-    report = verify_perfect(build_datum(t))
+    report = verify_perfect(build_crystal(build_datum(t)))
     marks = " ".join(
         f"{k}={'ok' if v['passed'] else 'FAIL'}" for k, v in report["axioms"].items()
     )

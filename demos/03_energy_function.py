@@ -12,7 +12,6 @@ energy off eps_0(b2).  The two tables agree exactly, family by family.
 from affine_crystals import (
     EMPTY,
     TensorCrystal,
-    TensorElement,
     XRoot,
     build_crystal,
     build_datum,
@@ -31,14 +30,10 @@ for name in ["A2-1", "C2-1", "D4-3", "A4-2", "G2-1"]:
     h_cls = energy_by_classification(square)
     th = XRoot(theta(d))
     print(f"{name}: {square.size} pairs, methods agree: {h_prop == h_cls}")
-    for pair in [
-        TensorElement(EMPTY, EMPTY),
-        TensorElement(EMPTY, th),
-        TensorElement(th, XRoot(-theta(d))),
-        TensorElement(th, EMPTY),
-        TensorElement(th, th),
-    ]:
-        print(f"    H({pair.label()}) = {h_prop[square.pair_index(pair)]}")
+    pairs = [(EMPTY, EMPTY), (EMPTY, th), (th, XRoot(-theta(d))), (th, EMPTY), (th, th)]
+    for left, right in pairs:
+        h = h_prop[g.index[left] * len(g) + g.index[right]]
+        print(f"    H({left.label()} (x) {right.label()}) = {h}")
 
 # labelled component census for one family
 d = build_datum("C2-1")

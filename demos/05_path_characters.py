@@ -14,13 +14,14 @@ machinery.
 
 from affine_crystals import (
     PathModel,
+    build_crystal,
     build_datum,
     lattice_points_up_to,
     oracle_multiplicity,
 )
 
 d = build_datum("A1-1")
-model = PathModel(d, 0)
+model = PathModel(build_crystal(d), 0)
 print("ground state entries:", [model.ground.label()])
 
 p = model.ground_path
@@ -39,7 +40,7 @@ print(" ", [ch.get(((1, 0), -n), 0) for n in range(6)])
 
 print("\noracle comparison for A2-1 through degree 5:")
 d2 = build_datum("A2-1")
-m2 = PathModel(d2, 0)
+m2 = PathModel(build_crystal(d2), 0)
 got = m2.root_character(5)
 checked = diffs = 0
 for beta in lattice_points_up_to(d2, 10):
@@ -52,7 +53,7 @@ print(f"  {checked} (lattice point, degree) cells checked, {diffs} differences")
 
 print("\ncharacters exist for every family, oracle or not:")
 d3 = build_datum("D4-3")
-m3 = PathModel(d3, 0)
+m3 = PathModel(build_crystal(d3), 0)
 ch3 = m3.character(3)
 by_degree = {}
 for (coeffs, delta), mult in ch3.items():

@@ -20,7 +20,7 @@ _EXPORTS = {
     "cartan": "AffineDatum AffineType build_datum level_one_nodes parse_type swept_types",
     "roots": "RootVector connect_support dynkin_path finite_roots lambda_weights theta",
     "crystal": "EMPTY CrystalGraph EmptyElement XRoot YElement build_crystal",
-    "tensor": "TensorCrystal TensorElement",
+    "tensor": "TensorCrystal",
     "perfect": "minimal_elements verify_perfect",
     "algebra": "build_psi classify_components energy_by_classification "
     "energy_propagate fixture_energy_check multiplication_table multiply "

@@ -9,14 +9,14 @@ classical components, once from the closed component classification.
 
 import json
 from collections import deque
-from itertools import chain, compress
+from itertools import chain, compress, product
 from json.encoder import encode_basestring_ascii
 from operator import add, ne, neg, sub
 
 from ._frozen import Frozen
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, _json_lines
 from .roots import RootVector, connect_support, dynkin_path, lambda_weights, theta
-from .tensor import TensorCrystal, TensorElement
+from .tensor import TensorCrystal
 
 EMPTY_EMPTY = "EmptyEmpty"
 THETA_MINUS_THETA = "ThetaMinusTheta"
@@ -226,24 +226,25 @@ def multiplication_table_json(graph, psi, node, verified, witness=None):
     ])
 
 
-def energy_propagate(tensor, anchor=None, anchor_value=0):
+def energy_propagate(tensor):
     """Energy by propagation of the defining recurrence over the component
     quotient.
 
     H is one value on each classical component (``component_labels``), and
     across a 0-arrow t -> u = e_0(t) the step H(u) - H(t) is 1 when e_0
-    moved the left factor of t and -1 when it moved the right one.  Values
-    spread breadth first from the anchor's component (empty (x) empty at
-    level 0 unless another anchor is given) along the distinct (lower,
-    upper, step) links between components (``TensorCrystal.zero_links``).
-    Then every link is checked against the result; H is constant on a
-    component, so this checks every 0-arrow, and an inconsistent assignment
-    cannot survive.  Only when a link fails are the 0-arrows scanned, pair
-    by pair with ``CrystalGraph.pair_e``, for the failing arrow with the
-    smallest source pair.
+    moved the left factor of t and -1 when it moved the right one.  H is
+    fixed by H(empty (x) empty) = 0, which every ``build_crystal`` graph
+    has; a graph without the empty element gets H = 0 on its pair 0.
+    Values spread breadth first from that pair's component along the
+    distinct (lower, upper, step) links between components
+    (``TensorCrystal.zero_links``).  Then every link is checked against the
+    result; H is constant on a component, so this checks every 0-arrow, and
+    an inconsistent assignment cannot survive.  Only when a link fails are
+    the 0-arrows scanned, pair by pair with ``CrystalGraph.pair_e``, for the
+    failing arrow with the smallest source pair.
     """
-    if anchor is None:
-        anchor = TensorElement(EMPTY, EMPTY)
+    base = tensor.base
+    m = len(base)
     rows, count = tensor.component_labels()
     zero_links = tensor.zero_links()
     links = [[] for _ in range(count)]
@@ -251,8 +252,9 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
         links[lo].append((hi, s))
         links[hi].append((lo, -s))
     value = [None] * count
-    start = rows[tensor.base.index[anchor.left]][tensor.base.index[anchor.right]]
-    value[start] = anchor_value
+    k = base.index.get(EMPTY, 0)
+    start = rows[k][k]
+    value[start] = 0
     queue = deque([start])
     while queue:
         c = queue.popleft()
@@ -264,14 +266,14 @@ def energy_propagate(tensor, anchor=None, anchor_value=0):
         raise ValueError("tensor square is not connected; energy is partial")
     h = [value[c] for row in rows for c in row]
     if any(value[hi] - value[lo] != s for lo, hi, s in zero_links):
-        m = len(tensor.base)
         for t in range(tensor.size):
-            pair = tensor.base.pair_e(*divmod(t, m), 0)
+            pair = base.pair_e(*divmod(t, m), 0)
             u = t if pair is None else pair[0] * m + pair[1]
             step = 1 if u // m != t // m else -1
             if u != t and h[u] - h[t] != step:
+                left, right = (base.elements[x].label() for x in divmod(u, m))
                 raise ValueError(
-                    f"inconsistent energy at {tensor.element(u).label()}: "
+                    f"inconsistent energy at {left} (x) {right}: "
                     f"{h[u]} vs {h[t] + step} via index 0"
                 )
     return h
@@ -552,17 +554,17 @@ def three_box_crystal():
 
 def fixture_energy_check():
     """Propagate energy over the three-box tensor square and compare with
-    the closed form: 1 when the left box dominates, 0 otherwise.
+    the closed form: H - H(1 (x) 1) + 1 is 1 when the left box dominates,
+    0 otherwise.
 
     Returns (ok, mismatches).
     """
     g = three_box_crystal()
-    t = TensorCrystal(g)
-    h = energy_propagate(t, anchor=TensorElement(Box(1), Box(1)), anchor_value=1)
+    h = energy_propagate(TensorCrystal(g))
     mismatches = []
-    for k in range(t.size):
-        pair = t.element(k)
-        want = 1 if pair.left.value >= pair.right.value else 0
-        if h[k] != want:
-            mismatches.append((pair.label(), h[k], want))
+    for k, (left, right) in enumerate(product(g.elements, repeat=2)):
+        got = h[k] - h[0] + 1
+        want = 1 if left.value >= right.value else 0
+        if got != want:
+            mismatches.append((f"{left.label()} (x) {right.label()}", got, want))
     return not mismatches, mismatches

@@ -99,7 +99,7 @@ def cmd_verify(args):
     reports = []
     for name in types:
         d = _datum(name)
-        reports.append(verify_perfect(d, build_crystal(d)))
+        reports.append(verify_perfect(build_crystal(d)))
     if args.json:
         text = json.dumps(reports, indent=2) + "\n"
     else:
@@ -165,7 +165,7 @@ def cmd_character(args):
     node = _parse_weight(args.weight, d)
     if args.max_degree < 0:
         _usage_error(f"--max-degree must be >= 0 (got {args.max_degree})")
-    counts = PathModel(d, node).character(args.max_degree)
+    counts = PathModel(build_crystal(d), node).character(args.max_degree)
     try:
         check_lattice_node(d, node)
     except OracleUnsupported as err:

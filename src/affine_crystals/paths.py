@@ -26,7 +26,6 @@ from operator import add, mul, sub
 from ._frozen import Frozen
 from .algebra import energy_propagate
 from .cartan import level_one_nodes
-from .crystal import build_crystal
 from .perfect import minimal_elements
 from .roots import RootVector
 from .tensor import TensorCrystal
@@ -49,15 +48,15 @@ class Path(Frozen):
         return len(self.prefix)
 
 
-def ground_state(d, i, graph=None):
-    """The homogeneous ground state of Lambda_i, for a node i with comark 1:
-    the element b_lam with eps(b_lam) = phi(b_lam) = Lambda_i, so that
-    b_lam (x) b_lam (x) ... is the ground path."""
+def ground_state(graph, i):
+    """The homogeneous ground state of Lambda_i in the crystal ``graph``,
+    for a node i of ``graph.datum`` with comark 1: the element b_lam with
+    eps(b_lam) = phi(b_lam) = Lambda_i, so that b_lam (x) b_lam (x) ... is
+    the ground path."""
+    d = graph.datum
     if i not in level_one_nodes(d):
         raise ValueError(f"Lambda_{i} is not a level-1 fundamental weight of {d.type.name}")
-    if graph is None:
-        graph = build_crystal(d)
-    up, down = minimal_elements(d, graph)[i]
+    up, down = minimal_elements(graph)[i]
     if up != down:
         raise ValueError(
             f"no homogeneous ground state for Lambda_{i}: its phi-preimage "
@@ -69,10 +68,12 @@ def ground_state(d, i, graph=None):
 class PathModel:
     """Crystal operations on the lam-paths of one family, lam = Lambda_i.
 
-    Holds the base crystal, the energy table of its tensor square (by
-    default propagated over a square built here and then dropped), the
-    homogeneous ground state ``ground`` = b_lam and ``lam`` = eps(b_lam)
-    as a tuple of Lambda-coordinates; all path operations go through here.
+    Takes the base crystal B, ``graph``, and holds it with its datum
+    ``datum`` = ``graph.datum``, the energy table of B (x) B (by default
+    propagated over a square built here and then dropped; a caller may pass
+    its own table as ``energy``), the homogeneous ground state ``ground`` =
+    b_lam and ``lam`` = eps(b_lam) as a tuple of Lambda-coordinates; all
+    path operations go through here.
 
     ``_window``, ``f``, ``e`` and ``stats`` fold the tensor-product rule
     over all n factors of a path at once, which the two-factor
@@ -86,13 +87,13 @@ class PathModel:
     ``test_transfer_matrix_matches_generation``.
     """
 
-    def __init__(self, d, i, graph=None, energy=None):
-        self.datum = d
-        self.graph = graph if graph is not None else build_crystal(d)
-        self.ground = ground_state(d, i, self.graph)
-        self.lam = self.graph.eps_vec(self.ground)
+    def __init__(self, graph, i, energy=None):
+        self.datum = graph.datum
+        self.graph = graph
+        self.ground = ground_state(graph, i)
+        self.lam = graph.eps_vec(self.ground)
         if energy is None:
-            energy = energy_propagate(TensorCrystal(self.graph))
+            energy = energy_propagate(TensorCrystal(graph))
         self.energy = energy
         self.ground_path = Path(self.lam, ())
         self._set_up_transfer()

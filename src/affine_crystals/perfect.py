@@ -17,7 +17,7 @@ graph reaches, gets the exact count of ``TensorCrystal``.
 from operator import le, mul, sub
 
 from .cartan import level_one_nodes
-from .crystal import XRoot, build_crystal
+from .crystal import XRoot
 from .roots import theta
 from .tensor import TensorCrystal, _union_find
 
@@ -30,14 +30,16 @@ def _axiom(passed, detail, witness=""):
     return out
 
 
-def minimal_elements(d, graph):
-    """For each level-1 node i, the unique b with eps(b) = Lambda_i and the
-    unique b with phi(b) = Lambda_i, as a map i -> (b_upper, b_lower).
+def minimal_elements(graph):
+    """For each level-1 node i of ``graph.datum``, the unique b with
+    eps(b) = Lambda_i and the unique b with phi(b) = Lambda_i, as a map
+    i -> (b_upper, b_lower).
 
     The eps and phi columns of the graph are read once, into maps from the
     coefficient tuple to the elements carrying it.  Raises ValueError with
     a witness when existence or uniqueness fails.
     """
+    d = graph.datum
     ups, downs = {}, {}
     for found, stats in ((ups, graph._eps), (downs, graph._phi)):
         for b, coeffs in zip(graph.elements, zip(*stats)):
@@ -123,8 +125,9 @@ def _square_components(graph):
     return TensorCrystal(graph).connected_components()[1]
 
 
-def verify_perfect(d, graph=None):
-    """Check the machine-checkable level-1 axioms for one family.
+def verify_perfect(graph):
+    """Check the machine-checkable level-1 axioms of the crystal ``graph``
+    against its datum ``graph.datum``.
 
     Returns the report as the dict that ``crystal verify --json`` prints:
     ``type``, ``level``, ``passed``, ``axioms`` (each ``passed`` and
@@ -134,8 +137,7 @@ def verify_perfect(d, graph=None):
     B (x) B is proved from its classical heads (``_square_components``);
     only where that certificate does not close, on hand-built graphs, is
     the whole square labelled for its exact component count."""
-    if graph is None:
-        graph = build_crystal(d)
+    d = graph.datum
     axioms = {
         "module_asserted": _axiom(
             True, "underlying module asserted by the uniform construction, not machine-verified"
@@ -187,7 +189,7 @@ def verify_perfect(d, graph=None):
     # unique minimal elements for every level-1 dominant weight
     minimal = {}
     try:
-        table = minimal_elements(d, graph)
+        table = minimal_elements(graph)
         minimal = {
             f"Lambda_{i}": {"b_upper": up.label(), "b_lower": lo.label()}
             for i, (up, lo) in sorted(table.items())

@@ -3,18 +3,6 @@
 from itertools import chain
 from operator import itemgetter
 
-from ._frozen import Frozen
-
-
-class TensorElement(Frozen):
-    __slots__ = ("left", "right")
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
-    def label(self):
-        return f"{self.left.label()} (x) {self.right.label()}"
-
 
 class TensorCrystal:
     """B (x) B, labelled row by row from the strings of B on construction.
@@ -90,14 +78,6 @@ class TensorCrystal:
                                 flat[u + r] = t + r
                 self._f.append(flat)
         return self._f
-
-    def pair_index(self, t):
-        m = len(self.base)
-        return self.base.index[t.left] * m + self.base.index[t.right]
-
-    def element(self, k):
-        m = len(self.base)
-        return TensorElement(self.base.elements[k // m], self.base.elements[k % m])
 
     def _classical_components(self):
         """(one tuple of component ids per row, count, maximal indices)

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from affine_crystals.algebra import build_psi, valid_psi_indices
@@ -8,6 +10,38 @@ from affine_crystals.tensor import TensorCrystal
 # criterion sweep: every valid rank parameter up to 5 plus the fixed
 # exceptional families
 SWEPT_NAMES = [t.name for t in swept_types(5, with_exceptional=True)]
+
+# seconds one test may run; the slowest takes under 2 s
+TIME_LIMIT = 60
+
+
+class _Expired(BaseException):
+    """Raised by the alarm; not an Exception, so that hypothesis does not
+    take it for a failing example and replay the test without a limit."""
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_pyfunc_call(pyfuncitem):
+    """Fail a test that runs past TIME_LIMIT seconds, so a loop that never
+    ends (a lattice walk with a wrong pairing) fails the suite instead of
+    hanging it.  Needs SIGALRM; elsewhere tests run without a limit.  The
+    failure carries no traceback: the alarm can land on an instruction
+    without a line number, which pytest cannot render."""
+    if not hasattr(signal, "SIGALRM"):
+        return (yield)
+
+    def expire(signum, frame):
+        raise _Expired
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT)
+    try:
+        return (yield)
+    except _Expired:
+        pytest.fail(f"test ran past its {TIME_LIMIT} s limit", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class FamilyContext:
@@ -41,6 +75,22 @@ def family(name):
     if name not in _CACHE:
         _CACHE[name] = FamilyContext(name)
     return _CACHE[name]
+
+
+def pair_index(graph, left, right):
+    """The left-major index of the pair left (x) right of B (x) B."""
+    return graph.index[left] * len(graph) + graph.index[right]
+
+
+def pair_elements(graph, k):
+    """The elements (left, right) of pair k of B (x) B."""
+    l, r = divmod(k, len(graph))
+    return graph.elements[l], graph.elements[r]
+
+
+def pair_label(graph, k):
+    left, right = pair_elements(graph, k)
+    return f"{left.label()} (x) {right.label()}"
 
 
 @pytest.fixture(scope="session")

@@ -25,9 +25,8 @@ from affine_crystals.crystal import EMPTY, EmptyElement, XRoot, YElement
 from affine_crystals.paths import PathModel, lattice_points_up_to, oracle_multiplicity
 from affine_crystals.perfect import minimal_elements, verify_perfect
 from affine_crystals.roots import theta
-from affine_crystals.tensor import TensorElement
 
-from conftest import SWEPT_NAMES, family
+from conftest import SWEPT_NAMES, family, pair_elements, pair_index
 from test_crystal import COUNTS, FIXTURES
 from test_algebra import G2_TABLE, G2_TABLE_COLS, G2_TABLE_ROWS
 
@@ -50,7 +49,7 @@ def test_criterion_2_perfectness_sweep():
     failures = []
     for name in SWEPT_NAMES:
         ctx = family(name)
-        report = verify_perfect(ctx.datum, ctx.graph)
+        report = verify_perfect(ctx.graph)
         if not report["passed"]:
             failures.append((name, [k for k, v in report["axioms"].items() if not v["passed"]]))
     elapsed = time.time() - start
@@ -65,7 +64,7 @@ def test_criterion_2_perfectness_sweep():
 def test_criterion_3_minimal_element_tables():
     for name in SWEPT_NAMES:
         ctx = family(name)
-        table = minimal_elements(ctx.datum, ctx.graph)
+        table = minimal_elements(ctx.graph)
         assert table[0] == (EMPTY, EMPTY), name
         for i in level_one_nodes(ctx.datum):
             if i != 0:
@@ -82,20 +81,21 @@ def test_criterion_4_energy():
         assert h_prop == h_cls, name
         th = XRoot(theta(ctx.datum))
         pairs = [
-            (TensorElement(EMPTY, EMPTY), 0),
-            (TensorElement(EMPTY, th), 1),
-            (TensorElement(th, XRoot(-theta(ctx.datum))), 0),
-            (TensorElement(th, EMPTY), 1),
-            (TensorElement(th, th), 2),
+            (EMPTY, EMPTY, 0),
+            (EMPTY, th, 1),
+            (th, XRoot(-theta(ctx.datum)), 0),
+            (th, EMPTY, 1),
+            (th, th, 2),
         ]
-        for pair, value in pairs:
-            assert h_prop[ctx.tensor.pair_index(pair)] == value, (name, pair.label())
+        for left, right, value in pairs:
+            k = pair_index(ctx.graph, left, right)
+            assert h_prop[k] == value, (name, left.label(), right.label())
         # maximal vectors of the remaining two tabulated shapes
         maximal = set(ctx.tensor.maximal_indices())
         lam = {b.root for b in ctx.graph.elements if isinstance(b, XRoot)}
         m = len(ctx.graph)
         for k in maximal:
-            left, right = ctx.tensor.element(k).left, ctx.tensor.element(k).right
+            left, right = pair_elements(ctx.graph, k)
             if left != th or isinstance(left, EmptyElement):
                 continue
             if isinstance(right, YElement):
@@ -168,12 +168,7 @@ def test_criterion_7_characters_vs_oracle():
     cases = [("A1-1", 5), ("A2-1", 5), ("A3-1", 3), ("D4-1", 3)]
     for name, max_degree in cases:
         ctx = family(name)
-        model = PathModel(
-            ctx.datum,
-            0,
-            graph=ctx.graph,
-            energy=energy_propagate(ctx.tensor),
-        )
+        model = PathModel(ctx.graph, 0, energy=energy_propagate(ctx.tensor))
         got = model.root_character(max_degree)
         for beta in lattice_points_up_to(ctx.datum, 2 * max_degree):
             for degree in range(max_degree + 1):
@@ -246,7 +241,7 @@ def test_criterion_8_property_suites():
         ctx = family(name)
         energy = energy_propagate(ctx.tensor)
         for node in level_one_nodes(ctx.datum):
-            model = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
+            model = PathModel(ctx.graph, node, energy=energy)
             paths = model.generate(2)
             sample = rng.sample(paths, min(30, len(paths)))
             for p in sample:

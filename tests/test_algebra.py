@@ -2,6 +2,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,9 +42,9 @@ from affine_crystals.roots import (
     lambda_weights,
     theta,
 )
-from affine_crystals.tensor import TensorCrystal, TensorElement
+from affine_crystals.tensor import TensorCrystal
 
-from conftest import SWEPT_NAMES, family
+from conftest import SWEPT_NAMES, family, pair_elements, pair_index, pair_label
 from test_crystal import WIDE_NAMES
 
 
@@ -77,7 +78,7 @@ def test_theta_alone_has_coefficient_two_at_valid_nodes(t):
 
 def _reference_psi(d, i):
     """The rule of ``build_psi`` written on elements: RootVector arithmetic
-    and a dict element -> TensorElement, zero vectors as y_i."""
+    and a dict element -> (left, right) of elements, zero vectors as y_i."""
     def x_or_y(vec):
         return YElement(i) if vec.is_zero() else XRoot(vec)
 
@@ -93,12 +94,12 @@ def _reference_psi(d, i):
         rest = th - gamma - s
         a_part, b_part = (rest, s) if mirror else (s, rest)
         head = th - a_part
-        psi[XRoot(gamma)] = TensorElement(XRoot(head), x_or_y(-b_part))
-        psi[XRoot(-gamma)] = TensorElement(x_or_y(b_part), XRoot(-head))
+        psi[XRoot(gamma)] = XRoot(head), x_or_y(-b_part)
+        psi[XRoot(-gamma)] = x_or_y(b_part), XRoot(-head)
     for j in sorted(has_y):
         path = dynkin_path(d, j, i)
         v = simple_sum(path[1:]) if mirror else th - simple_sum(path)
-        psi[YElement(j)] = TensorElement(x_or_y(v), x_or_y(-v))
+        psi[YElement(j)] = x_or_y(v), x_or_y(-v)
     return psi
 
 
@@ -108,7 +109,7 @@ def test_psi_matches_reference(name):
     for i in valid_psi_indices(g.datum):
         ref = _reference_psi(g.datum, i)
         want = [
-            (g.index.get(ref[b].left), g.index.get(ref[b].right)) if b in ref else None
+            tuple(map(g.index.get, ref[b])) if b in ref else None
             for b in g.elements
         ]
         assert ref.keys() <= set(g.elements)
@@ -332,15 +333,15 @@ def test_energy_propagation_values():
     d, g, t = _setup("A2-1")
     h = energy_propagate(t)
     th = XRoot(theta(d))
-    assert h[t.pair_index(TensorElement(EMPTY, EMPTY))] == 0
-    assert h[t.pair_index(TensorElement(EMPTY, th))] == 1
-    assert h[t.pair_index(TensorElement(th, XRoot(-theta(d))))] == 0
-    assert h[t.pair_index(TensorElement(th, EMPTY))] == 1
-    assert h[t.pair_index(TensorElement(th, th))] == 2
+    assert h[pair_index(g, EMPTY, EMPTY)] == 0
+    assert h[pair_index(g, EMPTY, th)] == 1
+    assert h[pair_index(g, th, XRoot(-theta(d)))] == 0
+    assert h[pair_index(g, th, EMPTY)] == 1
+    assert h[pair_index(g, th, th)] == 2
     for b in g.elements:
         if b != EMPTY:
-            assert h[t.pair_index(TensorElement(b, EMPTY))] == 1
-            assert h[t.pair_index(TensorElement(EMPTY, b))] == 1
+            assert h[pair_index(g, b, EMPTY)] == 1
+            assert h[pair_index(g, EMPTY, b)] == 1
 
 
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4, with_exceptional=False)])
@@ -358,7 +359,7 @@ def test_energy_constant_on_classical_components():
         for i in range(1, t.n_indices):
             for k, down in enumerate(t.f[i]):
                 if down >= 0:
-                    assert h[k] == h[down], (name, i, t.element(k).label())
+                    assert h[k] == h[down], (name, i, pair_label(g, k))
 
 
 # The defining recurrence of the energy, checked along the arrows of the
@@ -393,6 +394,25 @@ def test_energy_recurrence_along_pair_arrows(data):
         assert h[l2 * m + r2] - h[l * m + r] == step, (i, l, r)
 
 
+@pytest.mark.parametrize("name", [t.name for t in swept_types(8)])
+def test_energy_recurrence_on_every_pair(name):
+    # the recurrence along every arrow of the square, read through
+    # CrystalGraph.pair_e alone, with H(empty (x) empty) = 0; every pair
+    # lies on an arrow, so one wrong value of H fails here
+    g = build_crystal(build_datum(name))
+    h = energy_propagate(TensorCrystal(g))
+    m = len(g)
+    assert h[pair_index(g, EMPTY, EMPTY)] == 0
+    for i in range(g.n_indices):
+        for t, (l, r) in enumerate(product(range(m), repeat=2)):
+            raised = g.pair_e(l, r, i)
+            if raised is None:
+                continue
+            l2, r2 = raised
+            step = 0 if i else (1 if l2 != l else -1)
+            assert h[l2 * m + r2] - h[t] == step, (name, i, pair_label(g, t))
+
+
 def test_zero_energy_components_beyond_named_classes():
     # the square of the half-weight chain contains a level-0 component
     # whose head is neither x_theta (x) y_i nor x_theta (x) x_{-theta}
@@ -400,7 +420,7 @@ def test_zero_energy_components_beyond_named_classes():
     h = energy_propagate(t)
     e2 = XRoot(RootVector((0, 1)))
     th = XRoot(theta(d))
-    assert h[t.pair_index(TensorElement(th, e2))] == 0
+    assert h[pair_index(g, th, e2)] == 0
 
 
 def test_classification_labels():
@@ -408,13 +428,13 @@ def test_classification_labels():
     th = XRoot(theta(d))
     a1 = XRoot(RootVector.simple(1, 2))
     labels = classify_components(t)
-    assert labels[t.pair_index(TensorElement(a1, th))] == TWO_THETA
-    assert labels[t.pair_index(TensorElement(YElement(1), th))] == TWO_THETA
-    assert labels[t.pair_index(TensorElement(th, XRoot(-theta(d))))] == "ThetaMinusTheta"
-    assert labels[t.pair_index(TensorElement(EMPTY, EMPTY))] == "EmptyEmpty"
-    assert labels[t.pair_index(TensorElement(th, EMPTY))] == "RightEmpty"
-    assert labels[t.pair_index(TensorElement(EMPTY, th))] == "LeftEmpty"
-    assert labels[t.pair_index(TensorElement(th, YElement(1)))] == theta_comp(1)
+    assert labels[pair_index(g, a1, th)] == TWO_THETA
+    assert labels[pair_index(g, YElement(1), th)] == TWO_THETA
+    assert labels[pair_index(g, th, XRoot(-theta(d)))] == "ThetaMinusTheta"
+    assert labels[pair_index(g, EMPTY, EMPTY)] == "EmptyEmpty"
+    assert labels[pair_index(g, th, EMPTY)] == "RightEmpty"
+    assert labels[pair_index(g, EMPTY, th)] == "LeftEmpty"
+    assert labels[pair_index(g, th, YElement(1))] == theta_comp(1)
     assert GENERIC in labels
 
 
@@ -448,8 +468,8 @@ def test_order_formula_never_overshoots_on_twisted():
         assert formula <= comp, name
         m = len(g)
         for k in comp - formula:
-            pair = t.element(k)
-            assert isinstance(pair.left, YElement) or isinstance(pair.right, YElement)
+            left, right = pair_elements(g, k)
+            assert isinstance(left, YElement) or isinstance(right, YElement)
 
 
 def test_order_formula_known_gaps():
@@ -459,10 +479,10 @@ def test_order_formula_known_gaps():
     formula = two_theta_formula_indices(t)
     comp = two_theta_indices(t)
     th = XRoot(theta(d))
-    missed = t.pair_index(TensorElement(YElement(2), th))
+    missed = pair_index(g, YElement(2), th)
     assert missed in comp and missed not in formula
     a1 = XRoot(RootVector.simple(1, 2))
-    extra = t.pair_index(TensorElement(a1, a1))
+    extra = pair_index(g, a1, a1)
     assert extra in formula and extra not in comp
 
 
@@ -511,9 +531,9 @@ def test_order_indices_fill_candidate_gaps():
     exact = two_theta_order_indices(g)
     assert exact == two_theta_indices(t)
     th = XRoot(theta(d))
-    assert t.pair_index(TensorElement(YElement(2), th)) in exact
+    assert pair_index(g, YElement(2), th) in exact
     a1 = XRoot(RootVector.simple(1, 2))
-    assert t.pair_index(TensorElement(a1, a1)) not in exact
+    assert pair_index(g, a1, a1) not in exact
     # x_mu lies in D_nu exactly when nu is below mu in the Bruhat order
     # generated by reflections in all positive roots; dually for D^nu
     for name in ["G2-1", "F4-1", "C3-1", "D4-3"]:
@@ -570,16 +590,25 @@ def test_three_box_fixture():
     assert ok, mismatches
     g = three_box_crystal()
     assert len(g) == 3
-    t = TensorCrystal(g)
-    h = energy_propagate(t, anchor=t.element(0), anchor_value=1)
-    # spot values from the closed form
-    labels = {}
-    for k in range(t.size):
-        pair = t.element(k)
-        labels[(pair.left.value, pair.right.value)] = h[k]
-    assert labels[(2, 1)] == 1
-    assert labels[(1, 3)] == 0
-    assert labels[(2, 2)] == 1
+    h = energy_propagate(TensorCrystal(g))
+    # no empty element, so H(1 (x) 1) = 0 at pair 0; the closed form's
+    # values 1, 0, 1 at 2 (x) 1, 1 (x) 3 and 2 (x) 2 keep their differences
+    values = {(l.value, r.value): v for (l, r), v in zip(product(g.elements, repeat=2), h)}
+    assert values[(1, 1)] == 0
+    assert values[(2, 1)] == 0
+    assert values[(1, 3)] == -1
+    assert values[(2, 2)] == 0
+
+
+def test_energy_without_empty_is_zero_on_pair_zero():
+    # the three boxes listed from box 3 down: pair 0 is now 3 (x) 3, where
+    # H is 0, and the closed form shifts by one to 0 or -1
+    boxes = [Box(3), Box(2), Box(1)]
+    g = CrystalGraph(boxes, [(1, 2, 1), (2, 1, 0), (0, 0, 2)], 3)
+    h = energy_propagate(TensorCrystal(g))
+    assert h[0] == 0
+    for (l, r), v in zip(product(boxes, repeat=2), h):
+        assert v == (0 if l.value >= r.value else -1), (l.value, r.value)
 
 
 def test_classification_rejects_component_without_single_head():
@@ -607,7 +636,7 @@ def test_propagation_rejects_inconsistent_loop():
     with pytest.raises(
         ValueError, match=r"^inconsistent energy at 1 \(x\) 1: 0 vs 1 via index 0$"
     ):
-        energy_propagate(t, anchor=TensorElement(boxes[0], boxes[0]), anchor_value=0)
+        energy_propagate(t)
 
 
 def test_propagation_rejects_disconnected_square():
@@ -617,7 +646,7 @@ def test_propagation_rejects_disconnected_square():
     boxes = [Box(1), Box(2)]
     t = TensorCrystal(CrystalGraph(boxes, [(1, 0, 1)], 2))
     with pytest.raises(ValueError, match="not connected; energy is partial"):
-        energy_propagate(t, anchor=TensorElement(boxes[0], boxes[0]))
+        energy_propagate(t)
 
 
 # The two big tables are written row by row; json.dumps(..., indent=2) of

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -110,24 +111,27 @@ def test_energy(capsys):
 
 @pytest.mark.parametrize("ty", ["A2-1", "C2-1", "A4-2", "D4-3"])
 def test_energy_labels_follow_pair_order(capsys, ty):
-    t = TensorCrystal(build_crystal(build_datum(ty)))
-    pairs = [t.element(k) for k in range(t.size)]
+    g = build_crystal(build_datum(ty))
+    pairs = list(product(g.elements, repeat=2))
     _, text, _ = run(capsys, "energy", ty)
     lines = text.splitlines()[1:]
-    assert [line.split("\t")[0] for line in lines] == [p.label() for p in pairs]
+    assert [line.split("\t")[0] for line in lines] == [
+        f"{left.label()} (x) {right.label()}" for left, right in pairs
+    ]
     _, blob, _ = run(capsys, "energy", ty, "--format", "json")
     assert list(json.loads(blob)) == [
-        f"({p.left.label()},{p.right.label()})" for p in pairs
+        f"({left.label()},{right.label()})" for left, right in pairs
     ]
 
 
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4)])
 def test_energy_text_is_one_line_per_pair(capsys, tmp_path, ty):
-    t = TensorCrystal(build_crystal(build_datum(ty)))
+    g = build_crystal(build_datum(ty))
+    t = TensorCrystal(g)
     h = energy_propagate(t)
-    pairs = [t.element(k) for k in range(t.size)]
+    pairs = product(g.elements, repeat=2)
     lines = [f"# {ty}: {t.size} pairs, methods agree: True"]
-    lines += [f"{p.left.label()} (x) {p.right.label()}\t{v}" for p, v in zip(pairs, h)]
+    lines += [f"{left.label()} (x) {right.label()}\t{v}" for (left, right), v in zip(pairs, h)]
     want = "\n".join(lines) + "\n"
     _, text, _ = run(capsys, "energy", ty)
     assert text == want

@@ -46,3 +46,20 @@ def test_perfectness_demo_is_deterministic(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert runs[0].stdout == runs[1].stdout
     assert b"swept 27 families" in runs[0].stdout
+
+
+def _readme_python(heading):
+    """The python block of the README section under ``## heading``."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    namespace = {}
+    exec(_readme_python("Library quick start"), namespace)
+    assert capsys.readouterr().out == "[0, 1, 2]\n"
+    assert len(namespace["graph"]) == 11
+    assert namespace["report"]["passed"] is True
+    assert namespace["model"].datum is namespace["d"]
+    assert namespace["coefficients"][((1, 0, 0), 0)] == 1

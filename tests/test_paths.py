@@ -32,7 +32,7 @@ from affine_crystals.tensor import TensorCrystal
 
 def _model(name, node=0):
     d = build_datum(name)
-    return d, PathModel(d, node)
+    return d, PathModel(build_crystal(d), node)
 
 
 def _fundamental(d, node):
@@ -41,15 +41,15 @@ def _fundamental(d, node):
 
 
 def test_ground_state_fixed_points():
-    d = build_datum("A2-1")
-    assert ground_state(d, 0) == EMPTY
-    assert ground_state(d, 1) == YElement(1)
+    g = build_crystal(build_datum("A2-1"))
+    assert ground_state(g, 0) == EMPTY
+    assert ground_state(g, 1) == YElement(1)
     # the homogeneous ground state exists at every level-1 weight
     for t in swept_types(8):
         ctx = family(t.name)
         g = ctx.graph
         for node in level_one_nodes(ctx.datum):
-            b = ground_state(ctx.datum, node, g)
+            b = ground_state(g, node)
             assert g.eps_vec(b) == g.phi_vec(b) == _fundamental(ctx.datum, node)
 
 
@@ -58,12 +58,12 @@ def test_ground_state_rejects_inhomogeneous(monkeypatch):
     # perfect crystal whose ground states are periodic
     d = build_datum("A2-1")
     g = build_crystal(d)
-    table = minimal_elements(d, g)
+    table = minimal_elements(g)
     table[1] = (YElement(2), YElement(1))  # (eps-preimage, phi-preimage)
-    monkeypatch.setattr(paths, "minimal_elements", lambda d, graph: table)
-    assert ground_state(d, 0, g) == EMPTY
+    monkeypatch.setattr(paths, "minimal_elements", lambda graph: table)
+    assert ground_state(g, 0) == EMPTY
     with pytest.raises(ValueError, match="homogeneous"):
-        ground_state(d, 1, g)
+        ground_state(g, 1)
 
 
 def test_path_f_first_excitation():
@@ -137,7 +137,7 @@ def test_weight_drop_along_edges():
     for name in ["A2-1", "A2-2", "A4-2", "C2-1", "D4-3", "D3-2"]:
         d = build_datum(name)
         for node in level_one_nodes(d):
-            pm = PathModel(d, node)
+            pm = PathModel(build_crystal(d), node)
             paths = pm.generate(3)
             for p in rng.sample(paths, min(25, len(paths))):
                 wp, dp = pm.weight(p)
@@ -214,7 +214,7 @@ def test_transfer_matrix_matches_generation(name, max_degree):
     ctx = family(name)
     energy = energy_propagate(ctx.tensor)
     for node in level_one_nodes(ctx.datum):
-        pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
+        pm = PathModel(ctx.graph, node, energy=energy)
         assert pm.character(max_degree) == _generated_character(pm, max_degree)
         # the derived length is long enough: one more position adds nothing
         derived = pm.root_character(max_degree)
@@ -229,7 +229,7 @@ def test_transfer_matrix_length_is_enough(name):
     ctx = family(name)
     energy = energy_propagate(ctx.tensor)
     for node in level_one_nodes(ctx.datum):
-        pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
+        pm = PathModel(ctx.graph, node, energy=energy)
         run = pm.zero_run
         for max_degree in range(4):
             derived = pm.character(max_degree), pm.root_character(max_degree)
@@ -246,7 +246,7 @@ def test_transfer_matrix_length_is_not_more_than_enough():
         ctx = family(t.name)
         energy = energy_propagate(ctx.tensor)
         for node in level_one_nodes(ctx.datum):
-            pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
+            pm = PathModel(ctx.graph, node, energy=energy)
             derived = pm.character(2)
             pm.zero_run -= 1
             assert pm.character(2) != derived, (t.name, node)
@@ -273,35 +273,34 @@ def test_zero_energy_cycle_rejected():
     # ground -> x -> ground with zero energy on both pairs
     energy[top * m + other] = energy[other * m + top] = base
     with pytest.raises(ValueError, match="zero-energy cycle"):
-        PathModel(d, 0, graph=pm.graph, energy=energy)
+        PathModel(pm.graph, 0, energy=energy)
 
 
 def _tampered(name):
     """A fresh B of `name` and its energy table, for a test to alter B
     before it builds a PathModel at Lambda_0."""
-    d = build_datum(name)
-    graph = build_crystal(d)
-    return d, graph, energy_propagate(TensorCrystal(graph))
+    graph = build_crystal(build_datum(name))
+    return graph, energy_propagate(TensorCrystal(graph))
 
 
 def test_set_up_names_first_weight_off_its_root():
     # two elements' string data disagree with their roots, the later one
     # at a lower node, so a scan node by node would meet it first
-    d, graph, energy = _tampered("A2-1")
+    graph, energy = _tampered("A2-1")
     first, later = 1, 5
     graph._phi[2][first] += 5
     graph._phi[1][later] += 5
     label = re.escape(graph.elements[first].label())
     with pytest.raises(ValueError, match=f"the weight of {label} is not the pairing"):
-        PathModel(d, 0, graph=graph, energy=energy)
+        PathModel(graph, 0, energy=energy)
 
 
 def test_set_up_rejects_odd_doubled_pairing():
-    d, graph, energy = _tampered("A2-1")
+    graph, energy = _tampered("A2-1")
     odd, rooted = graph.elements[2], graph.root_weight
     graph.root_weight = lambda b: RootVector((1, 0)) if b == odd else rooted(b)
     with pytest.raises(ArithmeticError, match="non-integral"):
-        PathModel(d, 0, graph=graph, energy=energy)
+        PathModel(graph, 0, energy=energy)
 
 
 def test_negative_degree_rejected():
@@ -316,7 +315,7 @@ def test_negative_degree_rejected():
 def test_deep_characters_match_oracle(name, max_degree):
     d = build_datum(name)
     for node in level_one_nodes(d):
-        rc = PathModel(d, node).root_character(max_degree)
+        rc = PathModel(build_crystal(d), node).root_character(max_degree)
         points = lattice_points_up_to(d, 2 * max_degree, node=node)
         for beta in points:
             for n in range(max_degree + 1):
@@ -450,11 +449,12 @@ def test_ground_state_rejects_non_level_one():
     assert d.n == 4 and d.comarks[1] == 2 and d.comarks[-1] == 1
     # node -1 would pass a check of d.comarks[i] by negative indexing; n + 1
     # is past the diagram; Lambda_1 has comark 2 for this family
+    g = build_crystal(d)
     for node in (-1, d.n + 1, 1):
         with pytest.raises(ValueError, match="level-1 fundamental weight"):
-            ground_state(d, node)
+            ground_state(g, node)
         with pytest.raises(ValueError, match="level-1 fundamental weight"):
-            PathModel(d, node)
+            PathModel(g, node)
 
 
 def test_every_entry_point_rejects_non_level_one_alike():
@@ -462,10 +462,11 @@ def test_every_entry_point_rejects_non_level_one_alike():
     # refuse it with one message, decided by level_one_nodes
     d = build_datum("D4-1")
     assert d.comarks[2] == 2 and 2 not in level_one_nodes(d)
+    g = build_crystal(d)
     message = r"^Lambda_2 is not a level-1 fundamental weight of D4-1$"
     for call in (
-        lambda: ground_state(d, 2),
-        lambda: PathModel(d, 2),
+        lambda: ground_state(g, 2),
+        lambda: PathModel(g, 2),
         lambda: check_lattice_node(d, 2),
         lambda: oracle_multiplicity(d, RootVector.zero(d.n), 1, node=2),
         lambda: lattice_points_up_to(d, 2, node=2),
@@ -483,7 +484,7 @@ _WALK_NAMES = [t.name for t in swept_types(4)]
 @functools.cache
 def _walk_model(name, node):
     ctx = family(name)
-    return PathModel(ctx.datum, node, graph=ctx.graph, energy=energy_propagate(ctx.tensor))
+    return PathModel(ctx.graph, node, energy=energy_propagate(ctx.tensor))
 
 
 @settings(max_examples=200, deadline=None)
@@ -516,7 +517,7 @@ def test_lambda_keys_match_root_keys(name):
     d = ctx.datum
     energy = energy_propagate(ctx.tensor)
     for node in level_one_nodes(d):
-        pm = PathModel(d, node, graph=ctx.graph, energy=energy)
+        pm = PathModel(ctx.graph, node, energy=energy)
         lam = _fundamental(d, node)
         rekeyed = Counter()
         for (twice, degree), count in pm.root_character(2).items():
@@ -533,7 +534,7 @@ def test_counts_are_truncations(name):
     ctx = family(name)
     energy = energy_propagate(ctx.tensor)
     for node in level_one_nodes(ctx.datum):
-        pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
+        pm = PathModel(ctx.graph, node, energy=energy)
         deep, deep_roots = pm.character(3), pm.root_character(3)
         for bound in range(3):
             cut = {key: c for key, c in deep.items() if -key[1] <= bound}
@@ -549,7 +550,7 @@ def test_one_pass_oracle_matches_cells(name, node):
     d = build_datum(name)
     cells = list(oracle_cells(d, 3, node=node))
     assert [beta for beta, _, _ in cells] == lattice_points_up_to(d, 6, node=node)
-    pm = PathModel(d, node)
+    pm = PathModel(build_crystal(d), node)
     lam_keyed, root_keyed = pm.character(3), pm.root_character(3)
     for beta, weight, wants in cells:
         assert wants == [oracle_multiplicity(d, beta, n, node=node) for n in range(4)]
@@ -596,7 +597,7 @@ def test_rows_leave_in_payload_order(name):
     ctx = family(name)
     energy = energy_propagate(ctx.tensor)
     for node in level_one_nodes(ctx.datum):
-        pm = PathModel(ctx.datum, node, graph=ctx.graph, energy=energy)
+        pm = PathModel(ctx.graph, node, energy=energy)
         keys = list(pm.character(3))
         assert keys == sorted(keys, key=lambda key: (-key[1], key[0])), node
         keys = list(pm.root_character(3))
@@ -640,7 +641,7 @@ def test_character_json_matches_json_dumps(op, tmp_path):
     payload = out.read_text()
     _, name, weight, _, degree = op.split()[:5]
     d = build_datum(name)
-    counts = PathModel(d, int(weight[1:])).character(int(degree))
+    counts = PathModel(build_crystal(d), int(weight[1:])).character(int(degree))
     oracle = json.loads(payload)["oracle"]
     assert payload == _character_oracle(name, weight, counts, oracle)
     assert character_json(name, weight, counts, oracle) == payload

@@ -11,8 +11,7 @@ from affine_crystals.roots import RootVector, theta
 
 
 def test_a2_report():
-    d = build_datum("A2-1")
-    rep = verify_perfect(d)
+    rep = verify_perfect(build_crystal(build_datum("A2-1")))
     assert rep["passed"]
     assert rep["minimal_elements"]["Lambda_0"] == {"b_upper": "empty", "b_lower": "empty"}
     assert rep["minimal_elements"]["Lambda_1"] == {"b_upper": "y_1", "b_lower": "y_1"}
@@ -20,25 +19,22 @@ def test_a2_report():
 
 
 def test_d43_report():
-    rep = verify_perfect(build_datum("D4-3"))
+    rep = verify_perfect(build_crystal(build_datum("D4-3")))
     assert rep["passed"]
     assert list(rep["minimal_elements"]) == ["Lambda_0"]
 
 
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4, with_exceptional=False)])
 def test_small_sweep(ty):
-    assert verify_perfect(build_datum(ty))["passed"]
+    assert verify_perfect(build_crystal(build_datum(ty)))["passed"]
 
 
 def test_minimal_elements_values():
-    d = build_datum("C2-1")
-    g = build_crystal(d)
-    table = minimal_elements(d, g)
+    table = minimal_elements(build_crystal(build_datum("C2-1")))
     assert table[0] == (EMPTY, EMPTY)
     assert table[1] == (YElement(1), YElement(1))
     assert table[2] == (YElement(2), YElement(2))
-    d4 = build_datum("A4-2")
-    table4 = minimal_elements(d4, build_crystal(d4))
+    table4 = minimal_elements(build_crystal(build_datum("A4-2")))
     assert list(table4) == [0]
 
 
@@ -48,7 +44,7 @@ def test_corrupted_graph_fails_with_witness():
     y1 = g.index[YElement(1)]
     dropped = [(i, s, t) for i, s, t in g.arrows() if not (i == 1 and s == y1)]
     broken = CrystalGraph(g.elements, dropped, g.n_indices, datum=d)
-    rep = verify_perfect(d, broken)
+    rep = verify_perfect(broken)
     assert not rep["passed"]
     failing = [k for k, v in rep["axioms"].items() if not v["passed"]]
     assert failing
@@ -93,14 +89,15 @@ def test_minimal_elements_rejects_two_preimages():
     from affine_crystals.algebra import Box
 
     a, b, c, d, e = map(Box, range(1, 6))
-    g = CrystalGraph([a, b, c, d, e], [(0, 0, 1), (0, 2, 3), (1, 2, 4)], 2)
+    arrows = [(0, 0, 1), (0, 2, 3), (1, 2, 4)]
+    g = CrystalGraph([a, b, c, d, e], arrows, 2, datum=build_datum("A1-1"))
     assert [g.eps_vec(x) for x in g.elements] == [
         (0, 0), (1, 0), (0, 0), (1, 0), (0, 1)
     ]
     with pytest.raises(
         ValueError, match=r"^Lambda_0: 2 eps-preimages, 1 phi-preimages$"
     ):
-        minimal_elements(build_datum("A1-1"), g)
+        minimal_elements(g)
 
 
 @pytest.mark.parametrize(
@@ -113,7 +110,7 @@ def test_weight_cone_witness(twice, label):
     g = build_crystal(d)
     extra = XRoot(RootVector(twice))
     wide = CrystalGraph(g.elements + (extra,), g.arrows(), g.n_indices, datum=d)
-    cone = verify_perfect(d, wide)["axioms"]["weight_cone"]
+    cone = verify_perfect(wide)["axioms"]["weight_cone"]
     assert not cone["passed"]
     assert cone["witness"] == label
 
@@ -130,7 +127,7 @@ def test_weight_cone_counts_top_weight_elements():
     arrows = g.arrows() + [(1, top, p), (2, top, q), (0, r, s), (0, s, top)]
     wide = CrystalGraph(g.elements + boxes, arrows, g.n_indices, datum=d)
     assert wide.weight_of(boxes[0]) == wide.weight_of(XRoot(theta(d)))
-    cone = verify_perfect(d, wide)["axioms"]["weight_cone"]
+    cone = verify_perfect(wide)["axioms"]["weight_cone"]
     assert (cone["passed"], cone["detail"], cone["witness"]) == (
         False, "lambda_0 = theta, |B_lambda0| = 2", "2 top-weight elements"
     )
@@ -142,8 +139,8 @@ def test_weight_cone_without_x_theta():
     from affine_crystals.algebra import Box
 
     a, b = Box(1), Box(2)
-    g = CrystalGraph([a, b], [(1, 0, 1)], 2)
-    rep = verify_perfect(build_datum("A1-1"), g)
+    g = CrystalGraph([a, b], [(1, 0, 1)], 2, datum=build_datum("A1-1"))
+    rep = verify_perfect(g)
     assert rep["axioms"]["weight_cone"] == {
         "passed": False,
         "detail": "lambda_0 = theta, |B_lambda0| = 0",
@@ -160,17 +157,17 @@ def test_connectivity_certificate_closes(ty, monkeypatch):
         raise AssertionError("verify_perfect labelled the whole square")
 
     monkeypatch.setattr(perfect, "TensorCrystal", refuse)
-    d = build_datum(ty)
-    rep = verify_perfect(d)
+    g = build_crystal(build_datum(ty))
+    rep = verify_perfect(g)
     assert rep["passed"]
-    m = len(build_crystal(d))
+    m = len(g)
     assert rep["axioms"]["tensor_square_connected"]["detail"] == (
         f"B(x)B has 1 component(s) over {m * m} pairs"
     )
 
 
 def test_report_json_round_trips():
-    rep = verify_perfect(build_datum("A4-2"))
+    rep = verify_perfect(build_crystal(build_datum("A4-2")))
     data = json.loads(json.dumps(rep))
     assert data == rep
     assert data["type"] == "A4-2"

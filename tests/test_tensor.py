@@ -28,9 +28,9 @@ from affine_crystals.crystal import (
 from affine_crystals.paths import PathModel
 from affine_crystals.perfect import verify_perfect
 from affine_crystals.roots import RootVector, finite_roots, lambda_weights, theta
-from affine_crystals.tensor import TensorCrystal, TensorElement
+from affine_crystals.tensor import TensorCrystal
 
-from conftest import SWEPT_NAMES, family
+from conftest import SWEPT_NAMES, family, pair_elements, pair_index
 
 
 def _setup(name):
@@ -120,6 +120,10 @@ def _reference_maximal(t):
     return [k for k in range(t.size) if all(e[k] < 0 for e in e_tabs)]
 
 
+# the datum that the hand-built graphs under three indices carry
+A2 = build_datum("A2-1")
+
+
 def _hand_built(name):
     # boxes 1, 2, 3 sit at indices 0, 1, 2 (a, b, c); index 3 (d) is empty
     # in four-heads and box 4 in head-cycle
@@ -140,9 +144,10 @@ def _hand_built(name):
         "isolated-cycle": [(1, b, c), (2, c, b)],
     }[name]
     if arrows is None:
-        return three_box_crystal()
+        g = three_box_crystal()
+        return CrystalGraph(g.elements, g.arrows(), 3, datum=A2)
     extra = {"four-heads": [EMPTY], "head-cycle": [Box(4)]}.get(name, [])
-    return CrystalGraph([Box(1), Box(2), Box(3)] + extra, arrows, 3)
+    return CrystalGraph([Box(1), Box(2), Box(3)] + extra, arrows, 3, datum=A2)
 
 
 HAND_BUILT = ["three-box", "four-heads", "cycle-2", "cycle-3", "head-cycle", "isolated-cycle"]
@@ -195,17 +200,15 @@ def test_component_labels_match_search(ty):
 
 def _a2_cut():
     """A2-1 without its two 0-arrows at empty, as a graph with the datum."""
-    d = build_datum("A2-1")
-    g = build_crystal(d)
+    g = build_crystal(A2)
     empty = g.index[EMPTY]
     arrows = [(i, s, t) for i, s, t in g.arrows() if not (i == 0 and empty in (s, t))]
     assert len(arrows) == sum(map(len, g.f)) - 2
-    return d, CrystalGraph(g.elements, arrows, g.n_indices, datum=d)
+    return CrystalGraph(g.elements, arrows, g.n_indices, datum=A2)
 
 
 def test_connectivity_axiom_fails_without_zero_arrows_at_empty():
-    d, g = _a2_cut()
-    report = verify_perfect(d, g)
+    report = verify_perfect(_a2_cut())
     assert not report["passed"]
     assert report["axioms"]["tensor_square_connected"] == {
         "passed": False,
@@ -217,7 +220,7 @@ def test_connectivity_axiom_fails_without_zero_arrows_at_empty():
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4)] + HAND_BUILT + ["A2-1 cut"])
 def test_connected_components_count_matches_search(ty):
     if ty == "A2-1 cut":
-        g = _a2_cut()[1]
+        g = _a2_cut()
     else:
         g = _hand_built(ty) if ty in HAND_BUILT else build_crystal(build_datum(ty))
     t = TensorCrystal(g)
@@ -226,8 +229,9 @@ def test_connected_components_count_matches_search(ty):
 
 def _verify_count(g):
     """The component count in the connectivity detail of ``verify_perfect``
-    on a graph under three indices, checked against its pair count."""
-    axiom = verify_perfect(build_datum("A2-1"), g)["axioms"]["tensor_square_connected"]
+    on a graph under three indices that carries its datum, checked against
+    its pair count."""
+    axiom = verify_perfect(g)["axioms"]["tensor_square_connected"]
     found = re.fullmatch(r"B\(x\)B has (\d+) component\(s\) over (\d+) pairs", axiom["detail"])
     count, pairs = map(int, found.groups())
     assert pairs == len(g) ** 2
@@ -235,13 +239,26 @@ def _verify_count(g):
     return count
 
 
+# the component counts that verify reports on the graphs that carry A2
+VERIFY_COUNTS = {
+    "three-box": 1,
+    "four-heads": 1,
+    "cycle-2": 1,
+    "cycle-3": 1,
+    "head-cycle": 1,
+    "isolated-cycle": 4,
+    "A2-1 cut": 5,
+}
+
+
 @pytest.mark.parametrize("ty", HAND_BUILT + ["A2-1 cut"])
 def test_verify_counts_components_on_hand_built(ty):
     # where the head certificate does not close (a classical cycle, or heads
     # the 0-arrows leave apart), verify reads the exact count of the square
-    g = _a2_cut()[1] if ty == "A2-1 cut" else _hand_built(ty)
+    g = _a2_cut() if ty == "A2-1 cut" else _hand_built(ty)
+    assert g.datum is A2
     count = _verify_count(g)
-    assert count == TensorCrystal(g).connected_components()[1]
+    assert count == TensorCrystal(g).connected_components()[1] == VERIFY_COUNTS[ty]
     if ty == "isolated-cycle":
         # its one head would prove it connected but for the cycle check
         assert count > 1
@@ -253,9 +270,9 @@ def test_verify_reads_only_the_component_count(monkeypatch):
         raise AssertionError("verify_perfect built a label list")
 
     monkeypatch.setattr(TensorCrystal, "component_labels", refuse)
-    assert verify_perfect(build_datum("C2-1"))["passed"]
+    assert verify_perfect(build_crystal(build_datum("C2-1")))["passed"]
     # nor does the exact count where the head certificate does not close
-    assert not verify_perfect(*_a2_cut())["passed"]
+    assert not verify_perfect(_a2_cut())["passed"]
 
 
 @st.composite
@@ -274,7 +291,7 @@ def _random_graphs(draw):
     )
     boxes = [Box(k) for k in range(n)]
     try:
-        return CrystalGraph(boxes, arrows, 3)
+        return CrystalGraph(boxes, arrows, 3, datum=A2)
     except ValueError:
         reject()
 
@@ -353,7 +370,8 @@ def test_one_element_square(n_indices):
     _assert_partitions_match_search(t)
     assert t.component_labels() == ([(0,)], 1)
     assert t.maximal_indices() == _reference_maximal(t) == [0]
-    assert energy_propagate(t, anchor=TensorElement(a, a), anchor_value=3) == [3]
+    # with no empty element, H is 0 on pair 0
+    assert energy_propagate(t) == [0]
 
 
 @pytest.mark.parametrize("name", ["A2-1", "C2-1", "G2-1", "A4-2", "D4-3"])
@@ -393,7 +411,7 @@ def test_inconsistent_energy_names_smallest_failing_pair():
     g = CrystalGraph([a, b, c], [(0, 0, 1), (0, 1, 2), (1, 0, 1)], 3)
     t = TensorCrystal(g)
     with pytest.raises(ValueError) as err:
-        energy_propagate(t, anchor=TensorElement(a, a))
+        energy_propagate(t)
     assert str(err.value) == "inconsistent energy at 1 (x) 1: 0 vs 1 via index 0"
 
 
@@ -412,8 +430,8 @@ def test_energy_and_verify_build_no_views(monkeypatch):
 
     monkeypatch.setattr(perfect, "TensorCrystal", recorded)
     monkeypatch.setattr(paths, "TensorCrystal", recorded)
-    assert verify_perfect(d, g)["passed"]
-    PathModel(d, 0)
+    assert verify_perfect(g)["passed"]
+    PathModel(g, 0)
     assert len(squares) == 2  # PathModel builds its own
     assert all(s._f is None for s in squares)
 
@@ -467,9 +485,9 @@ def test_stats_weight_additivity():
     for name in ["A2-1", "C2-1", "A4-2"]:
         d, g, t = _setup(name)
         for k in range(t.size):
-            pair = t.element(k)
-            wl = g.weight_of(pair.left)
-            wr = g.weight_of(pair.right)
+            left, right = pair_elements(g, k)
+            wl = g.weight_of(left)
+            wr = g.weight_of(right)
             for i in range(d.n + 1):
                 eps, phi = _pair_stats(g, *divmod(k, len(g)), i)
                 assert phi - eps == wl[i] + wr[i]
@@ -488,14 +506,14 @@ def test_core_maximal_vectors_always_present():
         d, g, t = _setup(ty.name)
         th = XRoot(theta(d))
         mv = set(t.maximal_indices())
-        for pair in [
-            TensorElement(th, th),
-            TensorElement(th, EMPTY),
-            TensorElement(EMPTY, th),
-            TensorElement(EMPTY, EMPTY),
-            TensorElement(th, XRoot(-theta(d))),
+        for left, right in [
+            (th, th),
+            (th, EMPTY),
+            (EMPTY, th),
+            (EMPTY, EMPTY),
+            (th, XRoot(-theta(d))),
         ]:
-            assert t.pair_index(pair) in mv
+            assert pair_index(g, left, right) in mv
 
 
 def test_maximal_vectors_left_factor():
@@ -505,13 +523,13 @@ def test_maximal_vectors_left_factor():
         d, g, t = _setup(name)
         th = theta(d)
         for k in t.maximal_indices():
-            pair = t.element(k)
-            if isinstance(pair.left, EmptyElement):
-                assert pair.right in (EMPTY, XRoot(th))
+            left, right = pair_elements(g, k)
+            if isinstance(left, EmptyElement):
+                assert right in (EMPTY, XRoot(th))
                 continue
-            assert pair.left == XRoot(th)
+            assert left == XRoot(th)
             for i in range(1, d.n + 1):
-                assert g.eps(pair.right, i) <= th.pairing(d, i)
+                assert g.eps(right, i) <= th.pairing(d, i)
 
 
 def test_type_a_maximal_shapes_exact():
@@ -524,17 +542,17 @@ def test_type_a_maximal_shapes_exact():
         plus, has_y, _ = lambda_weights(d)
         lam = set(plus) | {-r for r in plus}
         allowed = {
-            t.pair_index(TensorElement(XRoot(th), XRoot(th))),
-            t.pair_index(TensorElement(XRoot(th), EMPTY)),
-            t.pair_index(TensorElement(EMPTY, XRoot(th))),
-            t.pair_index(TensorElement(EMPTY, EMPTY)),
-            t.pair_index(TensorElement(XRoot(th), XRoot(-th))),
+            pair_index(g, XRoot(th), XRoot(th)),
+            pair_index(g, XRoot(th), EMPTY),
+            pair_index(g, EMPTY, XRoot(th)),
+            pair_index(g, EMPTY, EMPTY),
+            pair_index(g, XRoot(th), XRoot(-th)),
         }
         for alpha in plus:
             if th - alpha in lam:
-                allowed.add(t.pair_index(TensorElement(XRoot(th), XRoot(th - alpha))))
+                allowed.add(pair_index(g, XRoot(th), XRoot(th - alpha)))
         for i in has_y:
-            allowed.add(t.pair_index(TensorElement(XRoot(th), YElement(i))))
+            allowed.add(pair_index(g, XRoot(th), YElement(i)))
         assert set(t.maximal_indices()) <= allowed
 
 
@@ -542,8 +560,8 @@ def test_no_theta_y_maximal_for_half_weight_families():
     for name in ["A2-2", "A4-2", "D3-2", "D4-2"]:
         d, g, t = _setup(name)
         for k in t.maximal_indices():
-            pair = t.element(k)
-            assert not isinstance(pair.right, YElement)
+            left, right = pair_elements(g, k)
+            assert not isinstance(right, YElement)
 
 
 def test_full_square_connected():
@@ -600,22 +618,22 @@ def test_named_components():
     th = theta(d)
     labels, _ = _flat_labels(t)
 
-    def component_of(pair):
-        c = labels[t.pair_index(pair)]
+    def component_of(left, right):
+        c = labels[pair_index(g, left, right)]
         return {k for k, label in enumerate(labels) if label == c}
 
-    singleton = component_of(TensorElement(XRoot(th), XRoot(-th)))
-    assert singleton == {t.pair_index(TensorElement(XRoot(th), XRoot(-th)))}
-    left = component_of(TensorElement(XRoot(th), EMPTY))
+    singleton = component_of(XRoot(th), XRoot(-th))
+    assert singleton == {pair_index(g, XRoot(th), XRoot(-th))}
+    left = component_of(XRoot(th), EMPTY)
     expect = {
-        t.pair_index(TensorElement(b, EMPTY))
+        pair_index(g, b, EMPTY)
         for b in g.elements
         if not isinstance(b, EmptyElement)
     }
     assert left == expect
-    right = component_of(TensorElement(EMPTY, XRoot(th)))
+    right = component_of(EMPTY, XRoot(th))
     expect = {
-        t.pair_index(TensorElement(EMPTY, b))
+        pair_index(g, EMPTY, b)
         for b in g.elements
         if not isinstance(b, EmptyElement)
     }
@@ -626,8 +644,7 @@ def test_string_stats_match_closed_formulas():
     for name in ["A2-1", "C2-1", "G2-1", "A4-2"]:
         d, g, t = _setup(name)
         for k in range(t.size):
-            pair = t.element(k)
-            l, r = pair.left, pair.right
+            l, r = pair_elements(g, k)
             for i in range(d.n + 1):
                 eps_l, phi_l = g.string_stats(l, i)
                 eps_r, phi_r = g.string_stats(r, i)

@@ -5,11 +5,10 @@ import pytest
 
 from affine_crystals.algebra import Box
 from affine_crystals.cartan import AffineType, build_datum, parse_type
-from affine_crystals.crystal import EMPTY, EmptyElement, XRoot, YElement
+from affine_crystals.crystal import EMPTY, EmptyElement, XRoot, YElement, build_crystal
 from affine_crystals.paths import Path
 from affine_crystals.perfect import verify_perfect
 from affine_crystals.roots import RootVector, lambda_weights
-from affine_crystals.tensor import TensorElement
 
 
 def _root():
@@ -23,7 +22,6 @@ BUILDERS = {
     "XRoot": lambda: XRoot(_root()),
     "YElement": lambda: YElement(int("2")),
     "EmptyElement": EmptyElement,
-    "TensorElement": lambda: TensorElement(XRoot(_root()), YElement(1)),
     "Box": lambda: Box(int("3")),
     "Path": lambda: Path(tuple([1, 0]), (XRoot(_root()), EMPTY)),
     "AffineType": lambda: AffineType("D", 4, 3),
@@ -60,14 +58,12 @@ def test_equal_only_within_one_class():
     assert YElement(1) != Box(1) and Box(1) != YElement(1)
     assert XRoot(r) != r and r != r.twice
     assert YElement(1) != 1 and EMPTY != ()
-    pair = TensorElement(XRoot(r), YElement(1))
-    assert pair != (XRoot(r), YElement(1)) and (XRoot(r), YElement(1)) != pair
     path = Path((1, 0), (XRoot(r),))
     assert path != ((1, 0), (XRoot(r),))
     assert AffineType("A", 2, 1) != "A2-1"
     # values differing in one field differ
-    assert TensorElement(XRoot(r), YElement(1)) != TensorElement(XRoot(r), YElement(2))
     assert Path((1, 0), ()) != Path((0, 1), ())
+    assert Path((1, 0), (XRoot(r),)) != Path((1, 0), (YElement(1),))
 
 
 def test_datum_equal_across_spellings_shares_the_cache():
@@ -82,13 +78,13 @@ def test_datum_equal_across_spellings_shares_the_cache():
 
 def test_report_fields_are_per_instance():
     # each report is a fresh dict, down to its axioms and minimal elements
-    d = build_datum("A1-1")
-    a, b = verify_perfect(d), verify_perfect(d)
+    g = build_crystal(build_datum("A1-1"))
+    a, b = verify_perfect(g), verify_perfect(g)
     assert a == b and a is not b
     a["axioms"]["x"] = {"passed": True, "detail": ""}
     a["axioms"]["module_asserted"]["detail"] = "changed"
     a["minimal_elements"]["Lambda_0"] = {}
-    assert b == verify_perfect(d)
+    assert b == verify_perfect(g)
     # a passed axiom carries no witness key
     assert b["axioms"]["module_asserted"] == {
         "passed": True,

@@ -5,7 +5,7 @@ in it, and a single empty element; arrows follow the subtraction rule for
 classical indices and the theta-translation rule for index 0.
 """
 
-from operator import mul, sub
+from operator import neg, sub
 
 from ._frozen import Frozen
 from .roots import RootVector, lambda_weights, theta
@@ -240,37 +240,37 @@ def build_crystal(d):
 
     Order: positive x-elements by height then lexicographically, then y_i
     by index, then the negative x-elements mirroring the positives, then
-    the empty element.  Arrows are found on integer keys: each
-    ``RootVector.twice`` packed with balanced digits in radix
-    R = 4 max|theta_j| + 3, coordinate 0 first.  The digits of a weight,
-    of a - alpha_i and of a + theta lie in (-R/2, R/2), so keys never
-    collide and keep tuple order.  Sources are visited in ascending key
-    order: each ``f[i]`` holds its arrows between x-elements in that
-    order, ahead of those through y_i and empty.
+    the empty element.  Arrows are found on integer keys: ``twice`` in
+    balanced radix-256 digits, coordinate 0 first, so a positive weight's
+    key is its bytes; the digits of a weight, of a - alpha_i and of
+    theta - a lie in [-12, 12], so keys never collide and keep tuple
+    order.  Only positive keys are scanned: -b steps to -b - alpha_i where
+    b + alpha_i steps to b, and only -b has a 0-arrow, to theta - b (none
+    for -theta: 0 is no key).  Each ``f[i]`` lists its x-to-x arrows by
+    ascending source key, ahead of those through y_i and empty.
     """
     lam_plus, has_y, _ = lambda_weights(d)
     n = d.n
-    th = theta(d).twice
-    radix = 4 * max(map(abs, th)) + 3
-    place = [radix ** (n - 1 - k) for k in range(n)]
     p = len(lam_plus)
     y = {i: p + k for k, i in enumerate(sorted(has_y))}
     q = p + len(y)
     empty = q + p
+    minus = list(range(q, empty))  # -b's index by b's, one int shared by its arrows
     elements = [XRoot(r) for r in lam_plus] + [YElement(i) for i in y]
-    elements += [XRoot(-r) for r in lam_plus] + [EMPTY]
-    keys = [sum(map(mul, r.twice, place)) for r in lam_plus]
+    elements += [XRoot(RootVector(tuple(map(neg, r.twice)))) for r in lam_plus] + [EMPTY]
+    keys = [int.from_bytes(bytes(r.twice), "big") for r in lam_plus]
     at = dict(zip(keys, range(p)))
-    at.update(zip([-a for a in keys], range(q, empty)))
-    sources = sorted(at.items())
+    at.update(zip(map(neg, keys), minus))
+    sources = sorted(zip(keys, range(p)))
     arrows = []
     for i in range(1, n + 1):
-        step = 2 * place[i - 1]
-        arrows += [(i, s, t) for a, s in sources if (t := at.get(a - step)) is not None]
+        step = 2 << 8 * (n - i)
+        down = [(s, t) for a, s in sources if (t := at.get(a - step)) is not None]
+        arrows += [(i, minus[t], minus[s]) for s, t in reversed(down) if t < p]
+        arrows += [(i, s, t) for s, t in down]
         if i in y:
             arrows += [(i, at[step], y[i]), (i, y[i], at[-step])]
-    # theta and -theta find no image: 2 theta and 0 are not keys of x-elements
-    top = sum(map(mul, th, place))
-    arrows += [(0, s, t) for a, s in sources if (t := at.get(a + top)) is not None]
-    arrows += [(0, at[-top], empty), (0, empty, at[top])]
+    th = int.from_bytes(bytes(theta(d).twice), "big")
+    arrows += [(0, minus[s], t) for a, s in reversed(sources) if (t := at.get(th - a)) is not None]
+    arrows += [(0, at[-th], empty), (0, empty, at[th])]
     return CrystalGraph(elements, arrows, n + 1, datum=d)

@@ -14,7 +14,7 @@ A graph where the certificate does not close, which only a hand-built
 graph reaches, gets the exact count of ``TensorCrystal``.
 """
 
-from operator import le, mul, sub
+from operator import le, sub
 
 from .cartan import level_one_nodes
 from .crystal import XRoot
@@ -59,20 +59,20 @@ def minimal_elements(graph):
 
 def _classically_acyclic(graph):
     """Whether the classical arrows of B (indices >= 1) have no cycle, by
-    a Kahn topological sort."""
-    classical = graph.f[1:]
+    a Kahn topological sort over successor lists read once from the
+    ``f`` dicts: one step per arrow."""
+    after = [[] for _ in range(len(graph))]
     indegree = [0] * len(graph)
-    for f in classical:
-        for t in f.values():
+    for f in graph.f[1:]:
+        for s, t in f.items():
+            after[s].append(t)
             indegree[t] += 1
     ready = [b for b, k in enumerate(indegree) if not k]
     for b in ready:  # grows while it is read
-        for f in classical:
-            t = f.get(b)
-            if t is not None:
-                indegree[t] -= 1
-                if not indegree[t]:
-                    ready.append(t)
+        for t in after[b]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                ready.append(t)
     return len(ready) == len(graph)
 
 
@@ -152,20 +152,18 @@ def verify_perfect(graph):
     )
 
     # weights lie under theta in the (1/d0)-scaled cone, with a unique top:
-    # theta - wt(b) has nonnegative doubled coefficients, even ones if d0 = 1
+    # theta - wt(b) has nonnegative doubled coefficients, even ones if d0 = 1.
+    # Each weight is compared with theta at once, and parity read off the
+    # set of all coefficients; the elements are scanned one coefficient at
+    # a time only to name the first that fails.
     th = theta(d)
     step = 2 if d.d0 == 1 else 1
-    bad = next(
-        (
-            b
-            for b in graph.elements
-            if any(
-                t < 0 or t % step
-                for t in map(sub, th.twice, graph.root_weight(b).twice)
-            )
-        ),
-        None,
-    )
+    coeffs = [graph.root_weight(b).twice for b in graph.elements]
+    odd = step == 2 and any(a & 1 for a in set().union(*coeffs))
+    bad = None
+    if odd or not all(all(map(le, w, th.twice)) for w in coeffs):
+        gaps = ((b, map(sub, th.twice, w)) for b, w in zip(graph.elements, coeffs))
+        bad = next((b for b, gap in gaps if any(t < 0 or t % step for t in gap)), None)
     # a graph without x_theta has no element of its weight
     top = XRoot(th)
     weights = graph.weights()
@@ -177,12 +175,18 @@ def verify_perfect(graph):
         "" if ok3 else (bad.label() if bad else f"{top_count} top-weight elements"),
     )
 
-    # <c, eps(b)> >= 1 everywhere
-    levels = [sum(map(mul, d.comarks, eps)) for eps in zip(*graph._eps)]
-    low = next((b for b, c in zip(graph.elements, levels) if c < 1), None)
+    # <c, eps(b)> >= 1 everywhere, summed column by column over the
+    # nonzero entries (eps_i(b) > 0 just where an i-arrow ends at b); the
+    # elements are scanned only to name the first below 1
+    levels = [0] * len(graph)
+    for c, e, eps in zip(d.comarks, graph.e, graph._eps):
+        for b in e:
+            levels[b] += c * eps[b]
+    lowest = min(levels)
+    low = None if lowest >= 1 else next(b for b, c in zip(graph.elements, levels) if c < 1)
     axioms["eps_level_bound"] = _axiom(
         low is None,
-        f"min <c, eps(b)> = {min(levels)}",
+        f"min <c, eps(b)> = {lowest}",
         "" if low is None else low.label(),
     )
 

@@ -5,8 +5,9 @@ Roots are stored with doubled integer coefficients over alpha_1..alpha_n so
 that the half-integral weights appearing for A_{2n}^(2) stay exact.
 """
 
+from collections import deque
 from functools import cache
-from operator import itemgetter, mul
+from operator import neg
 
 from ._frozen import Frozen
 
@@ -96,46 +97,48 @@ def theta(d):
     return RootVector(tuple(2 * m // d.d0 for m in d.marks[1:]))
 
 
-def finite_roots(d):
-    """All roots of g as (root, length_class), class "long" or "short".
+def _positive_roots(d):
+    """The positive roots as ``RootVector.twice`` keys with their class,
+    "long" or "short", as (key, class) pairs by height then
+    lexicographically.
 
     alpha_i is long where its symmetrizer is largest over nodes 1..n.  Every
     positive root is reached from a simple root by simple reflections
-    s_i beta = beta - <beta, h_i> alpha_i with <beta, h_i> < 0, and W
-    preserves length (Humphreys, Introduction to Lie Algebras, 10.3), so
-    the walk on ``RootVector.twice`` keys hands each root its class.  The
-    list holds each positive root, by height then lexicographically,
-    followed by its negative.
+    s_i beta = beta - p alpha_i with p = <beta, h_i> < 0, and W preserves
+    length (Humphreys, Introduction to Lie Algebras, 10.3), so the walk
+    hands each root its class.  Each root carries its nonzero pairings
+    <beta, h_j>, those of alpha_i being column i of the finite Cartan
+    matrix (node i and its neighbours); s_i adds -p times that column, so
+    a step sets at most four pairings and p < 0 is read off a few.
     """
     n = d.n
-    # <beta, h_i> sums over the nonzero entries of row i only (node i and
-    # its neighbours), so the walk costs about n^3 steps instead of n^4
-    rows = []
-    for row in d.finite_cartan():
-        cols = [j for j, a in enumerate(row) if a]
-        coeffs = [row[j] for j in cols]
-        if len(cols) == 1:
-            # itemgetter returns a bare item for a single index, so the
-            # lone diagonal entry of rank 1 is read twice, once with weight 0
-            cols.append(cols[0])
-            coeffs.append(0)
-        rows.append((itemgetter(*cols), coeffs))
+    cols = [{j: a for j, a in enumerate(col) if a} for col in zip(*d.finite_cartan())]
     sym = d.symmetrizers[1:]
-    known = {
-        RootVector.simple(i, n).twice: "long" if s == max(sym) else "short"
-        for i, s in enumerate(sym, 1)
-    }
-    queue = list(known)
-    for beta in queue:  # grows while it is read
-        for i, (at, coeffs) in enumerate(rows):
-            p = sum(map(mul, at(beta), coeffs)) // 2
+    known = {}
+    queue = deque()
+    for i, (col, s) in enumerate(zip(cols, sym)):
+        beta = (0,) * i + (2,) + (0,) * (n - 1 - i)
+        known[beta] = "long" if s == max(sym) else "short"
+        queue.append((beta, col))
+    while queue:  # a root's pairings are dropped once it is read
+        beta, pairs = queue.popleft()
+        for i, p in pairs.items():
             if p < 0:
                 up = beta[:i] + (beta[i] - 2 * p,) + beta[i + 1:]
                 if up not in known:
                     known[up] = known[beta]
-                    queue.append(up)
-    positive = map(RootVector, sorted(known, key=lambda t: (sum(t), t)))
-    return [(r, known[beta.twice]) for beta in positive for r in (beta, -beta)]
+                    step = {j: pairs.get(j, 0) - p * a for j, a in cols[i].items()}
+                    queue.append((up, pairs | step))
+    return sorted(known.items(), key=lambda item: (sum(item[0]), item[0]))
+
+
+def finite_roots(d):
+    """All roots of g as (root, length_class), class "long" or "short": each
+    positive root, by height then lexicographically, followed by its
+    negative.  Nothing in the package calls it: B reads its weights from
+    ``lambda_weights``."""
+    positive = _positive_roots(d)
+    return [(RootVector(t), c) for b, c in positive for t in (b, tuple(map(neg, b)))]
 
 
 @cache
@@ -147,23 +150,19 @@ def lambda_weights(d):
     with alpha_i in it as a frozenset, and whether 0 is a weight (d_0 = 1).
     lambda_plus is all positive roots (untwisted), the short ones (twisted)
     or, for A_{2n}^(2), the long ones of C_n halved, which are
-    alpha_i + ... + alpha_{n-1} + alpha_n/2.  Every part is immutable, so
-    the cached result is safe to share.
+    alpha_i + ... + alpha_{n-1} + alpha_n/2.  It is read off
+    ``_positive_roots`` directly, and no negative root is built.  Every
+    part is immutable, so the cached result is safe to share.
     """
     n = d.n
-    positive = finite_roots(d)[::2]
+    positive = _positive_roots(d)
     if d.d0 == 2:
-        long = (r.twice for r, cls in positive if cls == "long")
-        plus = [RootVector(tuple(a // 2 for a in t)) for t in long]
-    elif d.type.twist == 1:
-        plus = [r for r, _ in positive]
+        plus = [tuple(a // 2 for a in beta) for beta, cls in positive if cls == "long"]
     else:
-        plus = [r for r, cls in positive if cls == "short"]
+        plus = [beta for beta, cls in positive if d.type.twist == 1 or cls == "short"]
     members = set(plus)
-    has_y = frozenset(
-        i for i in range(1, n + 1) if RootVector.simple(i, n) in members
-    )
-    return tuple(plus), has_y, d.d0 == 1
+    has_y = frozenset(i for i in range(1, n + 1) if RootVector.simple(i, n).twice in members)
+    return tuple(map(RootVector, plus)), has_y, d.d0 == 1
 
 
 @cache

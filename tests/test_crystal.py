@@ -368,12 +368,33 @@ def _reference_roots(d):
     return out
 
 
-@pytest.mark.parametrize("name", [t.name for t in swept_types(8)])
+@pytest.mark.parametrize("name", [t.name for t in swept_types(8)] + WIDE_NAMES)
 def test_finite_roots_match_reference_closure(name):
-    # the A<even>-2 chains build B without finite_roots, but it still runs
-    # on their finite Cartan matrix
+    # finite_roots lists the walk that lambda_weights filters; nothing else
+    # in the package calls it
     d = build_datum(name)
     assert finite_roots(d) == _reference_roots(d)
+
+
+@pytest.mark.parametrize("name", [t.name for t in swept_types(8)] + WIDE_NAMES)
+def test_lambda_weights_match_definition(name):
+    # lambda_plus, in the order of finite_roots: every positive root
+    # (untwisted), the short ones (twisted, d0 = 1) or, for A<even>-2, the
+    # long ones halved; read off the reference closure, not finite_roots
+    d = build_datum(name)
+    positive = _reference_roots(d)[::2]
+    if d.d0 == 2:
+        long = [r.twice for r, cls in positive if cls == "long"]
+        assert all(a % 2 == 0 for t in long for a in t)
+        want = [RootVector(tuple(a // 2 for a in t)) for t in long]
+    elif d.type.twist == 1:
+        want = [r for r, _ in positive]
+    else:
+        want = [r for r, cls in positive if cls == "short"]
+    plus, has_y, has_zero = lambda_weights(d)
+    assert plus == tuple(want)
+    assert has_y == {i for i in range(1, d.n + 1) if RootVector.simple(i, d.n) in want}
+    assert has_zero is (d.d0 == 1)
 
 
 # CrystalGraph.to_json is written row by row; json.dumps(..., indent=2) of

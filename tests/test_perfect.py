@@ -101,15 +101,24 @@ def test_minimal_elements_rejects_two_preimages():
 
 
 @pytest.mark.parametrize(
-    "twice, label", [((4, 4), "x[2,2]"), ((0, 4), "x[0,2]"), ((1, 0), "x[1/2,0]")]
+    "twice, label",
+    [
+        (((4, 4),), "x[2,2]"),
+        (((0, 4),), "x[0,2]"),
+        # under theta but off the root lattice: only the parity check fails
+        (((1, 0),), "x[1/2,0]"),
+        # two elements leave the cone: the first in element order is named
+        (((1, 0), (4, 4)), "x[1/2,0]"),
+        (((4, 4), (1, 0)), "x[2,2]"),
+    ],
 )
 def test_weight_cone_witness(twice, label):
-    # an extra element whose weight is not under theta, or off the root
-    # lattice (d0 = 1), leaves the cone; the report names it
+    # extra elements whose weight is not under theta, or off the root
+    # lattice (d0 = 1), leave the cone; the report names the first
     d = build_datum("A2-1")
     g = build_crystal(d)
-    extra = XRoot(RootVector(twice))
-    wide = CrystalGraph(g.elements + (extra,), g.arrows(), g.n_indices, datum=d)
+    extra = tuple(XRoot(RootVector(t)) for t in twice)
+    wide = CrystalGraph(g.elements + extra, g.arrows(), g.n_indices, datum=d)
     cone = verify_perfect(wide)["axioms"]["weight_cone"]
     assert not cone["passed"]
     assert cone["witness"] == label

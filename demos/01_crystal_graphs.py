@@ -13,6 +13,7 @@ from affine_crystals import (
     YElement,
     build_crystal,
     build_datum,
+    root_label,
     theta,
 )
 
@@ -21,7 +22,7 @@ for name in ["A2-1", "D4-3", "C2-1", "A4-2"]:
     g = build_crystal(d)
     print(f"\n=== {name}: finite algebra {d.finite_type}, {len(g)} elements ===")
     print("  elements:", ", ".join(b.label() for b in g.elements))
-    print("  theta =", theta(d).label())
+    print("  theta =", root_label(theta(d)))
     els = g.elements
     for i, src, dst in g.arrows():
         print(f"    {els[src].label():12s} --{i}--> {els[dst].label()}")

@@ -30,7 +30,8 @@ for name in ["A2-1", "C2-1", "D4-3", "A4-2", "G2-1"]:
     h_cls = energy_by_classification(square)
     th = XRoot(theta(d))
     print(f"{name}: {square.size} pairs, methods agree: {h_prop == h_cls}")
-    pairs = [(EMPTY, EMPTY), (EMPTY, th), (th, XRoot(-theta(d))), (th, EMPTY), (th, th)]
+    low = XRoot(tuple(-a for a in theta(d)))
+    pairs = [(EMPTY, EMPTY), (EMPTY, th), (th, low), (th, EMPTY), (th, th)]
     for left, right in pairs:
         h = h_prop[g.index[left] * len(g) + g.index[right]]
         print(f"    H({left.label()} (x) {right.label()}) = {h}")

@@ -46,7 +46,7 @@ checked = diffs = 0
 for beta in lattice_points_up_to(d2, 10):
     for degree in range(6):
         want = oracle_multiplicity(d2, beta, degree)
-        have = got.get((beta.twice, degree), 0)
+        have = got.get((beta, degree), 0)
         checked += 1
         diffs += want != have
 print(f"  {checked} (lattice point, degree) cells checked, {diffs} differences")

@@ -18,7 +18,7 @@ import importlib
 # The public names of each module, in layer order.
 _EXPORTS = {
     "cartan": "AffineDatum AffineType build_datum level_one_nodes parse_type swept_types",
-    "roots": "RootVector connect_support dynkin_path finite_roots lambda_weights theta",
+    "roots": "connect_support dynkin_path finite_roots lambda_weights root_label theta",
     "crystal": "EMPTY CrystalGraph EmptyElement XRoot YElement build_crystal",
     "tensor": "TensorCrystal",
     "perfect": "minimal_elements verify_perfect",

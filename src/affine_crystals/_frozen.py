@@ -6,11 +6,11 @@ class Frozen:
     ``__init__`` and never rebound.  It is equal only to an instance of the
     same class with equal fields.  Each subclass hashes its own fields.
 
-    ``XRoot``, ``YElement`` and ``RootVector`` also write their own
-    ``__init__`` and ``__eq__`` on their one field: they are built and
-    compared while B is built and labelled, where the generic loops cost
-    time.  ``AffineType`` writes its own to check and derive its fields from
-    (family, rank, twist) and to compare by name."""
+    ``XRoot`` and ``YElement`` also write their own ``__init__`` and
+    ``__eq__`` on their one field: they are built and compared while B is
+    built and labelled, where the generic loops cost time.  ``AffineType``
+    writes its own to check and derive its fields from (family, rank,
+    twist) and to compare by name."""
 
     __slots__ = ()
 

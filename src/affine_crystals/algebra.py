@@ -11,11 +11,11 @@ import json
 from collections import deque
 from itertools import chain, compress, product
 from json.encoder import encode_basestring_ascii
-from operator import add, ne, neg, sub
+from operator import add, ge, mul, ne, neg, sub
 
 from ._frozen import Frozen
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, _json_lines
-from .roots import RootVector, connect_support, dynkin_path, lambda_weights, theta
+from .roots import _support, connect_support, dynkin_path, lambda_weights, theta
 from .tensor import TensorCrystal
 
 EMPTY_EMPTY = "EmptyEmpty"
@@ -55,7 +55,7 @@ def build_psi(graph, i):
     has coefficient 2 or more at a valid node, and there rest = 0, so that
     grade needs no case of its own.
 
-    Works on ``RootVector.twice`` tuples, with S found once per support.
+    Works on the ``twice`` tuples of the roots, with S found once per support.
     Returns ``psi``: psi[k] = (l, r), the index pair of the image of element
     k (None for a vector that is no weight of B), and None at empty.
     """
@@ -66,9 +66,9 @@ def build_psi(graph, i):
             f"node {i} is not a valid embedding node for {d.type.name}; "
             f"valid choices: {choices or 'none'}"
         )
-    th = theta(d).twice
+    th = theta(d)
     mirror = d.type.twist == 1 and d.type.family in ("A", "C")
-    at = {b.root.twice: k for k, b in enumerate(graph.elements) if isinstance(b, XRoot)}
+    at = {b.root: k for k, b in enumerate(graph.elements) if isinstance(b, XRoot)}
     ys = {b.index: k for k, b in enumerate(graph.elements) if isinstance(b, YElement)}
     at[(0,) * d.n] = ys[i]
 
@@ -77,11 +77,10 @@ def build_psi(graph, i):
 
     psi = [None] * len(graph)
     sums = {}
-    for gamma in lambda_weights(d)[0]:
-        g = gamma.twice
-        supp = () if g[i - 1] else gamma.support()
+    for g in lambda_weights(d)[0]:
+        supp = () if g[i - 1] else _support(g)
         if supp not in sums:
-            sums[supp] = sum_of(connect_support(d, gamma, i) if supp else ())
+            sums[supp] = sum_of(connect_support(d, g, i) if supp else ())
         b_part = sums[supp] if mirror else tuple(map(sub, map(sub, th, g), sums[supp]))
         head = tuple(map(add, g, b_part))  # theta - A, as A + B = theta - gamma
         psi[at[g]] = at.get(head), at.get(tuple(map(neg, b_part)))
@@ -298,25 +297,24 @@ def two_theta_formula_indices(tensor):
     th = theta(d)
     m = len(base)
     lam_plus, has_y, has_zero = lambda_weights(d)
-    lam = set(lam_plus) | {-r for r in lam_plus}
+    lam = set(lam_plus) | {tuple(map(neg, r)) for r in lam_plus}
     out = set()
     x_idx = {b.root: base.index[b] for b in base.elements if isinstance(b, XRoot)}
     for alpha, ia in x_idx.items():
         for beta, ib in x_idx.items():
-            if (beta - alpha).is_nonneg():
+            if all(map(ge, beta, alpha)):
                 out.add(ia * m + ib)
     for i in sorted(has_y):
-        if th.pairing(d, i) <= 0:
+        if sum(map(mul, th, d.cartan[i][1:])) <= 0:
             continue
         iy = base.index[YElement(i)]
-        alpha_i = RootVector.simple(i, d.n)
         for beta in lam:
-            if not beta.is_nonneg() or beta.is_zero():
+            if min(beta) < 0 or not any(beta):
                 continue
-            gamma = beta - alpha_i
-            if gamma in lam or (has_zero and gamma.is_zero()):
+            gamma = beta[: i - 1] + (beta[i - 1] - 2,) + beta[i:]  # beta - alpha_i
+            if gamma in lam or (has_zero and not any(gamma)):
                 out.add(iy * m + x_idx[beta])
-                out.add(x_idx[-beta] * m + iy)
+                out.add(x_idx[tuple(map(neg, beta))] * m + iy)
     return out
 
 
@@ -332,7 +330,7 @@ def demazure_crystals(graph, opposite=False):
     are read.
     """
     d = graph.datum
-    start = -theta(d) if opposite else theta(d)
+    start = tuple(map(neg, theta(d))) if opposite else theta(d)
     sign = -1 if opposite else 1
     arrows = graph.e if opposite else graph.f
     out = {start: frozenset([graph.index[XRoot(start)]])}
@@ -340,12 +338,10 @@ def demazure_crystals(graph, opposite=False):
     while queue:
         mu = queue.popleft()
         for i in range(1, d.n + 1):
-            c = mu.pairing(d, i)
+            c = sum(map(mul, mu, d.cartan[i][1:]))  # twice <h_i, mu>
             if sign * c <= 0:
                 continue
-            twice = list(mu.twice)
-            twice[i - 1] -= 2 * c
-            nu = RootVector(tuple(twice))
+            nu = mu[: i - 1] + (mu[i - 1] - c,) + mu[i:]  # s_i mu
             if nu in out:
                 continue
             step = arrows[i]
@@ -425,7 +421,7 @@ def classify_components(tensor):
     th = theta(d)
     i_empty = base.index[EMPTY]
     i_top = base.index[XRoot(th)]
-    i_bot = base.index[XRoot(-th)]
+    i_bot = base.index[XRoot(tuple(map(neg, th)))]
     labels = [GENERIC] * tensor.size
     labels[i_empty * m:(i_empty + 1) * m] = [LEFT_EMPTY] * m
     labels[i_empty::m] = [RIGHT_EMPTY] * m

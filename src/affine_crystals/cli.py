@@ -31,6 +31,7 @@ from .paths import (
     oracle_cells,
 )
 from .perfect import verify_perfect
+from .roots import root_label
 from .tensor import TensorCrystal
 
 
@@ -184,7 +185,7 @@ def cmd_character(args):
                     matched += 1
                 if got != want:
                     diffs.append(
-                        {"beta": beta.label(), "degree": deg, "got": got, "want": want}
+                        {"beta": root_label(beta), "degree": deg, "got": got, "want": want}
                     )
         # a row whose key no cell matched lies outside the ball: want 0
         if matched < len(counts):

@@ -8,7 +8,7 @@ classical indices and the theta-translation rule for index 0.
 from operator import neg, sub
 
 from ._frozen import Frozen
-from .roots import RootVector, lambda_weights, theta
+from .roots import lambda_weights, root_label, theta
 
 
 class XRoot(Frozen):
@@ -24,7 +24,7 @@ class XRoot(Frozen):
         return hash(self.root)
 
     def label(self):
-        return "x" + self.root.label()
+        return "x" + root_label(self.root)
 
 
 class YElement(Frozen):
@@ -168,10 +168,10 @@ class CrystalGraph:
         return list(zip(*rows))
 
     def root_weight(self, b):
-        """Weight as a vector over the finite simple roots (0 for y and empty)."""
+        """Weight as a ``twice`` tuple over the simple roots (zero for y, empty)."""
         if isinstance(b, XRoot):
             return b.root
-        return RootVector.zero(self.n_indices - 1)
+        return (0,) * (self.n_indices - 1)
 
     def arrows(self):
         """All arrows as (i, s, t) on element indices, ordered by index then
@@ -195,12 +195,12 @@ class CrystalGraph:
         An element that is neither x nor y is of kind "empty"."""
         from json.encoder import encode_basestring_ascii
 
-        twice = tuple({a for b in self.elements if isinstance(b, XRoot) for a in b.root.twice})
-        block = {a: _BLOCK % tuple(c) for a, c in zip(twice, RootVector(twice).json_coeffs())}
+        twice = {a for b in self.elements if isinstance(b, XRoot) for a in b.root}
+        block = {a: _BLOCK % ((a, 2) if a % 2 else (a // 2, 1)) for a in twice}
         elems = []
         for k, b in enumerate(self.elements):
             if isinstance(b, XRoot):
-                root = _json_lines([block[a] for a in b.root.twice], 6)
+                root = _json_lines([block[a] for a in b.root], 6)
                 kind = f'"x",\n      "root": [{root}]'
             elif isinstance(b, YElement):
                 kind = f'"y",\n      "i": {b.index}'
@@ -257,8 +257,8 @@ def build_crystal(d):
     empty = q + p
     minus = list(range(q, empty))  # -b's index by b's, one int shared by its arrows
     elements = [XRoot(r) for r in lam_plus] + [YElement(i) for i in y]
-    elements += [XRoot(RootVector(tuple(map(neg, r.twice)))) for r in lam_plus] + [EMPTY]
-    keys = [int.from_bytes(bytes(r.twice), "big") for r in lam_plus]
+    elements += [XRoot(tuple(map(neg, r))) for r in lam_plus] + [EMPTY]
+    keys = [int.from_bytes(bytes(r), "big") for r in lam_plus]
     at = dict(zip(keys, range(p)))
     at.update(zip(map(neg, keys), minus))
     sources = sorted(zip(keys, range(p)))
@@ -270,7 +270,7 @@ def build_crystal(d):
         arrows += [(i, s, t) for s, t in down]
         if i in y:
             arrows += [(i, at[step], y[i]), (i, y[i], at[-step])]
-    th = int.from_bytes(bytes(theta(d).twice), "big")
+    th = int.from_bytes(bytes(theta(d)), "big")
     arrows += [(0, minus[s], t) for a, s in reversed(sources) if (t := at.get(th - a)) is not None]
     arrows += [(0, at[-th], empty), (0, empty, at[th])]
     return CrystalGraph(elements, arrows, n + 1, datum=d)

@@ -27,7 +27,6 @@ from ._frozen import Frozen
 from .algebra import energy_propagate
 from .cartan import level_one_nodes
 from .perfect import minimal_elements
-from .roots import RootVector
 from .tensor import TensorCrystal
 
 
@@ -121,12 +120,13 @@ class PathModel:
         # `root_character` (and `oracle_cells`' beta -> Lambda map) only when
         # each weight is the pairing of its root; the scan names a failure
         weights = g.weights()
-        roots = [g.root_weight(b).twice for b in g.elements]
+        roots = [g.root_weight(b) for b in g.elements]
         doubled = _pairing_columns(d, list(zip(*roots)))
         if doubled != [list(map(add, col, col)) for col in zip(*weights)]:
-            for b, w in zip(g.elements, weights):
-                root = g.root_weight(b)
-                if w != tuple(root.pairing(d, j) for j in range(d.n + 1)):
+            for b, w, pairing in zip(g.elements, weights, zip(*doubled)):
+                if any(x % 2 for x in pairing):
+                    raise ArithmeticError("non-integral Cartan pairing")
+                if w != tuple(x // 2 for x in pairing):
                     raise ValueError(f"the weight of {b.label()} is not the pairing of its root")
         cols = [
             sorted((h - base, b) for b, h in enumerate(energy[u * m:(u + 1) * m]))
@@ -275,7 +275,7 @@ class PathModel:
     def root_character(self, max_degree):
         """Multiplicities keyed by (root-lattice offset, energy degree),
         counted by `_count` over the root offsets of the entries (``twice``
-        coordinates, as `RootVector`)."""
+        tuples, as the roots of `roots`)."""
         counts = self._count(max_degree, self._root_offsets, (0,) * self.datum.n)
         return {(twice, degree): count for twice, degree, count in counts}
 
@@ -410,11 +410,11 @@ def oracle_multiplicity(d, beta, degree, node=0):
     series, w the classical part of Lambda_node.
     """
     check_lattice_node(d, node)
-    if any(x % 2 for x in beta.twice):
+    if any(x % 2 for x in beta):
         raise ValueError("lattice point has non-integral coefficients")
     if degree < 0:
         return 0
-    coeffs = [x // 2 for x in beta.twice]
+    coeffs = [x // 2 for x in beta]
     exponent = degree - _shifted_norm2(d.finite_cartan(), coeffs, node) // 2
     if exponent < 0:
         return 0
@@ -435,7 +435,7 @@ def oracle_cells(d, max_degree, node=0):
     """
     series = partition_series(d.n, max_degree)
     points = lattice_points_up_to(d, 2 * max_degree, node=node)
-    coeffs = [[beta.twice[k] // 2 for beta in points] for k in range(d.n)]
+    coeffs = [[beta[k] // 2 for beta in points] for k in range(d.n)]
     pairings = _pairing_columns(d, coeffs)  # <h_j, beta>
     # (beta | alpha_j) = <h_j, beta> on these families, so the doubled shift
     # |w + beta|^2 - |w|^2 = sum_j coeffs_j <h_j, beta> + 2 (w | beta)
@@ -465,7 +465,7 @@ def lattice_points_up_to(d, max_norm2, node=0):
     """Root-lattice vectors beta with |w + beta|^2 - |w|^2 <= max_norm2, w
     the classical part of Lambda_node, in ascending coefficient order."""
     check_lattice_node(d, node)
-    return [RootVector(tuple(2 * x for x in c)) for c in sorted(_lattice_walk(d, max_norm2, node))]
+    return [tuple(2 * x for x in c) for c in sorted(_lattice_walk(d, max_norm2, node))]
 
 
 def _lattice_walk(d, max_norm2, node):

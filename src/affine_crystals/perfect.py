@@ -35,24 +35,22 @@ def minimal_elements(graph):
     eps(b) = Lambda_i and the unique b with phi(b) = Lambda_i, as a map
     i -> (b_upper, b_lower).
 
-    The eps and phi columns of the graph are read once, into maps from the
-    coefficient tuple to the elements carrying it.  Raises ValueError with
-    a witness when existence or uniqueness fails.
+    The candidates for node i are the ends of the i-arrows, where eps_i is
+    nonzero: b is kept when eps_i(b) = 1 and its eps entries, all
+    nonnegative, sum to 1.  Likewise for phi over the starts of the
+    i-arrows.  Raises ValueError with a witness when existence or
+    uniqueness fails.
     """
-    d = graph.datum
-    ups, downs = {}, {}
-    for found, stats in ((ups, graph._eps), (downs, graph._phi)):
-        for b, coeffs in zip(graph.elements, zip(*stats)):
-            found.setdefault(coeffs, []).append(b)
+    sides = ((graph.e, graph._eps), (graph.f, graph._phi))
+    tables = [(ends, cols, list(map(sum, zip(*cols)))) for ends, cols in sides]
     out = {}
-    for i in level_one_nodes(d):
-        lam = tuple(int(j == i) for j in range(d.n + 1))
-        up = ups.get(lam, [])
-        down = downs.get(lam, [])
+    for i in level_one_nodes(graph.datum):
+        up, down = (
+            [graph.elements[k] for k in ends[i] if cols[i][k] == 1 and sums[k] == 1]
+            for ends, cols, sums in tables
+        )
         if len(up) != 1 or len(down) != 1:
-            raise ValueError(
-                f"Lambda_{i}: {len(up)} eps-preimages, {len(down)} phi-preimages"
-            )
+            raise ValueError(f"Lambda_{i}: {len(up)} eps-preimages, {len(down)} phi-preimages")
         out[i] = (up[0], down[0])
     return out
 
@@ -158,11 +156,11 @@ def verify_perfect(graph):
     # a time only to name the first that fails.
     th = theta(d)
     step = 2 if d.d0 == 1 else 1
-    coeffs = [graph.root_weight(b).twice for b in graph.elements]
+    coeffs = [graph.root_weight(b) for b in graph.elements]
     odd = step == 2 and any(a & 1 for a in set().union(*coeffs))
     bad = None
-    if odd or not all(all(map(le, w, th.twice)) for w in coeffs):
-        gaps = ((b, map(sub, th.twice, w)) for b, w in zip(graph.elements, coeffs))
+    if odd or not all(all(map(le, w, th)) for w in coeffs):
+        gaps = ((b, map(sub, th, w)) for b, w in zip(graph.elements, coeffs))
         bad = next((b for b, gap in gaps if any(t < 0 or t % step for t in gap)), None)
     # a graph without x_theta has no element of its weight
     top = XRoot(th)

@@ -1,83 +1,15 @@
 """Finite root systems by simple reflections, and the weight set of the
 little adjoint crystal as one filter of the roots per twist.
 
-Roots are stored with doubled integer coefficients over alpha_1..alpha_n so
-that the half-integral weights appearing for A_{2n}^(2) stay exact.
+A root, like every weight in the span of the finite simple roots, is the
+plain tuple ``twice`` of its doubled integer coefficients over
+alpha_1..alpha_n, so that the half-integral weights appearing for
+A_{2n}^(2) stay exact: only denominators 1 and 2 ever occur.
 """
 
 from collections import deque
 from functools import cache
 from operator import neg
-
-from ._frozen import Frozen
-
-
-class RootVector(Frozen):
-    """Element of the rational span of the finite simple roots.
-
-    ``twice[i]`` is 2x the coefficient of alpha_{i+1}; only denominators 1
-    and 2 ever occur.
-    """
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice):
-        object.__setattr__(self, "twice", twice)
-
-    def __eq__(self, other):
-        return type(other) is RootVector and other.twice == self.twice
-
-    def __hash__(self):
-        return hash(self.twice)
-
-    @staticmethod
-    def simple(i, n):
-        """alpha_i inside a rank-n system."""
-        if not 1 <= i <= n:
-            raise ValueError(f"alpha_{i} is out of range for rank {n}")
-        return RootVector(tuple(2 if j == i - 1 else 0 for j in range(n)))
-
-    @staticmethod
-    def zero(n):
-        return RootVector((0,) * n)
-
-    def __add__(self, other):
-        return RootVector(tuple(a + b for a, b in zip(self.twice, other.twice)))
-
-    def __sub__(self, other):
-        return RootVector(tuple(a - b for a, b in zip(self.twice, other.twice)))
-
-    def __neg__(self):
-        return RootVector(tuple(-a for a in self.twice))
-
-    def is_zero(self):
-        return all(a == 0 for a in self.twice)
-
-    def is_nonneg(self):
-        return all(a >= 0 for a in self.twice)
-
-    def support(self):
-        return tuple(i + 1 for i, a in enumerate(self.twice) if a != 0)
-
-    def pairing(self, d, j):
-        """<h_j, .> computed from the affine Cartan matrix of d (j in 0..n)."""
-        total = sum(self.twice[k] * d.cartan[j][k + 1] for k in range(len(self.twice)))
-        if total % 2 != 0:
-            raise ArithmeticError("non-integral Cartan pairing")
-        return total // 2
-
-    def json_coeffs(self):
-        """[numerator, denominator] pairs in alpha-coordinates, denominator 1 or 2."""
-        out = []
-        for a in self.twice:
-            if a % 2 == 0:
-                out.append([a // 2, 1])
-            else:
-                out.append([a, 2])
-        return out
-
-    def label(self):
-        return "[" + ",".join(map(_TEXT.__getitem__, self.twice)) + "]"
 
 
 class _CoordText(dict):
@@ -92,13 +24,23 @@ class _CoordText(dict):
 _TEXT = _CoordText()
 
 
+def root_label(twice):
+    """The text of a root from its doubled coordinates: "[1,1/2]"."""
+    return "[" + ",".join(map(_TEXT.__getitem__, twice)) + "]"
+
+
+def _support(twice):
+    """The nodes i, from 1, whose alpha_i lies in the support of a root."""
+    return tuple(i + 1 for i, a in enumerate(twice) if a)
+
+
 def theta(d):
     """The weight theta: marks over the finite nodes, halved for A_{2n}^(2)."""
-    return RootVector(tuple(2 * m // d.d0 for m in d.marks[1:]))
+    return tuple(2 * m // d.d0 for m in d.marks[1:])
 
 
 def _positive_roots(d):
-    """The positive roots as ``RootVector.twice`` keys with their class,
+    """The positive roots as ``twice`` tuples with their class,
     "long" or "short", as (key, class) pairs by height then
     lexicographically.
 
@@ -110,10 +52,16 @@ def _positive_roots(d):
     <beta, h_j>, those of alpha_i being column i of the finite Cartan
     matrix (node i and its neighbours); s_i adds -p times that column, so
     a step sets at most four pairings and p < 0 is read off a few.
+
+    A finite root system has at most max(n^2, 120) positive roots (n^2 for
+    B_n and C_n, 120 for E8); the walk raises ValueError past that many,
+    so a matrix of no finite type, or a wrong pairing update, fails at
+    once instead of walking on without end.
     """
     n = d.n
     cols = [{j: a for j, a in enumerate(col) if a} for col in zip(*d.finite_cartan())]
     sym = d.symmetrizers[1:]
+    bound = max(n * n, 120)
     known = {}
     queue = deque()
     for i, (col, s) in enumerate(zip(cols, sym)):
@@ -127,6 +75,8 @@ def _positive_roots(d):
                 up = beta[:i] + (beta[i] - 2 * p,) + beta[i + 1:]
                 if up not in known:
                     known[up] = known[beta]
+                    if len(known) > bound:
+                        raise ValueError(f"more than {bound} positive roots: no finite type")
                     step = {j: pairs.get(j, 0) - p * a for j, a in cols[i].items()}
                     queue.append((up, pairs | step))
     return sorted(known.items(), key=lambda item: (sum(item[0]), item[0]))
@@ -138,7 +88,7 @@ def finite_roots(d):
     negative.  Nothing in the package calls it: B reads its weights from
     ``lambda_weights``."""
     positive = _positive_roots(d)
-    return [(RootVector(t), c) for b, c in positive for t in (b, tuple(map(neg, b)))]
+    return [(t, c) for b, c in positive for t in (b, tuple(map(neg, b)))]
 
 
 @cache
@@ -154,15 +104,15 @@ def lambda_weights(d):
     ``_positive_roots`` directly, and no negative root is built.  Every
     part is immutable, so the cached result is safe to share.
     """
-    n = d.n
+    zero = (0,) * d.n
     positive = _positive_roots(d)
     if d.d0 == 2:
         plus = [tuple(a // 2 for a in beta) for beta, cls in positive if cls == "long"]
     else:
         plus = [beta for beta, cls in positive if d.type.twist == 1 or cls == "short"]
     members = set(plus)
-    has_y = frozenset(i for i in range(1, n + 1) if RootVector.simple(i, n).twice in members)
-    return tuple(map(RootVector, plus)), has_y, d.d0 == 1
+    has_y = frozenset(i for i in range(1, d.n + 1) if zero[: i - 1] + (2,) + zero[i:] in members)
+    return tuple(plus), has_y, d.d0 == 1
 
 
 @cache
@@ -201,9 +151,9 @@ def connect_support(d, gamma, i):
     geodesic starting just outside the support component nearest to i.  When
     the support neighbors i the sequence is (i) alone.
     """
-    supp = gamma.support()
+    supp = _support(gamma)
     if i in supp:
-        raise ValueError(f"alpha_{i} lies in the support of {gamma.label()}")
+        raise ValueError(f"alpha_{i} lies in the support of {root_label(gamma)}")
     if not supp:
         raise ValueError("empty support")
     # supp(gamma) is a subtree of the Dynkin tree, so the path from any

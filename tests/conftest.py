@@ -68,6 +68,11 @@ class FamilyContext:
         return self._psis
 
 
+def simple_root(i, n):
+    """alpha_i of a rank-n system, as doubled coordinates."""
+    return (0,) * (i - 1) + (2,) + (0,) * (n - i)
+
+
 _CACHE = {}
 
 

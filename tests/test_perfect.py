@@ -7,7 +7,7 @@ from affine_crystals import perfect
 from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import CrystalGraph, EMPTY, XRoot, YElement, build_crystal
 from affine_crystals.perfect import minimal_elements, verify_perfect
-from affine_crystals.roots import RootVector, theta
+from affine_crystals.roots import theta
 
 
 def test_a2_report():
@@ -117,7 +117,7 @@ def test_weight_cone_witness(twice, label):
     # lattice (d0 = 1), leave the cone; the report names the first
     d = build_datum("A2-1")
     g = build_crystal(d)
-    extra = tuple(XRoot(RootVector(t)) for t in twice)
+    extra = tuple(map(XRoot, twice))
     wide = CrystalGraph(g.elements + extra, g.arrows(), g.n_indices, datum=d)
     cone = verify_perfect(wide)["axioms"]["weight_cone"]
     assert not cone["passed"]

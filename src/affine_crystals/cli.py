@@ -88,19 +88,17 @@ def cmd_verify(args):
         max_rank = 5 if args.max_rank is None else args.max_rank
         if max_rank > MAX_RANK:
             _usage_error(f"--max-rank {max_rank}: ranks above {MAX_RANK} are not built")
-        types = [t.name for t in swept_types(max_rank, with_exceptional=False)]
+        types = swept_types(max_rank, with_exceptional=False)
         if not types:
             _usage_error(f"no families of rank <= {max_rank}")
+        datums = map(build_datum, types)
     else:
         if args.max_rank is not None:
             _usage_error("--max-rank applies only with --all")
         if not args.type:
             _usage_error("give a type or --all")
-        types = [args.type]
-    reports = []
-    for name in types:
-        d = _datum(name)
-        reports.append(verify_perfect(build_crystal(d)))
+        datums = [_datum(args.type)]
+    reports = [verify_perfect(build_crystal(d)) for d in datums]
     if args.json:
         text = json.dumps(reports, indent=2) + "\n"
     else:

@@ -480,9 +480,21 @@ def _lattice_walk(d, max_norm2, node):
     The norm and the pairings p_j = (w + beta | alpha_j) are carried along
     the walk: a step s * alpha_j from beta adds 2 s p_j + (alpha_j | alpha_j)
     to the norm and s times row j of the Cartan matrix to the pairings.
+
+    Every point has c_j^2 <= 2K (max_norm2 + 2K), K = max(n, 30): c_j is
+    (beta | varpi_j) and |varpi_j|^2 is the diagonal entry (C^-1)_jj, at
+    most n on A_n and D_n and at most 30 on E_6, E_7, E_8 (Bourbaki, Lie
+    Groups and Lie Algebras, ch. VI, plates I, IV-VII), so
+    c_j^2 <= K |beta|^2; and |beta| <= |w + beta| + |w|, with |w|^2 <= K and
+    |w + beta|^2 <= max_norm2 + K, gives |beta|^2 <= 2 (max_norm2 + 2K).
+    The walk raises ValueError on storing a point past that bound, so a
+    matrix of no finite type, or a wrong pairing update, fails at once
+    instead of walking on without end.
     """
     n = d.n
     fc = d.finite_cartan()  # symmetric on these families: row j is column j
+    k = max(n, 30)
+    bound = 2 * k * (max_norm2 + 2 * k)
     start = (0,) * n
     norms = {start: 0} if max_norm2 >= 0 else {}
     todo = [(start, tuple(int(j == node - 1) for j in range(n)))] if norms else []
@@ -496,6 +508,8 @@ def _lattice_walk(d, max_norm2, node):
                     continue
                 nxt = c[:j] + (c[j] + step,) + c[j + 1 :]
                 if nxt not in norms:
+                    if nxt[j] * nxt[j] > bound:
+                        raise ValueError(f"lattice point {nxt} leaves the bound c_j^2 <= {bound}")
                     norms[nxt] = reached
                     todo.append((nxt, tuple(map(move, pairings, row))))
     return norms

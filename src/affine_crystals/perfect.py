@@ -10,16 +10,19 @@ heads of the square (the pairs that no e_i, i >= 1, moves), not by
 labelling all |B|^2 pairs: when the classical arrows of B have no cycle,
 every raising walk on pairs ends at a head, so the square is connected
 once the 0-arrows join all heads into one class (``_square_components``).
-A graph where the certificate does not close, which only a hand-built
-graph reaches, gets the exact count of ``TensorCrystal``.
+The heads are read off B's arrows, and the links are joined one at a time
+until one class is left, so a connected square costs about B's arrows,
+not |B| x rank.  A graph where the certificate does not close, which only
+a hand-built graph reaches, gets the exact count of ``TensorCrystal``.
 """
 
+from itertools import filterfalse
 from operator import le, sub
 
 from .cartan import level_one_nodes
 from .crystal import XRoot
 from .roots import theta
-from .tensor import TensorCrystal, _union_find
+from .tensor import TensorCrystal
 
 
 def _axiom(passed, detail, witness=""):
@@ -55,23 +58,25 @@ def minimal_elements(graph):
     return out
 
 
-def _classically_acyclic(graph):
-    """Whether the classical arrows of B (indices >= 1) have no cycle, by
-    a Kahn topological sort over successor lists read once from the
-    ``f`` dicts: one step per arrow."""
+def _classical_heads(graph):
+    """The heads of B, the elements that no e_i with i >= 1 moves, in
+    ascending order; None when the classical arrows have a cycle.  The
+    heads are the sources of a Kahn topological sort over successor lists
+    read once from the ``f`` dicts: one step per arrow."""
     after = [[] for _ in range(len(graph))]
     indegree = [0] * len(graph)
     for f in graph.f[1:]:
         for s, t in f.items():
             after[s].append(t)
             indegree[t] += 1
-    ready = [b for b, k in enumerate(indegree) if not k]
+    heads = [b for b, k in enumerate(indegree) if not k]
+    ready = heads.copy()
     for b in ready:  # grows while it is read
         for t in after[b]:
             indegree[t] -= 1
             if not indegree[t]:
                 ready.append(t)
-    return len(ready) == len(graph)
+    return heads if len(ready) == len(graph) else None
 
 
 def _square_components(graph):
@@ -79,23 +84,26 @@ def _square_components(graph):
 
     The certificate: with no classical cycle in B, every walk of classical
     raising moves on pairs ends at a head: a pair l (x) r with l a head of
-    B and eps_i(r) <= phi_i(l) for every i >= 1.  Each head is linked to
-    the heads that its images under f_0 and e_0 raise to, always by the
-    first classical index that acts; every link is a path of arrows.  When
-    the links join all heads, the square is connected.  Otherwise, or with
-    a classical cycle, the exact count of ``TensorCrystal``."""
+    B and eps_i(r) <= phi_i(l) for every i >= 1.  Since eps_i(r) > 0 only
+    where an i-arrow ends at r, the heads over l are all r but the ends of
+    i-arrows with eps_i(r) > phi_i(l), found from B's arrows alone.  Each
+    head is linked to the heads that its images under f_0 and e_0 raise
+    to, always by the first classical index that acts; every link is a path
+    of arrows.  The links are joined one by one, and the square is
+    connected as soon as they join all heads into one class.  Otherwise,
+    or with a classical cycle, the exact count of ``TensorCrystal``."""
     classical = range(1, graph.n_indices)
-    if _classically_acyclic(graph):
+    lefts = _classical_heads(graph)  # a head's left factor is a head of B
+    if lefts is not None:
         e, eps, phi = graph.e, graph._eps, graph._phi
-        raisable = set().union(*(e[i] for i in classical))
-        eps_rows = list(zip(*eps[1:]))
         heads = {}
-        for l in range(len(graph)):
-            if l not in raisable:
-                tops = [phi[i][l] for i in classical]
-                for r, er in enumerate(eps_rows):
-                    if all(map(le, er, tops)):
-                        heads[l, r] = len(heads)
+        for l in lefts:
+            above = set()
+            for i in classical:
+                top, ends, col = phi[i][l], e[i], eps[i]
+                above.update([r for r in ends if col[r] > top] if top else ends)
+            for r in filterfalse(above.__contains__, range(len(graph))):
+                heads[l, r] = len(heads)
 
         def head_above(l, r):
             # CrystalGraph.pair_e inlined, first classical index that acts
@@ -111,15 +119,26 @@ def _square_components(graph):
                 else:
                     return heads[l, r]
 
-        links = []
+        parent = list(range(len(heads)))
+
+        def find(h):
+            while parent[h] != h:
+                parent[h] = h = parent[parent[h]]
+            return h
+
+        classes = len(heads)
+        if classes == 1:
+            return 1
         for (l, r), h in heads.items():
             for move in (graph.pair_f, graph.pair_e):
                 pair = move(l, r, 0)
                 if pair is not None:
-                    links.append((h, head_above(*pair)))
-        find = _union_find(len(heads), links)
-        if heads and all(find(h) == 0 for h in range(len(heads))):
-            return 1
+                    a, b = find(h), find(head_above(*pair))
+                    if a != b:
+                        parent[a] = b
+                        classes -= 1
+                        if classes == 1:
+                            return 1
     return TensorCrystal(graph).connected_components()[1]
 
 
@@ -130,11 +149,14 @@ def verify_perfect(graph):
     Returns the report as the dict that ``crystal verify --json`` prints:
     ``type``, ``level``, ``passed``, ``axioms`` (each ``passed`` and
     ``detail``, plus a ``witness`` on failure) and ``minimal_elements``.
-    The top-weight count, the eps-level bound and the minimal elements are
-    read off the eps and phi columns of the graph.  Connectivity of
-    B (x) B is proved from its classical heads (``_square_components``);
-    only where that certificate does not close, on hand-built graphs, is
-    the whole square labelled for its exact component count."""
+    The weight cone is checked per coordinate column of the x-elements'
+    roots, and the top-weight count, the eps-level bound and the minimal
+    elements are read off the eps and phi columns of the graph; elements
+    are scanned one by one only to name a witness.  Connectivity of
+    B (x) B is proved from its classical heads (``_square_components``),
+    stopping as soon as they form one class; only where that certificate
+    does not close, on hand-built graphs, is the whole square labelled for
+    its exact component count."""
     d = graph.datum
     axioms = {
         "module_asserted": _axiom(
@@ -151,21 +173,28 @@ def verify_perfect(graph):
 
     # weights lie under theta in the (1/d0)-scaled cone, with a unique top:
     # theta - wt(b) has nonnegative doubled coefficients, even ones if d0 = 1.
-    # Each weight is compared with theta at once, and parity read off the
-    # set of all coefficients; the elements are scanned one coefficient at
-    # a time only to name the first that fails.
+    # Checked per coordinate: each column's maximum against theta's entry,
+    # parity off the set of all coefficients (y and empty weigh 0, which
+    # lies in the cone); the elements are scanned only to name the first
+    # that fails.
     th = theta(d)
     step = 2 if d.d0 == 1 else 1
-    coeffs = [graph.root_weight(b) for b in graph.elements]
-    odd = step == 2 and any(a & 1 for a in set().union(*coeffs))
+    columns = list(zip(*[b.root for b in graph.elements if isinstance(b, XRoot)]))
+    odd = step == 2 and any(a & 1 for a in set().union(*columns))
     bad = None
-    if odd or not all(all(map(le, w, th)) for w in coeffs):
-        gaps = ((b, map(sub, th, w)) for b, w in zip(graph.elements, coeffs))
+    if odd or not all(map(le, map(max, columns), th)):
+        gaps = ((b, map(sub, th, graph.root_weight(b))) for b in graph.elements)
         bad = next((b for b, gap in gaps if any(t < 0 or t % step for t in gap)), None)
-    # a graph without x_theta has no element of its weight
-    top = XRoot(th)
-    weights = graph.weights()
-    top_count = weights.count(weights[graph.index[top]]) if top in graph.index else 0
+    # the elements of x_theta's weight, filtered column by column; a graph
+    # without x_theta has none
+    top_count = 0
+    top = graph.index.get(XRoot(th))
+    if top is not None:
+        found = range(len(graph))
+        for phi, eps in zip(graph._phi, graph._eps):
+            want = phi[top] - eps[top]
+            found = [b for b in found if phi[b] - eps[b] == want]
+        top_count = len(found)
     ok3 = bad is None and top_count == 1
     axioms["weight_cone"] = _axiom(
         ok3,

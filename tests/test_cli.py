@@ -247,6 +247,7 @@ def test_verify_all_rank_above_cap_is_a_usage_error(capsys, monkeypatch):
         raise AssertionError("verify --all built a family")
 
     monkeypatch.setattr(cli, "_datum", refuse)
+    monkeypatch.setattr(cli, "build_datum", refuse)
     monkeypatch.setattr(cli, "build_crystal", refuse)
     code, out, err = run(capsys, "verify", "--all", "--max-rank", "101")
     assert (code, out, err) == (

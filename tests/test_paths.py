@@ -3,8 +3,10 @@ import json
 import math
 import random
 import re
+import time
 from collections import Counter
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from conftest import family
@@ -579,6 +581,16 @@ def test_lattice_walk_carries_norm(name):
         assert sorted(norms) == [tuple(x // 2 for x in beta) for beta in points]
         for c, norm in norms.items():
             assert norm == paths._shifted_norm2(fc, c, node) <= 8
+
+
+def test_lattice_walk_is_bounded():
+    # an indefinite rank-2 matrix has an infinite ball; the walk stops once a
+    # stored point leaves the coefficient bound instead of running without end
+    d = SimpleNamespace(n=2, finite_cartan=lambda: ((2, -3), (-3, 2)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"leaves the bound c_j\^2 <= 4080$"):
+        paths._lattice_walk(d, 8, 0)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(

@@ -123,3 +123,21 @@ def test_multiply_payload_digest(op, tmp_path):
     out = tmp_path / "payload"
     assert cli.main(op.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MULTIPLY_DIGESTS[op]
+
+
+# `verify --all` reports that bench/pins.json does not pin: the sha256 of
+# each full payload, so every detail, witness and minimal-element label of
+# the sweep is held.
+VERIFY_DIGESTS = {
+    "verify --all --max-rank 8 --json":
+        "ef3e052c203a589a804a0a35e820e812be639dd5008570e4086cb87d096cf3da",
+    "verify --all --max-rank 20":
+        "6f5972b5a18f472ff73ea649742490d689957abdbec85cd847ee9b9bc11976d2",
+}
+
+
+@pytest.mark.parametrize("op", sorted(VERIFY_DIGESTS))
+def test_verify_payload_digest(op, tmp_path):
+    out = tmp_path / "payload"
+    assert cli.main(op.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[op]

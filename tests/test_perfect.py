@@ -8,6 +8,7 @@ from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import CrystalGraph, EMPTY, XRoot, YElement, build_crystal
 from affine_crystals.perfect import minimal_elements, verify_perfect
 from affine_crystals.roots import theta
+from test_crystal import WIDE_NAMES
 
 
 def test_a2_report():
@@ -142,6 +143,23 @@ def test_weight_cone_counts_top_weight_elements():
     )
 
 
+def test_weight_cone_compares_every_coordinate():
+    # box 1 differs from x_theta's weight, -2 Lambda_0 + Lambda_1 + Lambda_3,
+    # only at coordinate 2, where that weight is 0: it is not counted
+    from affine_crystals.algebra import Box
+
+    d = build_datum("A3-1")
+    g = build_crystal(d)
+    boxes = tuple(map(Box, range(1, 7)))
+    top, p, q, u, r, s = range(len(g), len(g) + 6)
+    arrows = g.arrows() + [(1, top, p), (2, top, q), (3, top, u), (0, r, s), (0, s, top)]
+    wide = CrystalGraph(g.elements + boxes, arrows, g.n_indices, datum=d)
+    assert wide.weight_of(XRoot(theta(d))) == (-2, 1, 0, 1)
+    assert wide.weight_of(boxes[0]) == (-2, 1, 1, 1)
+    cone = verify_perfect(wide)["axioms"]["weight_cone"]
+    assert cone == {"passed": True, "detail": "lambda_0 = theta, |B_lambda0| = 1"}
+
+
 def test_weight_cone_without_x_theta():
     # a graph with no x_theta has no top-weight element: the axiom fails
     # instead of the lookup of x_theta
@@ -158,10 +176,10 @@ def test_weight_cone_without_x_theta():
     assert not rep["passed"]
 
 
-@pytest.mark.parametrize("ty", [t.name for t in swept_types(8)])
+@pytest.mark.parametrize("ty", [t.name for t in swept_types(8)] + WIDE_NAMES)
 def test_connectivity_certificate_closes(ty, monkeypatch):
     # the head certificate proves every family's square connected, so the
-    # exact labelling of the whole square is never reached
+    # exact labelling of the whole square is never reached, at width too
     def refuse(graph):
         raise AssertionError("verify_perfect labelled the whole square")
 

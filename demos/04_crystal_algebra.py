@@ -21,8 +21,8 @@ from affine_crystals import (
 )
 
 for name in ["A2-1", "B3-1", "C2-1", "D4-3", "A4-2"]:
-    d = build_datum(name)
-    print(f"{name}: embedding nodes {valid_psi_indices(d) or 'none'}")
+    g = build_crystal(build_datum(name))
+    print(f"{name}: embedding nodes {valid_psi_indices(g) or 'none'}")
 
 d = build_datum("D4-3")
 g = build_crystal(d)

@@ -15,7 +15,7 @@ from operator import add, ge, mul, ne, neg, sub
 
 from ._frozen import Frozen
 from .crystal import EMPTY, CrystalGraph, EmptyElement, XRoot, YElement, _json_lines
-from .roots import _support, connect_support, dynkin_path, lambda_weights, theta
+from .roots import theta
 from .tensor import TensorCrystal
 
 EMPTY_EMPTY = "EmptyEmpty"
@@ -30,13 +30,13 @@ def theta_comp(i):
     return f"ThetaComp({i})"
 
 
-def valid_psi_indices(d):
-    """Finite nodes adjacent to node 0 whose simple root carries a y-element.
+def valid_psi_indices(graph):
+    """Finite nodes adjacent to node 0 whose y-element lies in ``graph``.
 
     Empty exactly for A_{2n}^(2) and D_{n+1}^(2).
     """
-    _, has_y, _ = lambda_weights(d)
-    return [i for i in range(1, d.n + 1) if d.cartan[0][i] != 0 and i in has_y]
+    d = graph.datum
+    return [j for j in range(1, d.n + 1) if d.cartan[0][j] != 0 and YElement(j) in graph.index]
 
 
 def build_psi(graph, i):
@@ -55,12 +55,13 @@ def build_psi(graph, i):
     has coefficient 2 or more at a valid node, and there rest = 0, so that
     grade needs no case of its own.
 
-    Works on the ``twice`` tuples of the roots, with S found once per support.
-    Returns ``psi``: psi[k] = (l, r), the index pair of the image of element
-    k (None for a vector that is no weight of B), and None at empty.
+    Reads lambda_+ and the y nodes off the elements of ``graph`` and walks
+    the Dynkin tree once, from node i, for every path sum.  Returns
+    ``psi``: psi[k] = (l, r), the index pair of the image of element k
+    (None for a vector that is no weight of B), and None at empty.
     """
     d = graph.datum
-    choices = valid_psi_indices(d)
+    choices = valid_psi_indices(graph)
     if i not in choices:
         raise ValueError(
             f"node {i} is not a valid embedding node for {d.type.name}; "
@@ -68,26 +69,33 @@ def build_psi(graph, i):
         )
     th = theta(d)
     mirror = d.type.twist == 1 and d.type.family in ("A", "C")
+    zero = (0,) * d.n
     at = {b.root: k for k, b in enumerate(graph.elements) if isinstance(b, XRoot)}
     ys = {b.index: k for k, b in enumerate(graph.elements) if isinstance(b, YElement)}
-    at[(0,) * d.n] = ys[i]
-
-    def sum_of(nodes):
-        return tuple(2 if k in nodes else 0 for k in range(1, d.n + 1))
+    at[zero] = ys[i]
+    # path[v]: the sum of the simple roots on the Dynkin-tree path from v to i
+    path = {i: zero[: i - 1] + (2,) + zero[i:]}
+    queue = [i]
+    for u in queue:  # grows while it is read
+        for v in range(1, d.n + 1):
+            if v not in path and d.cartan[u][v] != 0:
+                path[v] = path[u][: v - 1] + (2,) + path[u][v:]
+                queue.append(v)
 
     psi = [None] * len(graph)
-    sums = {}
-    for g in lambda_weights(d)[0]:
-        supp = () if g[i - 1] else _support(g)
-        if supp not in sums:
-            sums[supp] = sum_of(connect_support(d, g, i) if supp else ())
-        b_part = sums[supp] if mirror else tuple(map(sub, map(sub, th, g), sums[supp]))
+    # lambda_+ in B's order: the roots whose first nonzero coordinate is
+    # positive.  supp(gamma) is a subtree, so the path from any support node
+    # to i leaves the support once and never comes back: S is that path's
+    # sum off the support (0 when i lies in it).
+    for g in filter(zero.__lt__, at):
+        walk = path[next(k for k, a in enumerate(g, 1) if a)]
+        s = tuple(0 if a else p for a, p in zip(g, walk))
+        b_part = s if mirror else tuple(map(sub, map(sub, th, g), s))
         head = tuple(map(add, g, b_part))  # theta - A, as A + B = theta - gamma
         psi[at[g]] = at.get(head), at.get(tuple(map(neg, b_part)))
         psi[at[tuple(map(neg, g))]] = at.get(b_part), at.get(tuple(map(neg, head)))
     for j, k in ys.items():
-        path = dynkin_path(d, j, i)
-        v = sum_of(path[1:]) if mirror else tuple(map(sub, th, sum_of(path)))
+        v = path[j][: j - 1] + (0,) + path[j][j:] if mirror else tuple(map(sub, th, path[j]))
         psi[k] = at.get(v), at.get(tuple(map(neg, v)))
     return psi
 
@@ -296,23 +304,21 @@ def two_theta_formula_indices(tensor):
     d = base.datum
     th = theta(d)
     m = len(base)
-    lam_plus, has_y, has_zero = lambda_weights(d)
-    lam = set(lam_plus) | {tuple(map(neg, r)) for r in lam_plus}
     out = set()
-    x_idx = {b.root: base.index[b] for b in base.elements if isinstance(b, XRoot)}
+    x_idx = {b.root: k for k, b in enumerate(base.elements) if isinstance(b, XRoot)}
+    y_idx = {b.index: k for k, b in enumerate(base.elements) if isinstance(b, YElement)}
     for alpha, ia in x_idx.items():
         for beta, ib in x_idx.items():
             if all(map(ge, beta, alpha)):
                 out.add(ia * m + ib)
-    for i in sorted(has_y):
+    for i, iy in y_idx.items():
         if sum(map(mul, th, d.cartan[i][1:])) <= 0:
             continue
-        iy = base.index[YElement(i)]
-        for beta in lam:
-            if min(beta) < 0 or not any(beta):
+        for beta in x_idx:
+            if min(beta) < 0:
                 continue
             gamma = beta[: i - 1] + (beta[i - 1] - 2,) + beta[i:]  # beta - alpha_i
-            if gamma in lam or (has_zero and not any(gamma)):
+            if gamma in x_idx or not any(gamma):  # 0 is a weight: y_i is in B
                 out.add(iy * m + x_idx[beta])
                 out.add(x_idx[tuple(map(neg, beta))] * m + iy)
     return out
@@ -429,7 +435,7 @@ def classify_components(tensor):
     labels[i_top * m + i_bot] = THETA_MINUS_THETA
     for k in two_theta_indices(tensor):
         labels[k] = TWO_THETA
-    for i in valid_psi_indices(d):
+    for i in valid_psi_indices(base):
         tag = theta_comp(i)
         for l, r in filter(None, build_psi(base, i)):
             labels[l * m + r] = tag

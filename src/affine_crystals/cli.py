@@ -131,7 +131,7 @@ def cmd_energy(args):
 def cmd_multiply(args):
     d = _datum(args.type)
     g = build_crystal(d)
-    choices = valid_psi_indices(d)
+    choices = valid_psi_indices(g)
     if not choices:
         _usage_error(f"{d.type.name} has no node adjacent to 0 carrying a y element")
     i = args.node if args.node is not None else choices[0]

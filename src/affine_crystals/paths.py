@@ -338,7 +338,8 @@ class PathModel:
 
 def character_json(type_name, weight, counts, oracle):
     """The `character` payload: type, weight, one row per entry of counts
-    (a `PathModel.character` map) by degree, then classical weight, and the
+    (a `PathModel.character` map) in the order of counts, which
+    `PathModel.character` yields by degree, then classical weight, and the
     oracle report.
 
     Written row by row, with the bytes of ``json.dumps(..., indent=2)``:
@@ -347,7 +348,7 @@ def character_json(type_name, weight, counts, oracle):
     """
     blocks = {}
     rows = []
-    for (coeffs, delta), mult in sorted(counts.items(), key=_row_order):
+    for (coeffs, delta), mult in counts.items():
         block = blocks.get(coeffs)
         if block is None:
             items = ",\n        ".join(map(str, coeffs))
@@ -362,11 +363,6 @@ def character_json(type_name, weight, counts, oracle):
         f'{{\n  "type": {json.dumps(type_name)},\n  "weight": {json.dumps(weight)},\n'
         f'  "rows": {listed},\n  "oracle": {report}\n}}\n'
     )
-
-
-def _row_order(item):
-    (coeffs, delta), _ = item
-    return -delta, coeffs
 
 
 class OracleUnsupported(ValueError):

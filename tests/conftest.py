@@ -63,7 +63,7 @@ class FamilyContext:
         if self._psis is None:
             self._psis = {
                 i: build_psi(self.graph, i)
-                for i in valid_psi_indices(self.datum)
+                for i in valid_psi_indices(self.graph)
             }
         return self._psis
 

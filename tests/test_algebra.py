@@ -35,14 +35,8 @@ from affine_crystals.algebra import (
 )
 from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import EMPTY, CrystalGraph, XRoot, YElement, build_crystal
-from affine_crystals.roots import (
-    connect_support,
-    dynkin_path,
-    finite_roots,
-    lambda_weights,
-    root_label,
-    theta,
-)
+from affine_crystals import roots
+from affine_crystals.roots import finite_roots, lambda_weights, root_label, theta
 from affine_crystals.tensor import TensorCrystal
 
 from conftest import SWEPT_NAMES, family, pair_elements, pair_index, pair_label, simple_root
@@ -56,13 +50,13 @@ def _setup(name):
 
 
 def test_valid_embedding_nodes():
-    assert valid_psi_indices(build_datum("A1-1")) == [1]
-    assert valid_psi_indices(build_datum("A3-1")) == [1, 3]
-    assert valid_psi_indices(build_datum("C3-1")) == [1]
-    assert valid_psi_indices(build_datum("B3-1")) == [2]
-    assert valid_psi_indices(build_datum("A4-2")) == []
-    assert valid_psi_indices(build_datum("D4-2")) == []
-    assert valid_psi_indices(build_datum("D4-3")) == [1]
+    assert valid_psi_indices(family("A1-1").graph) == [1]
+    assert valid_psi_indices(family("A3-1").graph) == [1, 3]
+    assert valid_psi_indices(family("C3-1").graph) == [1]
+    assert valid_psi_indices(family("B3-1").graph) == [2]
+    assert valid_psi_indices(family("A4-2").graph) == []
+    assert valid_psi_indices(family("D4-2").graph) == []
+    assert valid_psi_indices(family("D4-3").graph) == [1]
 
 
 @pytest.mark.parametrize("t", swept_types(8), ids=lambda t: t.name)
@@ -72,15 +66,31 @@ def test_theta_alone_has_coefficient_two_at_valid_nodes(t):
     d = build_datum(t)
     th = theta(d)
     lam_plus, _, _ = lambda_weights(d)
-    for i in valid_psi_indices(d):
+    for i in valid_psi_indices(family(t.name).graph):
         high = [g for g in lam_plus if g[i - 1] >= 4]
         assert high == ([th] if th[i - 1] >= 4 else []), i
+
+
+def _reference_path(d, j, i):
+    """The nodes of the Dynkin-tree path from node j to node i, by a
+    breadth-first search from j over the finite Cartan matrix."""
+    came_from = {j: None}
+    queue = [j]
+    for u in queue:
+        for v in range(1, d.n + 1):
+            if v not in came_from and d.cartan[u][v] != 0:
+                came_from[v] = u
+                queue.append(v)
+    path = [i]
+    while path[-1] != j:
+        path.append(came_from[path[-1]])
+    return path[::-1]
 
 
 def _reference_psi(d, i):
     """The rule of ``build_psi`` written on elements: arithmetic on the
     roots' doubled coordinates and a dict element -> (left, right) of
-    elements, zero vectors as y_i."""
+    elements, zero vectors as y_i.  Each path is searched on its own."""
     def x_or_y(vec):
         return XRoot(vec) if any(vec) else YElement(i)
 
@@ -95,14 +105,16 @@ def _reference_psi(d, i):
     mirror = d.type.twist == 1 and d.type.family in ("A", "C")
     psi = {}
     for gamma in lam_plus:
-        s = simple_sum(() if gamma[i - 1] else connect_support(d, gamma, i))
+        supp = [k for k in range(1, d.n + 1) if gamma[k - 1]]
+        walk = () if i in supp else _reference_path(d, supp[0], i)
+        s = simple_sum([k for k in walk if k not in supp])
         rest = minus(minus(th, gamma), s)
         a_part, b_part = (rest, s) if mirror else (s, rest)
         head = minus(th, a_part)
         psi[XRoot(gamma)] = XRoot(head), x_or_y(minus(b_part))
         psi[XRoot(minus(gamma))] = x_or_y(b_part), XRoot(minus(head))
     for j in sorted(has_y):
-        path = dynkin_path(d, j, i)
+        path = _reference_path(d, j, i)
         v = simple_sum(path[1:]) if mirror else minus(th, simple_sum(path))
         psi[YElement(j)] = x_or_y(v), x_or_y(minus(v))
     return psi
@@ -111,7 +123,7 @@ def _reference_psi(d, i):
 @pytest.mark.parametrize("name", SWEPT_NAMES + WIDE_NAMES)
 def test_psi_matches_reference(name):
     g = family(name).graph
-    for i in valid_psi_indices(g.datum):
+    for i in valid_psi_indices(g):
         ref = _reference_psi(g.datum, i)
         want = [
             tuple(map(g.index.get, ref[b])) if b in ref else None
@@ -119,6 +131,44 @@ def test_psi_matches_reference(name):
         ]
         assert ref.keys() <= set(g.elements)
         assert build_psi(g, i) == want, i
+
+
+# images taken from the rule before it read B: the walk through E6-1's
+# branch node to node 6, across F4-1's double bond, and along the A3-1 chain
+PSI_PINS = [
+    ("A3-1", 1, "x[0,0,1]", "x[1,1,1]", "x[-1,-1,0]"),
+    ("A3-1", 3, "y_1", "x[0,1,1]", "x[0,-1,-1]"),
+    ("E6-1", 6, "y_2", "x[1,1,2,2,1,1]", "x[-1,-1,-2,-2,-1,-1]"),
+    ("E6-1", 6, "y_6", "x[1,2,3,2,1,1]", "x[-1,-2,-3,-2,-1,-1]"),
+    ("E6-1", 6, "x[1,1,0,0,0,0]", "x[1,2,2,2,1,1]", "x[0,-1,-2,-2,-1,-1]"),
+    ("F4-1", 1, "x[0,1,2,0]", "x[1,3,4,2]", "x[-1,-2,-2,-2]"),
+]
+
+
+@pytest.mark.parametrize("name, i, element, left, right", PSI_PINS)
+def test_psi_pinned_images(name, i, element, left, right):
+    g = family(name).graph
+    labels = [b.label() for b in g.elements]
+    l, r = build_psi(g, i)[labels.index(element)]
+    assert (labels[l], labels[r]) == (left, right)
+
+
+@pytest.mark.parametrize("name", ["A3-1", "E6-1", "D4-3"])
+def test_psi_reads_b_alone(name, monkeypatch):
+    # with B built, the embedding layer needs no root data: no cached
+    # weights and no root walk
+    g = build_crystal(build_datum(name))
+    lambda_weights.cache_clear()
+
+    def no_roots(d):
+        raise AssertionError("root walk called above B")
+
+    monkeypatch.setattr(roots, "_positive_roots", no_roots)
+    for i in valid_psi_indices(g):
+        ok, witness = verify_psi(g, build_psi(g, i), i)
+        assert ok, witness
+    assert valid_psi_indices(g)
+    assert two_theta_formula_indices(TensorCrystal(g))
 
 
 def _index_pair(g, left, right):
@@ -151,7 +201,7 @@ def test_psi_rejects_bad_node():
 @pytest.mark.parametrize("ty", [t.name for t in swept_types(4, with_exceptional=False)])
 def test_psi_verifies_small_sweep(ty):
     d, g, t = _setup(ty)
-    for i in valid_psi_indices(d):
+    for i in valid_psi_indices(g):
         ok, witness = verify_psi(g, build_psi(g, i), i)
         assert ok, witness
 
@@ -269,7 +319,7 @@ def test_disjoint_embeddings_for_type_a():
 
 @pytest.mark.parametrize(
     "name, node",
-    [(t.name, i) for t in swept_types(8) for i in valid_psi_indices(build_datum(t))],
+    [(t.name, i) for t in swept_types(8) for i in valid_psi_indices(family(t.name).graph)],
 )
 def test_multiply_round_trip(name, node):
     g = family(name).graph

@@ -7,14 +7,7 @@ import pytest
 
 from affine_crystals.cartan import build_datum, swept_types
 from affine_crystals.crystal import build_crystal
-from affine_crystals.roots import (
-    connect_support,
-    dynkin_path,
-    finite_roots,
-    lambda_weights,
-    root_label,
-    theta,
-)
+from affine_crystals.roots import finite_roots, lambda_weights, root_label, theta
 
 from conftest import simple_root
 
@@ -132,48 +125,6 @@ def test_theta_matches_highest_short_root():
         assert theta(d) == top
         for s in shorts:
             assert all(a >= b for a, b in zip(top, s))
-
-
-def test_dynkin_path():
-    d = build_datum("E6-1")
-    assert dynkin_path(d, 6, 2) == (6, 3, 2)
-    assert dynkin_path(d, 4, 4) == (4,)
-    d3 = build_datum("A3-1")
-    assert dynkin_path(d3, 1, 3) == (1, 2, 3)
-
-
-def test_connect_support_examples():
-    d = build_datum("F4-1")
-    gamma = (0, 2, 4, 0)
-    assert connect_support(d, gamma, 1) == (1,)
-    d6 = build_datum("E6-1")
-    assert connect_support(d6, (2, 2, 0, 0, 0, 0), 6) == (3, 6)
-    d3 = build_datum("A3-1")
-    assert connect_support(d3, simple_root(3, 3), 1) == (2, 1)
-
-
-def test_connect_support_walks_to_the_support():
-    # (j_1, ..., j_t = i) is a walk in the Dynkin tree that avoids the
-    # support and starts next to it, so it is the geodesic from the support
-    for t in swept_types(8):
-        d = build_datum(t)
-        adjacent = lambda a, b: a != b and d.cartan[a][b] != 0
-        for gamma, _ in finite_roots(d):
-            if min(gamma) < 0:
-                continue
-            supp = {k + 1 for k, a in enumerate(gamma) if a}
-            for i in set(range(1, d.n + 1)) - supp:
-                walk = connect_support(d, gamma, i)
-                assert walk[-1] == i and len(set(walk)) == len(walk)
-                assert not supp & set(walk)
-                assert all(adjacent(a, b) for a, b in zip(walk, walk[1:]))
-                assert any(adjacent(walk[0], s) for s in supp)
-
-
-def test_connect_support_rejects_overlap():
-    d = build_datum("A3-1")
-    with pytest.raises(ValueError, match=r"alpha_1 lies in the support of \[1,0,0\]"):
-        connect_support(d, simple_root(1, 3), 1)
 
 
 def test_json_coefficients():

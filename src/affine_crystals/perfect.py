@@ -10,19 +10,19 @@ heads of the square (the pairs that no e_i, i >= 1, moves), not by
 labelling all |B|^2 pairs: when the classical arrows of B have no cycle,
 every raising walk on pairs ends at a head, so the square is connected
 once the 0-arrows join all heads into one class (``_square_components``).
-The heads are read off B's arrows, and the links are joined one at a time
-until one class is left, so a connected square costs about B's arrows,
-not |B| x rank.  A graph where the certificate does not close, which only
-a hand-built graph reaches, gets the exact count of ``TensorCrystal``.
+The heads are the square's own, ``tensor.square_heads``, read off B's
+arrows, and their ``head_links`` are joined until one class is left, so a
+connected square costs about B's arrows, not |B| x rank.  A graph where
+the certificate does not close, only a hand-built one, gets the exact
+count of ``TensorCrystal``.
 """
 
-from itertools import filterfalse
 from operator import le, sub
 
 from .cartan import level_one_nodes
 from .crystal import XRoot
 from .roots import theta
-from .tensor import TensorCrystal
+from .tensor import TensorCrystal, _union_find, classical_heads, head_links, square_heads
 
 
 def _axiom(passed, detail, witness=""):
@@ -58,87 +58,34 @@ def minimal_elements(graph):
     return out
 
 
-def _classical_heads(graph):
-    """The heads of B, the elements that no e_i with i >= 1 moves, in
-    ascending order; None when the classical arrows have a cycle.  The
-    heads are the sources of a Kahn topological sort over successor lists
-    read once from the ``f`` dicts: one step per arrow."""
+def _acyclic(graph, heads):
+    """Whether the classical arrows of B have no cycle: a Kahn sort from the
+    heads of B over successor lists read off the ``f`` dicts, one step per arrow."""
     after = [[] for _ in range(len(graph))]
     indegree = [0] * len(graph)
     for f in graph.f[1:]:
         for s, t in f.items():
             after[s].append(t)
             indegree[t] += 1
-    heads = [b for b, k in enumerate(indegree) if not k]
-    ready = heads.copy()
+    ready = list(heads)
     for b in ready:  # grows while it is read
         for t in after[b]:
             indegree[t] -= 1
             if not indegree[t]:
                 ready.append(t)
-    return heads if len(ready) == len(graph) else None
+    return len(ready) == len(graph)
 
 
 def _square_components(graph):
-    """The number of connected components of B (x) B.
-
-    The certificate: with no classical cycle in B, every walk of classical
-    raising moves on pairs ends at a head: a pair l (x) r with l a head of
-    B and eps_i(r) <= phi_i(l) for every i >= 1.  Since eps_i(r) > 0 only
-    where an i-arrow ends at r, the heads over l are all r but the ends of
-    i-arrows with eps_i(r) > phi_i(l), found from B's arrows alone.  Each
-    head is linked to the heads that its images under f_0 and e_0 raise
-    to, always by the first classical index that acts; every link is a path
-    of arrows.  The links are joined one by one, and the square is
-    connected as soon as they join all heads into one class.  Otherwise,
-    or with a classical cycle, the exact count of ``TensorCrystal``."""
-    classical = range(1, graph.n_indices)
-    lefts = _classical_heads(graph)  # a head's left factor is a head of B
-    if lefts is not None:
-        e, eps, phi = graph.e, graph._eps, graph._phi
-        heads = {}
-        for l in lefts:
-            above = set()
-            for i in classical:
-                top, ends, col = phi[i][l], e[i], eps[i]
-                above.update([r for r in ends if col[r] > top] if top else ends)
-            for r in filterfalse(above.__contains__, range(len(graph))):
-                heads[l, r] = len(heads)
-
-        def head_above(l, r):
-            # CrystalGraph.pair_e inlined, first classical index that acts
-            while True:
-                for i in classical:
-                    if phi[i][l] < eps[i][r]:
-                        r = e[i][r]
-                        break
-                    up = e[i].get(l)
-                    if up is not None:
-                        l = up
-                        break
-                else:
-                    return heads[l, r]
-
-        parent = list(range(len(heads)))
-
-        def find(h):
-            while parent[h] != h:
-                parent[h] = h = parent[parent[h]]
-            return h
-
-        classes = len(heads)
-        if classes == 1:
+    """The number of connected components of B (x) B: 1 when B has no
+    classical cycle, so that every raising walk on pairs ends at one of the
+    ``square_heads``, and their ``head_links`` join them into one class;
+    otherwise the exact count of ``TensorCrystal``."""
+    lefts = classical_heads(graph)
+    if _acyclic(graph, lefts):
+        heads = square_heads(graph, lefts)
+        if _union_find(len(heads), head_links(graph, heads))[1] == 1:
             return 1
-        for (l, r), h in heads.items():
-            for move in (graph.pair_f, graph.pair_e):
-                pair = move(l, r, 0)
-                if pair is not None:
-                    a, b = find(h), find(head_above(*pair))
-                    if a != b:
-                        parent[a] = b
-                        classes -= 1
-                        if classes == 1:
-                            return 1
     return TensorCrystal(graph).connected_components()[1]
 
 

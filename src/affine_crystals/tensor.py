@@ -1,6 +1,8 @@
-"""Tensor square of a crystal: product arrows, maximal vectors, components."""
+"""Tensor square of a crystal: product arrows, maximal vectors, components,
+and the one enumeration of its classical heads (``classical_heads``,
+``square_heads``, ``head_links``), which ``verify_perfect`` shares."""
 
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import itemgetter
 
 
@@ -21,7 +23,8 @@ class TensorCrystal:
     The constructor builds the kernels of every index, labels the classical
     components (no 0-arrows, ``_classical_components``) and reads the
     0-arrows as links between them (``_link_components``); the public
-    methods read the results.  A row whose left factor is a classical head
+    methods read the results.  The maximal vectors are the ``square_heads``
+    over the ``classical_heads`` of B.  A row whose left factor is a head
     of B is labelled by a union-find over its own right moves; every other
     row l is one gather, the row of e_i(l) taken through sigma, since e_i
     carries l (x) r to e_i(l) (x) sigma(r) inside one component.  Rows are
@@ -87,12 +90,8 @@ class TensorCrystal:
         classical = range(1, self.n_indices)
         e, f = base.e, base.f
         kernels = self._kernels
-        raisable = set().union(*(e[i] for i in classical))
-        heads = [l for l in range(m) if l not in raisable]
-        maximal = []
-        for l in heads:
-            moved = set().union(*(kernels[i][l][0] for i in classical))
-            maximal += [l * m + r for r in range(m) if r not in moved]
+        heads = classical_heads(base)
+        maximal = [l * m + r for l, r in square_heads(base, heads)]
         # a start row is labelled by a union-find over its right moves,
         # one new id per class, and every other row is a gather of the
         # row above it, so ids follow labelling order; via[l] is the
@@ -104,7 +103,7 @@ class TensorCrystal:
             if rows[start] is not None:
                 continue
             moves = chain.from_iterable(zip(*kernels[i][start][:2]) for i in classical)
-            find = _union_find(m, moves)
+            find, _ = _union_find(m, moves)
             first = {}
             rows[start] = tuple(first.setdefault(find(r), n + len(first)) for r in range(m))
             n += len(first)
@@ -135,7 +134,7 @@ class TensorCrystal:
                 if a != b:
                     merges += [(x, y) for x, y in zip(a, b) if x != y]
         if merges:
-            find = _union_find(n, merges)
+            find, _ = _union_find(n, merges)
             ids = {}
             dense = [ids.setdefault(find(c), len(ids)) for c in range(n)]
             rows = [_getter(row)(dense) for row in rows]
@@ -171,7 +170,7 @@ class TensorCrystal:
         component c.  No list over the pairs is built.  ``verify_perfect``
         reads the count alone, and only where its head certificate does
         not close."""
-        find = _union_find(self._count, [(lo, hi) for lo, hi, _ in self._links])
+        find, _ = _union_find(self._count, [(lo, hi) for lo, hi, _ in self._links])
         ids = {}
         merged = [ids.setdefault(find(c), len(ids)) for c in range(self._count)]
         return merged, len(ids)
@@ -225,19 +224,75 @@ def _getter(idx):
     return lambda seq: ()
 
 
+def classical_heads(graph):
+    """The heads of B, the elements no e_i with i >= 1 moves, ascending."""
+    raisable = set().union(*graph.e[1:])
+    return [b for b in range(len(graph)) if b not in raisable]
+
+
+def square_heads(graph, lefts):
+    """The classical heads l (x) r of B (x) B over the heads ``lefts`` of
+    B, as (l, r), left-major: all r but the ends of i-arrows (i >= 1, where
+    alone eps_i(r) > 0) with eps_i(r) > phi_i(l), by the signature rule, so
+    they are found from B's arrows alone."""
+    e, eps, phi = graph.e, graph._eps, graph._phi
+    heads = []
+    for l in lefts:
+        above = set()
+        for i in range(1, graph.n_indices):
+            top, ends, col = phi[i][l], e[i], eps[i]
+            above.update([r for r in ends if col[r] > top] if top else ends)
+        heads += [(l, r) for r in filterfalse(above.__contains__, range(len(graph)))]
+    return heads
+
+
+def head_links(graph, heads):
+    """Lazily, the links (h, h') between positions in ``heads``: each
+    image of head h under f_0 and e_0, raised to head h' always by the
+    first classical index that acts, so each link is a path of arrows.  The
+    walk ends only when the classical arrows of B have no cycle."""
+    classical = range(1, graph.n_indices)
+    e, eps, phi = graph.e, graph._eps, graph._phi
+    index = {pair: h for h, pair in enumerate(heads)}
+
+    def head_above(l, r):
+        # CrystalGraph.pair_e inlined, first classical index that acts
+        while True:
+            for i in classical:
+                if phi[i][l] < eps[i][r]:
+                    r = e[i][r]
+                    break
+                up = e[i].get(l)
+                if up is not None:
+                    l = up
+                    break
+            else:
+                return index[l, r]
+
+    for h, (l, r) in enumerate(heads):
+        for move in (graph.pair_f, graph.pair_e):
+            pair = move(l, r, 0)
+            if pair is not None:
+                yield h, head_above(*pair)
+
+
 def _union_find(n, links):
-    """Merge the classes of nodes 0..n-1 joined by each link; returns the
-    lookup node -> the smallest node of its class."""
+    """Merge the classes of nodes 0..n-1 joined by each link, reading no
+    link once one class is left; returns (find, classes), find the lookup
+    node -> a node that names its class."""
     parent = list(range(n))
 
     def find(k):
         while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
+            parent[k] = k = parent[parent[k]]
         return k
 
-    for a, b in links:
+    classes = n
+    for a, b in links if n > 1 else ():
         a, b = find(a), find(b)
         if a != b:
-            parent[max(a, b)] = min(a, b)
-    return find
+            parent[a] = b
+            classes -= 1
+            if classes == 1:
+                break
+    return find, classes

@@ -400,7 +400,7 @@ def test_energy_propagation_values():
             assert h[pair_index(g, EMPTY, b)] == 1
 
 
-@pytest.mark.parametrize("ty", [t.name for t in swept_types(4, with_exceptional=False)])
+@pytest.mark.parametrize("ty", [t.name for t in swept_types(8)] + WIDE_NAMES)
 def test_energy_methods_agree(ty):
     d, g, t = _setup(ty)
     assert energy_propagate(t) == energy_by_classification(t)

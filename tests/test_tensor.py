@@ -29,7 +29,13 @@ from affine_crystals.crystal import (
 from affine_crystals.paths import PathModel
 from affine_crystals.perfect import verify_perfect
 from affine_crystals.roots import finite_roots, lambda_weights, theta
-from affine_crystals.tensor import TensorCrystal
+from affine_crystals.tensor import (
+    TensorCrystal,
+    _union_find,
+    classical_heads,
+    head_links,
+    square_heads,
+)
 
 from conftest import SWEPT_NAMES, family, pair_elements, pair_index
 
@@ -338,7 +344,7 @@ def test_self_loop_rejected():
         CrystalGraph([a], [(0, 0, 0)], 1)
 
 
-@pytest.mark.parametrize("ty", SWEPT_NAMES + HAND_BUILT)
+@pytest.mark.parametrize("ty", SWEPT_NAMES + HAND_BUILT + ["B12-1", "D16-2"])
 def test_maximal_indices_match_kashiwara_rule(ty):
     # l (x) r is maximal iff eps_i(l) = 0 and eps_i(r) <= phi_i(l) for every
     # i >= 1, read off B alone
@@ -353,6 +359,54 @@ def test_maximal_indices_match_kashiwara_rule(ty):
         if all(g._eps[i][l] == 0 and g._eps[i][r] <= g._phi[i][l] for i in classical)
     ]
     assert t.maximal_indices() == want
+
+
+def _links_until(merging):
+    """Links that raise when read past the first ``merging`` of them."""
+    yield from [(0, 1), (1, 2), (2, 3)][:merging]
+    raise AssertionError("a link was read after one class was left")
+
+
+@pytest.mark.parametrize("n, merging", [(0, 0), (1, 0), (2, 1), (4, 3)])
+def test_union_find_stops_at_one_class(n, merging):
+    # no link is read once one class is left, nor any where n < 2
+    find, classes = _union_find(n, _links_until(merging))
+    assert classes == len({find(k) for k in range(n)}) == min(n, 1)
+
+
+def test_union_find_counts_classes():
+    find, classes = _union_find(6, iter([(4, 2), (5, 4), (3, 1)]))
+    assert classes == 3
+    assert _canonical([find(k) for k in range(6)]) == [0, 1, 2, 1, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "ty", [t.name for t in swept_types(8)] + ["three-box", "four-heads", "A2-1 cut"]
+)
+def test_head_links_stay_in_the_component(ty):
+    # each link raises an f_0 or e_0 image of a head to the head of the
+    # image's own classical component, on graphs without a classical cycle
+    if ty in HAND_BUILT or ty == "A2-1 cut":
+        g = _a2_cut() if ty == "A2-1 cut" else _hand_built(ty)
+        t = TensorCrystal(g)
+    else:
+        g, t = family(ty).graph, family(ty).tensor
+    m = len(g)
+    heads = square_heads(g, classical_heads(g))
+    assert [l * m + r for l, r in heads] == t.maximal_indices()
+    images = [
+        (h, pair)
+        for h, (l, r) in enumerate(heads)
+        for pair in (g.pair_f(l, r, 0), g.pair_e(l, r, 0))
+        if pair is not None
+    ]
+    links = list(head_links(g, heads))
+    assert [h for h, _ in links] == [h for h, _ in images]
+    assert images
+    rows, _ = t.component_labels()
+    for (_, to), (_, (l, r)) in zip(links, images):
+        up_l, up_r = heads[to]
+        assert rows[up_l][up_r] == rows[l][r]
 
 
 @pytest.mark.parametrize("n_indices", [1, 2])

@@ -10,11 +10,12 @@ heads of the square (the pairs that no e_i, i >= 1, moves), not by
 labelling all |B|^2 pairs: when the classical arrows of B have no cycle,
 every raising walk on pairs ends at a head, so the square is connected
 once the 0-arrows join all heads into one class (``_square_components``).
-The heads are the square's own, ``tensor.square_heads``, read off B's
-arrows, and their ``head_links`` are joined until one class is left, so a
-connected square costs about B's arrows, not |B| x rank.  A graph where
-the certificate does not close, only a hand-built one, gets the exact
-count of ``TensorCrystal``.
+The Kahn sort that finds no cycle yields the heads of B, over which
+``tensor.square_heads`` reads the square's off B's arrows, and their
+``head_links`` are joined until one class is left: about B's arrows, not
+|B| x rank.  Only a hand-built graph can leave it open, and gets the
+exact count of ``TensorCrystal``.  B_min = {b : <c, eps(b)> = 1}, its
+phi side and the level bound read one comark-weighted level per side.
 """
 
 from operator import le, sub
@@ -22,7 +23,7 @@ from operator import le, sub
 from .cartan import level_one_nodes
 from .crystal import XRoot
 from .roots import theta
-from .tensor import TensorCrystal, _union_find, classical_heads, head_links, square_heads
+from .tensor import TensorCrystal, _union_find, head_links, square_heads
 
 
 def _axiom(passed, detail, witness=""):
@@ -33,47 +34,56 @@ def _axiom(passed, detail, witness=""):
     return out
 
 
+def _levels(graph, arrows, cols):
+    """The level <c, v(b)> of each b, summed over arrow ends: v = eps by e, phi by f."""
+    levels = [0] * len(graph)
+    for c, ends, col in zip(graph.datum.comarks, arrows, cols):
+        for b in ends:
+            levels[b] += c * col[b]
+    return levels
+
+
 def minimal_elements(graph):
     """For each level-1 node i of ``graph.datum``, the unique b with
     eps(b) = Lambda_i and the unique b with phi(b) = Lambda_i, as a map
     i -> (b_upper, b_lower).
 
-    The candidates for node i are the ends of the i-arrows, where eps_i is
-    nonzero: b is kept when eps_i(b) = 1 and its eps entries, all
-    nonnegative, sum to 1.  Likewise for phi over the starts of the
-    i-arrows.  Raises ValueError with a witness when existence or
-    uniqueness fails.
+    The candidates are the ends of the i-arrows, where eps_i >= 1, of level
+    <c, eps(b)> = 1 (``_levels``): as c_i = 1 and every comark is >= 1, just
+    those with eps(b) = Lambda_i.  Likewise for phi over the starts.  Raises
+    ValueError with a witness when existence or uniqueness fails.
     """
-    sides = ((graph.e, graph._eps), (graph.f, graph._phi))
-    tables = [(ends, cols, list(map(sum, zip(*cols)))) for ends, cols in sides]
+    return _minimal(graph, _levels(graph, graph.e, graph._eps))
+
+
+def _minimal(graph, eps_levels):
+    """``minimal_elements`` given the eps levels, which ``verify_perfect`` shares."""
+    sides = [(graph.e, eps_levels), (graph.f, _levels(graph, graph.f, graph._phi))]
     out = {}
     for i in level_one_nodes(graph.datum):
-        up, down = (
-            [graph.elements[k] for k in ends[i] if cols[i][k] == 1 and sums[k] == 1]
-            for ends, cols, sums in tables
-        )
+        up, down = ([graph.elements[b] for b in ends[i] if lv[b] == 1] for ends, lv in sides)
         if len(up) != 1 or len(down) != 1:
             raise ValueError(f"Lambda_{i}: {len(up)} eps-preimages, {len(down)} phi-preimages")
         out[i] = (up[0], down[0])
     return out
 
 
-def _acyclic(graph, heads):
-    """Whether the classical arrows of B have no cycle: a Kahn sort from the
-    heads of B over successor lists read off the ``f`` dicts, one step per arrow."""
+def _acyclic(graph):
+    """The heads of B, the in-degree zeros of its classical arrows, ascending, or
+    None where those close a cycle: a Kahn sort over successor lists off ``f``."""
     after = [[] for _ in range(len(graph))]
     indegree = [0] * len(graph)
     for f in graph.f[1:]:
         for s, t in f.items():
             after[s].append(t)
             indegree[t] += 1
-    ready = list(heads)
+    ready = list(heads := [b for b, k in enumerate(indegree) if not k])
     for b in ready:  # grows while it is read
         for t in after[b]:
             indegree[t] -= 1
             if not indegree[t]:
                 ready.append(t)
-    return len(ready) == len(graph)
+    return heads if len(ready) == len(graph) else None
 
 
 def _square_components(graph):
@@ -81,8 +91,8 @@ def _square_components(graph):
     classical cycle, so that every raising walk on pairs ends at one of the
     ``square_heads``, and their ``head_links`` join them into one class;
     otherwise the exact count of ``TensorCrystal``."""
-    lefts = classical_heads(graph)
-    if _acyclic(graph, lefts):
+    lefts = _acyclic(graph)
+    if lefts is not None:
         heads = square_heads(graph, lefts)
         if _union_find(len(heads), head_links(graph, heads))[1] == 1:
             return 1
@@ -97,13 +107,11 @@ def verify_perfect(graph):
     ``type``, ``level``, ``passed``, ``axioms`` (each ``passed`` and
     ``detail``, plus a ``witness`` on failure) and ``minimal_elements``.
     The weight cone is checked per coordinate column of the x-elements'
-    roots, and the top-weight count, the eps-level bound and the minimal
-    elements are read off the eps and phi columns of the graph; elements
-    are scanned one by one only to name a witness.  Connectivity of
-    B (x) B is proved from its classical heads (``_square_components``),
-    stopping as soon as they form one class; only where that certificate
-    does not close, on hand-built graphs, is the whole square labelled for
-    its exact component count."""
+    roots and the top-weight count per eps and phi column; the eps-level
+    bound reads the level that ``minimal_elements`` reads.  Elements are
+    scanned one by one only to name a witness.  Connectivity of B (x) B is
+    proved from its classical heads (``_square_components``); only where
+    that does not close, on hand-built graphs, is the square labelled."""
     d = graph.datum
     axioms = {
         "module_asserted": _axiom(
@@ -149,13 +157,9 @@ def verify_perfect(graph):
         "" if ok3 else (bad.label() if bad else f"{top_count} top-weight elements"),
     )
 
-    # <c, eps(b)> >= 1 everywhere, summed column by column over the
-    # nonzero entries (eps_i(b) > 0 just where an i-arrow ends at b); the
-    # elements are scanned only to name the first below 1
-    levels = [0] * len(graph)
-    for c, e, eps in zip(d.comarks, graph.e, graph._eps):
-        for b in e:
-            levels[b] += c * eps[b]
+    # <c, eps(b)> >= 1 everywhere, the level that minimal_elements reads
+    # too; the elements are scanned only to name the first below 1
+    levels = _levels(graph, graph.e, graph._eps)
     lowest = min(levels)
     low = None if lowest >= 1 else next(b for b, c in zip(graph.elements, levels) if c < 1)
     axioms["eps_level_bound"] = _axiom(
@@ -167,7 +171,7 @@ def verify_perfect(graph):
     # unique minimal elements for every level-1 dominant weight
     minimal = {}
     try:
-        table = minimal_elements(graph)
+        table = _minimal(graph, levels)
         minimal = {
             f"Lambda_{i}": {"b_upper": up.label(), "b_lower": lo.label()}
             for i, (up, lo) in sorted(table.items())

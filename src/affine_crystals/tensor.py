@@ -1,6 +1,6 @@
 """Tensor square of a crystal: product arrows, maximal vectors, components,
-and the one enumeration of its classical heads (``classical_heads``,
-``square_heads``, ``head_links``), which ``verify_perfect`` shares."""
+and the one enumeration of its classical heads (``classical_heads``, and
+``square_heads`` and ``head_links``, which ``verify_perfect`` shares)."""
 
 from itertools import chain, filterfalse
 from operator import itemgetter

@@ -1,14 +1,23 @@
 import json
+from functools import cache
 from operator import mul
 
 import pytest
 
 from affine_crystals import perfect
-from affine_crystals.cartan import build_datum, swept_types
+from affine_crystals.cartan import build_datum, level_one_nodes, swept_types
 from affine_crystals.crystal import CrystalGraph, EMPTY, XRoot, YElement, build_crystal
 from affine_crystals.perfect import minimal_elements, verify_perfect
 from affine_crystals.roots import theta
+from affine_crystals.tensor import classical_heads
 from test_crystal import WIDE_NAMES
+
+SWEEP = [t.name for t in swept_types(8)] + WIDE_NAMES
+
+
+@cache
+def _crystal(name):
+    return build_crystal(build_datum(name))
 
 
 def test_a2_report():
@@ -99,6 +108,56 @@ def test_minimal_elements_rejects_two_preimages():
         ValueError, match=r"^Lambda_0: 2 eps-preimages, 1 phi-preimages$"
     ):
         minimal_elements(g)
+
+
+@pytest.mark.parametrize("ty", SWEEP)
+def test_minimal_elements_match_definition(ty):
+    # for each level-1 node i, the unique b with eps(b) the unit vector at i
+    # and the unique b with phi(b) that vector, found by a scan of B; as
+    # the README states, they are empty at Lambda_0 and y_i elsewhere
+    g = _crystal(ty)
+    expected = {}
+    for i in level_one_nodes(g.datum):
+        unit = tuple(int(j == i) for j in range(g.n_indices))
+        up = [b for b in g.elements if g.eps_vec(b) == unit]
+        down = [b for b in g.elements if g.phi_vec(b) == unit]
+        assert up == down == [YElement(i) if i else EMPTY], (ty, i)
+        expected[i] = (up[0], down[0])
+    assert minimal_elements(g) == expected
+
+
+def test_level_filter_weighs_comarks():
+    # over D4-1's datum (comarks 1, 1, 2, 1, 1): b ends a 0-arrow and a
+    # 2-arrow, so eps_0(b) = eps_2(b) = 1 and <c, eps(b)> = 3; it is no
+    # candidate for Lambda_0, which box e alone is; a and d both have
+    # phi = Lambda_0
+    from affine_crystals.algebra import Box
+
+    a, b, c, d, e = map(Box, range(1, 6))
+    arrows = [(0, 0, 1), (2, 2, 1), (0, 3, 4)]
+    g = CrystalGraph([a, b, c, d, e], arrows, 5, datum=build_datum("D4-1"))
+    assert g.eps_vec(b) == (1, 0, 1, 0, 0)
+    assert perfect._levels(g, g.e, g._eps) == [0, 3, 0, 0, 1]
+    with pytest.raises(ValueError, match=r"^Lambda_0: 1 eps-preimages, 2 phi-preimages$"):
+        minimal_elements(g)
+
+
+def test_level_bound_weighs_comarks():
+    # over D4-1's datum: eps(p) = Lambda_0 + Lambda_1 and eps(q) = Lambda_2,
+    # both of level 2 with c_2 = 2, though q's entries sum to 1
+    from affine_crystals.algebra import Box
+
+    p, q = Box(1), Box(2)
+    g = CrystalGraph([p, q], [(0, 1, 0), (1, 1, 0), (2, 0, 1)], 5, datum=build_datum("D4-1"))
+    assert (g.eps_vec(p), g.eps_vec(q)) == ((1, 1, 0, 0, 0), (0, 0, 1, 0, 0))
+    bound = verify_perfect(g)["axioms"]["eps_level_bound"]
+    assert bound == {"passed": True, "detail": "min <c, eps(b)> = 2"}
+
+
+@pytest.mark.parametrize("ty", SWEEP)
+def test_kahn_pass_yields_classical_heads(ty):
+    g = _crystal(ty)
+    assert perfect._acyclic(g) == classical_heads(g)
 
 
 @pytest.mark.parametrize(

@@ -271,6 +271,16 @@ def test_verify_counts_components_on_hand_built(ty):
         assert count > 1
 
 
+@pytest.mark.parametrize("ty", HAND_BUILT + ["A2-1 cut"])
+def test_kahn_pass_on_hand_built(ty):
+    # the Kahn sort of verify yields the heads of B, or None where the
+    # classical arrows close a cycle (through indices 1 and 2 on each of
+    # these), where test_verify_counts_components_on_hand_built checks
+    # that verify still reports the square's exact count
+    g = _a2_cut() if ty == "A2-1 cut" else _hand_built(ty)
+    assert perfect._acyclic(g) == (None if "cycle" in ty else classical_heads(g))
+
+
 def test_verify_reads_only_the_component_count(monkeypatch):
     # the connectivity axiom builds no label list over the pairs
     def refuse(self, *args):

@@ -4,13 +4,14 @@
 class Frozen:
     """A slotted value: its fields are the ``__slots__``, set once by
     ``__init__`` and never rebound.  It is equal only to an instance of the
-    same class with equal fields.  Each subclass hashes its own fields.
+    same class with equal fields, and hashes as the tuple of its fields.
 
-    ``XRoot`` and ``YElement`` also write their own ``__init__`` and
-    ``__eq__`` on their one field: they are built and compared while B is
-    built and labelled, where the generic loops cost time.  ``AffineType``
-    writes its own to check and derive its fields from (family, rank,
-    twist) and to compare by name."""
+    ``XRoot`` and ``YElement`` write their own ``__init__``, ``__eq__`` and
+    ``__hash__`` on their one field, where B is built and labelled and the
+    generic loops cost time.  ``AffineType`` writes its own to derive its
+    fields from (family, rank, twist) and to compare and hash by name.
+    ``AffineDatum`` hashes five of its fields by hand, without the generic
+    ``map``: it is hashed on every ``lambda_weights`` lookup."""
 
     __slots__ = ()
 
@@ -27,6 +28,9 @@ class Frozen:
         return type(other) is type(self) and all(
             getattr(self, k) == getattr(other, k) for k in self.__slots__
         )
+
+    def __hash__(self):
+        return hash(tuple(map(self.__getattribute__, self.__slots__)))
 
     def __repr__(self):
         fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)

@@ -540,9 +540,6 @@ def energy_table_json(tensor, h):
 class Box(Frozen):
     __slots__ = ("value",)
 
-    def __hash__(self):
-        return hash(self.value)
-
     def label(self):
         return str(self.value)
 

@@ -46,9 +46,6 @@ class YElement(Frozen):
 class EmptyElement(Frozen):
     __slots__ = ()
 
-    def __hash__(self):
-        return hash(())
-
     def label(self):
         return "empty"
 
@@ -181,10 +178,10 @@ class CrystalGraph:
     def to_dot(self):
         lines = ["digraph crystal {", "  rankdir=LR;"]
         for k, b in enumerate(self.elements):
-            lines.append(f'  n{k} [label="{b.label()}"];')
-        for i, f in enumerate(self.f):
-            style = ", style=dashed" if i == 0 else ""
-            lines += [f'  n{s} -> n{t} [label="{i}"{style}];' for s, t in sorted(f.items())]
+            label = b.label().replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  n{k} [label="{label}"];')
+        for i, s, t in self.arrows():
+            lines.append(f'  n{s} -> n{t} [label="{i}"{", style=dashed" if i == 0 else ""}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -212,8 +209,7 @@ class CrystalGraph:
             )
         arrows = [
             f'    {{\n      "i": {i},\n      "from": {s},\n      "to": {t}\n    }}'
-            for i, f in enumerate(self.f)
-            for s, t in sorted(f.items())
+            for i, s, t in self.arrows()
         ]
         fields = ['  "elements": [' + _json_lines(elems, 2) + "]"]
         fields.append('  "arrows": [' + _json_lines(arrows, 2) + "]")

@@ -26,6 +26,7 @@ from operator import add, mul, sub
 from ._frozen import Frozen
 from .algebra import energy_propagate
 from .cartan import level_one_nodes
+from .crystal import _json_lines
 from .perfect import minimal_elements
 from .tensor import TensorCrystal
 
@@ -39,9 +40,6 @@ class Path(Frozen):
     """
 
     __slots__ = ("lam", "prefix")
-
-    def __hash__(self):
-        return hash((self.lam, self.prefix))
 
     def depth(self):
         return len(self.prefix)
@@ -357,11 +355,10 @@ def character_json(type_name, weight, counts, oracle):
                 f'    {{\n      "classical_weight": {listed},\n      "delta_degree": '
             )
         rows.append(f'{block}{delta},\n      "multiplicity": {mult}\n    }}')
-    listed = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     report = json.dumps(oracle, indent=2).replace("\n", "\n  ")
     return (
         f'{{\n  "type": {json.dumps(type_name)},\n  "weight": {json.dumps(weight)},\n'
-        f'  "rows": {listed},\n  "oracle": {report}\n}}\n'
+        f'  "rows": [{_json_lines(rows, 2)}],\n  "oracle": {report}\n}}\n'
     )
 
 

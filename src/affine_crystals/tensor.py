@@ -40,7 +40,8 @@ class TensorCrystal:
     where e_i(l) is absent, which the union-find joined; on a gathered row,
     the index whose gather built it.  The labels are kept as one tuple of
     component ids per row, ids in labelling order; only when the check
-    merges are they compressed to 0..count-1.  The 0-arrows become the
+    merges are they compressed to 0..count-1 by ``_union_find``, which
+    numbers its classes by first appearance.  The 0-arrows become the
     distinct links between classical components (``zero_links``);
     ``connected_components`` unites the classical components over them and
     gives the count that ``verify_perfect`` falls back on where its head
@@ -93,9 +94,9 @@ class TensorCrystal:
         heads = classical_heads(base)
         maximal = [l * m + r for l, r in square_heads(base, heads)]
         # a start row is labelled by a union-find over its right moves,
-        # one new id per class, and every other row is a gather of the
-        # row above it, so ids follow labelling order; via[l] is the
-        # index whose gather built row l (0 on a start row)
+        # its classes shifted past the ids so far; every other row is a
+        # gather of the row above it, so ids follow labelling order;
+        # via[l] is the index whose gather built row l (0 on a start row)
         rows = [None] * m
         via = [0] * m
         n = 0
@@ -103,10 +104,9 @@ class TensorCrystal:
             if rows[start] is not None:
                 continue
             moves = chain.from_iterable(zip(*kernels[i][start][:2]) for i in classical)
-            find, _ = _union_find(m, moves)
-            first = {}
-            rows[start] = tuple(first.setdefault(find(r), n + len(first)) for r in range(m))
-            n += len(first)
+            ids, classes = _union_find(m, moves)
+            rows[start] = tuple(map(n.__add__, ids))
+            n += classes
             queue = [start]
             for u in queue:  # grows while it is read
                 for i in classical:
@@ -134,11 +134,8 @@ class TensorCrystal:
                 if a != b:
                     merges += [(x, y) for x, y in zip(a, b) if x != y]
         if merges:
-            find, _ = _union_find(n, merges)
-            ids = {}
-            dense = [ids.setdefault(find(c), len(ids)) for c in range(n)]
+            dense, n = _union_find(n, merges)
             rows = [_getter(row)(dense) for row in rows]
-            n = len(ids)
         return rows, n, maximal
 
     def _link_components(self):
@@ -170,10 +167,7 @@ class TensorCrystal:
         component c.  No list over the pairs is built.  ``verify_perfect``
         reads the count alone, and only where its head certificate does
         not close."""
-        find, _ = _union_find(self._count, [(lo, hi) for lo, hi, _ in self._links])
-        ids = {}
-        merged = [ids.setdefault(find(c), len(ids)) for c in range(self._count)]
-        return merged, len(ids)
+        return _union_find(self._count, [(lo, hi) for lo, hi, _ in self._links])
 
     def zero_links(self):
         """The distinct (lower, upper, step) over the 0-arrows t -> e_0(t):
@@ -278,8 +272,8 @@ def head_links(graph, heads):
 
 def _union_find(n, links):
     """Merge the classes of nodes 0..n-1 joined by each link, reading no
-    link once one class is left; returns (find, classes), find the lookup
-    node -> a node that names its class."""
+    link once one class is left; returns (ids, classes), ids[k] the class
+    of node k, numbered 0..classes-1 by first appearance."""
     parent = list(range(n))
 
     def find(k):
@@ -294,5 +288,6 @@ def _union_find(n, links):
             parent[a] = b
             classes -= 1
             if classes == 1:
-                break
-    return find, classes
+                return [0] * n, 1
+    first = {}
+    return [first.setdefault(find(k), len(first)) for k in range(n)], classes

@@ -380,14 +380,17 @@ def _links_until(merging):
 @pytest.mark.parametrize("n, merging", [(0, 0), (1, 0), (2, 1), (4, 3)])
 def test_union_find_stops_at_one_class(n, merging):
     # no link is read once one class is left, nor any where n < 2
-    find, classes = _union_find(n, _links_until(merging))
-    assert classes == len({find(k) for k in range(n)}) == min(n, 1)
+    assert _union_find(n, _links_until(merging)) == ([0] * n, min(n, 1))
 
 
 def test_union_find_counts_classes():
-    find, classes = _union_find(6, iter([(4, 2), (5, 4), (3, 1)]))
-    assert classes == 3
-    assert _canonical([find(k) for k in range(6)]) == [0, 1, 2, 1, 2, 2]
+    assert _union_find(6, iter([(4, 2), (5, 4), (3, 1)])) == ([0, 1, 2, 1, 2, 2], 3)
+
+
+def test_union_find_numbers_by_first_appearance():
+    # node 2 is the root of node 0's class, so root labels would read
+    # [2, 1, 2]; the ids are the classes in order of first appearance
+    assert _union_find(3, [(0, 2)]) == ([0, 1, 0], 2)
 
 
 @pytest.mark.parametrize(
@@ -417,6 +420,46 @@ def test_head_links_stay_in_the_component(ty):
     for (_, to), (_, (l, r)) in zip(links, images):
         up_l, up_r = heads[to]
         assert rows[up_l][up_r] == rows[l][r]
+
+
+def _reference_dot(g):
+    """DOT from the lowering tables: elements in order, then the arrows by
+    index and source, 0-arrows dashed; a backslash or a double quote in a
+    label is escaped by a backslash."""
+    out = ["digraph crystal {", "  rankdir=LR;"]
+    for k, b in enumerate(g.elements):
+        label = re.sub(r'(["\\])', r"\\\1", b.label())
+        out.append(f'  n{k} [label="{label}"];')
+    for i in range(g.n_indices):
+        style = ", style=dashed" if i == 0 else ""
+        out += [f'  n{s} -> n{g.f[i][s]} [label="{i}"{style}];' for s in sorted(g.f[i])]
+    return "\n".join(out) + "\n}\n"
+
+
+QUOTED = {
+    "quoted": ([Box('say "hi"'), Box("b")], [(0, 0, 1)], 1),
+    "backslash": ([Box("a\\"), Box('\\"c\\')], [(0, 1, 0)], 1),
+}
+
+
+@pytest.mark.parametrize(
+    "ty", [t.name for t in swept_types(8)] + HAND_BUILT + ["A2-1 cut"] + list(QUOTED)
+)
+def test_dot_matches_reference(ty):
+    if ty in QUOTED:
+        g = CrystalGraph(*QUOTED[ty])
+    elif ty in HAND_BUILT or ty == "A2-1 cut":
+        g = _a2_cut() if ty == "A2-1 cut" else _hand_built(ty)
+    else:
+        g = family(ty).graph
+    dot = g.to_dot()
+    assert dot == _reference_dot(g)
+    # every label is one DOT quoted string: no bare quote ends it early
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    line = re.compile(rf"  n\d+ (-> n\d+ )?\[label={quoted}(, style=dashed)?\];")
+    lines = dot.splitlines()[2:-1]
+    assert all(map(line.fullmatch, lines))
+    assert len(lines) == len(g) + len(g.arrows())
 
 
 @pytest.mark.parametrize("n_indices", [1, 2])

@@ -52,6 +52,12 @@ def test_fields_cannot_be_rebound(name):
         value.extra = 1
 
 
+@pytest.mark.parametrize("name", ["EmptyElement", "Box", "Path"])
+def test_inherited_hash_is_the_fields_tuple(name):
+    value = BUILDERS[name]()
+    assert hash(value) == hash(tuple(getattr(value, k) for k in type(value).__slots__))
+
+
 def test_equal_only_within_one_class():
     r = _root()
     assert XRoot(r) == XRoot(_root()) and hash(XRoot(r)) == hash(XRoot(_root()))

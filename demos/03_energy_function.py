@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Compute the energy function two independent ways and compare.
+"""Compute the energy function two ways and compare.
 
-Route one propagates the defining recurrence breadth-first over the whole
-tensor square, re-deriving the value across every edge so inconsistencies
-cannot hide.  Route two never touches a 0-arrow of the product: it splits
-the square into classical components, finds each component's unique
-maximal vector x_theta (x) b2 (or the empty-left pairs), and reads the
-energy off eps_0(b2).  The two tables agree exactly, family by family.
+Both routes give one value of H per classical component of the tensor
+square, and both read the same row kernels and component labels of the
+square; they differ in the energy rule.  Route one propagates the defining
+recurrence breadth-first over the links that the 0-arrows make between
+components, then checks every link, so an inconsistent value cannot hide.
+Route two never touches a 0-arrow of the product: it finds each
+component's unique maximal vector x_theta (x) b2 (or an empty-left pair)
+and reads the energy off eps_0(b2).  The two agree exactly, family by
+family; ``TensorCrystal.per_pair`` spreads the values over the pairs.
 """
 
 from affine_crystals import (
@@ -30,10 +33,11 @@ for name in ["A2-1", "C2-1", "D4-3", "A4-2", "G2-1"]:
     h_cls = energy_by_classification(square)
     th = XRoot(theta(d))
     print(f"{name}: {square.size} pairs, methods agree: {h_prop == h_cls}")
+    h_pairs = square.per_pair(h_prop)
     low = XRoot(tuple(-a for a in theta(d)))
     pairs = [(EMPTY, EMPTY), (EMPTY, th), (th, low), (th, EMPTY), (th, th)]
     for left, right in pairs:
-        h = h_prop[g.index[left] * len(g) + g.index[right]]
+        h = h_pairs[g.index[left] * len(g) + g.index[right]]
         print(f"    H({left.label()} (x) {right.label()}) = {h}")
 
 # labelled component census for one family

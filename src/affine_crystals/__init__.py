@@ -2,7 +2,7 @@
 
 Builds the crystal of the (little) adjoint module plus trivial module with
 its affine arrows, verifies the perfectness axioms, derives the crystal
-algebra multiplication, computes the energy function two independent ways,
+algebra multiplication, computes the energy function two ways,
 and realizes basic highest weight crystals as paths with exact character
 coefficients.  Weights are plain tuples of Lambda-coordinates; the basic
 representation L(Lambda_i) is named by its node i, one of

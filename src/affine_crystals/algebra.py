@@ -248,7 +248,9 @@ def energy_propagate(tensor):
     result; H is constant on a component, so this checks every 0-arrow, and
     an inconsistent assignment cannot survive.  Only when a link fails are
     the 0-arrows scanned, pair by pair with ``CrystalGraph.pair_e``, for the
-    failing arrow with the smallest source pair.
+    failing arrow with the smallest source pair.  Returns H per classical
+    component, indexed by the ids of ``component_labels``
+    (``TensorCrystal.per_pair`` expands it to the pairs).
     """
     base = tensor.base
     m = len(base)
@@ -271,8 +273,8 @@ def energy_propagate(tensor):
                 queue.append(nb)
     if None in value:
         raise ValueError("tensor square is not connected; energy is partial")
-    h = [value[c] for row in rows for c in row]
     if any(value[hi] - value[lo] != s for lo, hi, s in zero_links):
+        h = tensor.per_pair(value)
         for t in range(tensor.size):
             pair = base.pair_e(*divmod(t, m), 0)
             u = t if pair is None else pair[0] * m + pair[1]
@@ -283,7 +285,7 @@ def energy_propagate(tensor):
                     f"inconsistent energy at {left} (x) {right}: "
                     f"{h[u]} vs {h[t] + step} via index 0"
                 )
-    return h
+    return value
 
 
 def two_theta_formula_indices(tensor):
@@ -455,6 +457,7 @@ def energy_by_classification(tensor):
     heads that the named classes do not cover.  No 0-arrow of the product
     graph is traversed, but both routes read the same row kernels and
     component labels of the square, so a fault there reaches both.
+    Returns H per classical component, indexed as ``energy_propagate``'s.
     """
     base = tensor.base
     m = len(base)
@@ -475,7 +478,7 @@ def energy_by_classification(tensor):
             value.append(0 if r == i_empty else 1)
         else:
             value.append(eps0[r])
-    return [value[c] for row in rows for c in row]
+    return value
 
 
 def _keys_may_coincide(labels):
@@ -494,43 +497,58 @@ def _keys_may_coincide(labels):
     )
 
 
-def _pair_rows(heads, tails, h, cells):
-    """Yield heads[left] + tails[right] + cells[H] over the pairs, row by row.
+def _pair_rows(heads, tails, rows, values, cells):
+    """Yield heads[l] + tails[r] + cells[values[rows[l][r]]] over the
+    pairs, row by row, from the component ids ``rows`` and the value of
+    each id.
 
-    ``cols[v][r]`` is ``tails[r] + cells[v]``, so each run of equal H in a
-    row is one slice of a column list, and a row is one join over the runs.
+    ``cols[v][r]`` is ``tails[r] + cells[v]``, so each run of equal id in
+    a row is one slice of the column list of its value, and a row is one
+    join over the runs.
     """
     m = len(tails)
     cols = {v: [tail + cell for tail in tails] for v, cell in cells.items()}
-    for k, head in enumerate(heads):
-        row = h[k * m:k * m + m]
+    by_id = [cols[v] for v in values]
+    for head, row in zip(heads, rows):
         pieces = []
         a = 0
         for b in chain(compress(range(1, m), map(ne, row, row[1:])), (m,)):
-            pieces += cols[row[a]][a:b]
+            pieces += by_id[row[a]][a:b]
             a = b
         yield head + head.join(pieces)
 
 
-def energy_table_json(tensor, h):
-    """JSON map '(left,right)' -> H, in canonical pair order.
+def energy_table_text(tensor, values):
+    """Lines 'left (x) right<TAB>H' in canonical pair order, row by row,
+    from H per classical component (``_pair_rows``)."""
+    labels = [b.label() for b in tensor.base.elements]
+    heads = [label + " (x) " for label in labels]
+    tails = [label + "\t" for label in labels]
+    cells = {v: f"{v}\n" for v in set(values)}
+    return _pair_rows(heads, tails, tensor._rows, values, cells)
+
+
+def energy_table_json(tensor, values):
+    """JSON map '(left,right)' -> H, in canonical pair order, from H per
+    classical component.
 
     Written row by row, with the bytes of ``json.dumps(..., indent=2)``:
     each element label is encoded once, each distinct H value once, and
     each line is joined from the three (``_pair_rows``).  When two pairs
     can share a key (``_keys_may_coincide``) the lines go through a dict
-    first, which keeps the first position and the last value, as the dict
-    of pairs would.
+    of the per-pair values first, which keeps the first position and the
+    last value, as the dict of pairs would.
     """
     labels = [encode_basestring_ascii(b.label())[1:-1] for b in tensor.base.elements]
     heads = [f'  "({label},' for label in labels]
     tails = [f'{label})": ' for label in labels]
-    cells = {v: json.dumps(v) + ",\n" for v in set(h)}
+    cells = {v: json.dumps(v) + ",\n" for v in set(values)}
     if _keys_may_coincide(labels):
         keys = [head + tail for head in heads for tail in tails]
+        h = tensor.per_pair(values)
         parts = list(chain.from_iterable(dict(zip(keys, map(cells.__getitem__, h))).items()))
     else:
-        parts = list(_pair_rows(heads, tails, h, cells))
+        parts = list(_pair_rows(heads, tails, tensor._rows, values, cells))
     if not parts:
         return "{}\n"
     parts[-1] = parts[-1][:-2] + "\n}\n"
@@ -559,7 +577,8 @@ def fixture_energy_check():
     Returns (ok, mismatches).
     """
     g = three_box_crystal()
-    h = energy_propagate(TensorCrystal(g))
+    square = TensorCrystal(g)
+    h = square.per_pair(energy_propagate(square))
     mismatches = []
     for k, (left, right) in enumerate(product(g.elements, repeat=2)):
         got = h[k] - h[0] + 1

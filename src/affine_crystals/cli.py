@@ -12,11 +12,11 @@ import sys
 from itertools import chain
 
 from .algebra import (
-    _pair_rows,
     build_psi,
     energy_by_classification,
     energy_propagate,
     energy_table_json,
+    energy_table_text,
     multiplication_table_json,
     valid_psi_indices,
     verify_psi,
@@ -113,17 +113,16 @@ def cmd_energy(args):
     d = _datum(args.type)
     g = build_crystal(d)
     tensor = TensorCrystal(g)
+    # H per classical component; the component ids label every pair, so
+    # the two short lists agree exactly when the per-pair tables do
     h1 = energy_propagate(tensor)
     h2 = energy_by_classification(tensor)
     agree = h1 == h2
     if args.format == "json":
         chunks = energy_table_json(tensor, h1)
     else:
-        labels = [b.label() for b in g.elements]
-        heads = [label + " (x) " for label in labels]
-        tails = [label + "\t" for label in labels]
-        rows = _pair_rows(heads, tails, h1, {v: f"{v}\n" for v in set(h1)})
-        chunks = chain([f"# {d.type.name}: {tensor.size} pairs, methods agree: {agree}\n"], rows)
+        header = f"# {d.type.name}: {tensor.size} pairs, methods agree: {agree}\n"
+        chunks = chain([header], energy_table_text(tensor, h1))
     _emit(chunks, args.out)
     return 0 if agree else 1
 

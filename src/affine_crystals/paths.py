@@ -90,7 +90,8 @@ class PathModel:
         self.ground = ground_state(graph, i)
         self.lam = graph.eps_vec(self.ground)
         if energy is None:
-            energy = energy_propagate(TensorCrystal(graph))
+            square = TensorCrystal(graph)
+            energy = square.per_pair(energy_propagate(square))
         self.energy = energy
         self.ground_path = Path(self.lam, ())
         self._set_up_transfer()

@@ -161,6 +161,12 @@ class TensorCrystal:
         0..count-1 in labelling order."""
         return list(self._rows), self._count
 
+    def per_pair(self, values):
+        """The left-major per-pair list of one value per classical
+        component: values[rows[l][r]] at pair l * m + r.  The one expansion
+        to |B|^2 entries; the energy routes and writers read the ids."""
+        return list(map(values.__getitem__, chain.from_iterable(self._rows)))
+
     def connected_components(self):
         """(merged, count) with 0-arrows: the classical components united
         over ``zero_links``, merged[c] the id, in 0..count-1, of classical

@@ -77,9 +77,11 @@ def test_criterion_4_energy():
     start = time.time()
     for name in SWEPT_NAMES:
         ctx = family(name)
+        # one value per classical component, and every id labels a pair
         h_prop = energy_propagate(ctx.tensor)
         h_cls = energy_by_classification(ctx.tensor)
         assert h_prop == h_cls, name
+        h_prop = ctx.tensor.per_pair(h_prop)
         th = XRoot(theta(ctx.datum))
         pairs = [
             (EMPTY, EMPTY, 0),
@@ -169,7 +171,8 @@ def test_criterion_7_characters_vs_oracle():
     cases = [("A1-1", 5), ("A2-1", 5), ("A3-1", 3), ("D4-1", 3)]
     for name, max_degree in cases:
         ctx = family(name)
-        model = PathModel(ctx.graph, 0, energy=energy_propagate(ctx.tensor))
+        energy = ctx.tensor.per_pair(energy_propagate(ctx.tensor))
+        model = PathModel(ctx.graph, 0, energy=energy)
         got = model.root_character(max_degree)
         for beta in lattice_points_up_to(ctx.datum, 2 * max_degree):
             for degree in range(max_degree + 1):
@@ -227,7 +230,7 @@ def test_criterion_8_property_suites():
     # classical arrow rather than through the component labels
     for name in names:
         t = family(name).tensor
-        h = energy_propagate(t)
+        h = t.per_pair(energy_propagate(t))
         for i in range(1, t.n_indices):
             for k, down in enumerate(t.f[i]):
                 if down >= 0:
@@ -240,7 +243,7 @@ def test_criterion_8_property_suites():
     path_names = ["A1-1", "A2-1", "C2-1", "A2-2", "A4-2", "D4-3", "D3-2", "B3-1"]
     for name in path_names:
         ctx = family(name)
-        energy = energy_propagate(ctx.tensor)
+        energy = ctx.tensor.per_pair(energy_propagate(ctx.tensor))
         for node in level_one_nodes(ctx.datum):
             model = PathModel(ctx.graph, node, energy=energy)
             paths = model.generate(2)

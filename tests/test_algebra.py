@@ -387,7 +387,7 @@ def test_g2_unlisted_products_absent():
 
 def test_energy_propagation_values():
     d, g, t = _setup("A2-1")
-    h = energy_propagate(t)
+    h = t.per_pair(energy_propagate(t))
     th = XRoot(theta(d))
     assert h[pair_index(g, EMPTY, EMPTY)] == 0
     assert h[pair_index(g, EMPTY, th)] == 1
@@ -411,7 +411,7 @@ def test_energy_constant_on_classical_components():
     # that propagation itself is built on
     for name in ["A2-1", "C2-1", "G2-1", "A4-2"]:
         d, g, t = _setup(name)
-        h = energy_propagate(t)
+        h = t.per_pair(energy_propagate(t))
         for i in range(1, t.n_indices):
             for k, down in enumerate(t.f[i]):
                 if down >= 0:
@@ -429,7 +429,8 @@ _RECURRENCE_NAMES = [t.name for t in swept_types(6)]
 
 @functools.cache
 def _propagated(name):
-    return energy_propagate(family(name).tensor)
+    t = family(name).tensor
+    return t.per_pair(energy_propagate(t))
 
 
 @settings(max_examples=300, deadline=None)
@@ -456,7 +457,8 @@ def test_energy_recurrence_on_every_pair(name):
     # CrystalGraph.pair_e alone, with H(empty (x) empty) = 0; every pair
     # lies on an arrow, so one wrong value of H fails here
     g = build_crystal(build_datum(name))
-    h = energy_propagate(TensorCrystal(g))
+    t = TensorCrystal(g)
+    h = t.per_pair(energy_propagate(t))
     m = len(g)
     assert h[pair_index(g, EMPTY, EMPTY)] == 0
     for i in range(g.n_indices):
@@ -473,7 +475,7 @@ def test_zero_energy_components_beyond_named_classes():
     # the square of the half-weight chain contains a level-0 component
     # whose head is neither x_theta (x) y_i nor x_theta (x) x_{-theta}
     d, g, t = _setup("A4-2")
-    h = energy_propagate(t)
+    h = t.per_pair(energy_propagate(t))
     e2 = XRoot((0, 1))
     th = XRoot(theta(d))
     assert h[pair_index(g, th, e2)] == 0
@@ -646,7 +648,8 @@ def test_three_box_fixture():
     assert ok, mismatches
     g = three_box_crystal()
     assert len(g) == 3
-    h = energy_propagate(TensorCrystal(g))
+    t = TensorCrystal(g)
+    h = t.per_pair(energy_propagate(t))
     # no empty element, so H(1 (x) 1) = 0 at pair 0; the closed form's
     # values 1, 0, 1 at 2 (x) 1, 1 (x) 3 and 2 (x) 2 keep their differences
     values = {(l.value, r.value): v for (l, r), v in zip(product(g.elements, repeat=2), h)}
@@ -661,7 +664,8 @@ def test_energy_without_empty_is_zero_on_pair_zero():
     # H is 0, and the closed form shifts by one to 0 or -1
     boxes = [Box(3), Box(2), Box(1)]
     g = CrystalGraph(boxes, [(1, 2, 1), (2, 1, 0), (0, 0, 2)], 3)
-    h = energy_propagate(TensorCrystal(g))
+    t = TensorCrystal(g)
+    h = t.per_pair(energy_propagate(t))
     assert h[0] == 0
     for (l, r), v in zip(product(boxes, repeat=2), h):
         assert v == (0 if l.value >= r.value else -1), (l.value, r.value)
@@ -731,28 +735,37 @@ _SQUARE_H = st.integers(0, 7).flatmap(
 )
 
 
+def _identity_rows(m):
+    """Component ids that make each pair of an m x m square its own
+    component, numbered left-major: rows[l][r] = l * m + r."""
+    return [tuple(range(left * m, left * m + m)) for left in range(m)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(_SQUARE_H)
-@example((0, []))
-@example((1, [-2]))
-@example((3, [5, 5, 5, -1, 2, 2, 0, 0, -4]))  # one value; a run at each end
+@given(_SQUARE_H.map(lambda square: (square[0], _identity_rows(square[0]), square[1])))
+@example((0, [], []))
+@example((1, [(0,)], [-2]))
+@example((3, _identity_rows(3), [5, 5, 5, -1, 2, 2, 0, 0, -4]))  # one value; a run at each end
+# adjacent components 0 and 1 share their value: the run splits by id,
+# the bytes do not
+@example((3, [(0, 0, 1), (1, 2, 2), (3, 3, 3)], [4, 4, 1, 4]))
 def test_pair_rows_match_per_pair_formula(square):
-    m, h = square
+    m, rows, values = square
     heads = [f"<{left}|" for left in range(m)]
     tails = [f"{right}>" for right in range(m)]
-    cells = {v: f"={v};" for v in set(h)}
+    cells = {v: f"={v};" for v in set(values)}
     want = [
-        "".join(heads[left] + tails[right] + cells[h[left * m + right]] for right in range(m))
+        "".join(heads[left] + tails[right] + cells[values[rows[left][right]]] for right in range(m))
         for left in range(m)
     ]
-    assert list(_pair_rows(heads, tails, h, cells)) == want
+    assert list(_pair_rows(heads, tails, rows, values, cells)) == want
 
 
 @pytest.mark.parametrize("name", SWEPT_NAMES)
 def test_energy_table_json_matches_json_dumps(name):
     t = family(name).tensor
     h = energy_propagate(t)
-    assert energy_table_json(t, h) == _energy_oracle(t, h)
+    assert energy_table_json(t, h) == _energy_oracle(t, t.per_pair(h))
 
 
 @pytest.mark.parametrize("name", SWEPT_NAMES)

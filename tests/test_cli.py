@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -128,7 +129,7 @@ def test_energy_labels_follow_pair_order(capsys, ty):
 def test_energy_text_is_one_line_per_pair(capsys, tmp_path, ty):
     g = build_crystal(build_datum(ty))
     t = TensorCrystal(g)
-    h = energy_propagate(t)
+    h = t.per_pair(energy_propagate(t))
     pairs = product(g.elements, repeat=2)
     lines = [f"# {ty}: {t.size} pairs, methods agree: True"]
     lines += [f"{left.label()} (x) {right.label()}\t{v}" for (left, right), v in zip(pairs, h)]
@@ -150,6 +151,47 @@ def test_energy_text_peak_memory_below_its_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < target.stat().st_size
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_energy_disagreement_exits_1(capsys, monkeypatch, fmt):
+    # route two off by one in a single entry: the header reports it and the
+    # command exits 1; the table is written from route one, unchanged
+    _, want, _ = run(capsys, "energy", "A2-1", "--format", fmt)
+
+    def raised(tensor):
+        h = list(energy_propagate(tensor))
+        h[0] += 1
+        return h
+
+    monkeypatch.setattr(cli, "energy_by_classification", raised)
+    code, got, _ = run(capsys, "energy", "A2-1", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        header, _, got = got.partition("\n")
+        assert header == "# A2-1: 81 pairs, methods agree: False"
+        want = want.partition("\n")[2]
+    assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_energy_expands_no_per_pair_table(capsys, monkeypatch, fmt):
+    # both routes give H per classical component, and energy compares and
+    # writes those values: with the one per-pair expansion refused, the
+    # 62 001-pair E8-1 table is unchanged
+    def digest(result):
+        code, out, err = result
+        return code, hashlib.sha256(out.encode()).hexdigest(), err
+
+    want = digest(run(capsys, "energy", "E8-1", "--format", fmt))
+
+    def refuse(self, values):
+        raise AssertionError("energy expanded H to the pairs")
+
+    monkeypatch.setattr(TensorCrystal, "per_pair", refuse)
+    got = digest(run(capsys, "energy", "E8-1", "--format", fmt))
+    assert got == want
+    assert got[0] == 0
 
 
 def test_multiply_table(capsys):

@@ -37,6 +37,11 @@ def _model(name, node=0):
     return d, PathModel(build_crystal(d), node)
 
 
+def _pair_energy(tensor):
+    """The per-pair energy table that ``PathModel`` reads."""
+    return tensor.per_pair(energy_propagate(tensor))
+
+
 def _fundamental(d, node):
     """Lambda_node in Lambda-coordinates."""
     return tuple(int(j == node) for j in range(d.n + 1))
@@ -221,7 +226,7 @@ TRANSFER_CASES = [(t.name, 2) for t in swept_types(4)] + [("C5-1", 1), ("A7-1", 
 @pytest.mark.parametrize("name,max_degree", TRANSFER_CASES)
 def test_transfer_matrix_matches_generation(name, max_degree):
     ctx = family(name)
-    energy = energy_propagate(ctx.tensor)
+    energy = _pair_energy(ctx.tensor)
     for node in level_one_nodes(ctx.datum):
         pm = PathModel(ctx.graph, node, energy=energy)
         assert pm.character(max_degree) == _generated_character(pm, max_degree)
@@ -236,7 +241,7 @@ def test_transfer_matrix_length_is_enough(name):
     # L = max(max_degree + zero_run, 1) positions hold every path of degree
     # at most max_degree: one or two more add nothing
     ctx = family(name)
-    energy = energy_propagate(ctx.tensor)
+    energy = _pair_energy(ctx.tensor)
     for node in level_one_nodes(ctx.datum):
         pm = PathModel(ctx.graph, node, energy=energy)
         run = pm.zero_run
@@ -253,7 +258,7 @@ def test_transfer_matrix_length_is_not_more_than_enough():
     # one position fewer cuts off paths of degree 2, at every level-1 node
     for t in swept_types(5):
         ctx = family(t.name)
-        energy = energy_propagate(ctx.tensor)
+        energy = _pair_energy(ctx.tensor)
         for node in level_one_nodes(ctx.datum):
             pm = PathModel(ctx.graph, node, energy=energy)
             derived = pm.character(2)
@@ -289,7 +294,7 @@ def _tampered(name):
     """A fresh B of `name` and its energy table, for a test to alter B
     before it builds a PathModel at Lambda_0."""
     graph = build_crystal(build_datum(name))
-    return graph, energy_propagate(TensorCrystal(graph))
+    return graph, _pair_energy(TensorCrystal(graph))
 
 
 def test_set_up_names_first_weight_off_its_root():
@@ -493,7 +498,7 @@ _WALK_NAMES = [t.name for t in swept_types(4)]
 @functools.cache
 def _walk_model(name, node):
     ctx = family(name)
-    return PathModel(ctx.graph, node, energy=energy_propagate(ctx.tensor))
+    return PathModel(ctx.graph, node, energy=_pair_energy(ctx.tensor))
 
 
 @settings(max_examples=200, deadline=None)
@@ -517,6 +522,33 @@ def test_random_lowering_words(data):
             assert phi - eps == coeffs[j]
 
 
+# Random paths, drawn the same way on every run: a family of rank <= 4, one
+# of its level-1 nodes, and up to six steps down from the ground path, each
+# by an f_i drawn among those that act.  Every path on the way is checked at
+# every index: e_i undoes f_i, and phi_i - eps_i is the weight's coordinate i.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_random_paths_invert_and_pair(data):
+    name = data.draw(st.sampled_from(_WALK_NAMES), label="family")
+    d = family(name).datum
+    node = data.draw(st.sampled_from(level_one_nodes(d)), label="node")
+    steps = data.draw(st.integers(0, 6), label="steps")
+    pm = _walk_model(name, node)
+    p = pm.ground_path
+    for step in range(steps + 1):
+        coeffs, _ = pm.weight(p)
+        lowered = {}
+        for i in range(d.n + 1):
+            q = pm.f(p, i)
+            if q is not None:
+                assert pm.e(q, i) == p, (step, i)
+                lowered[i] = q
+            eps, phi = pm.stats(p, i)
+            assert phi - eps == coeffs[i], (step, i)
+        if step < steps:
+            p = lowered[data.draw(st.sampled_from(sorted(lowered)), label="f")]
+
+
 # PathModel.character keys its counts by Lambda-coordinates in the DP
 # itself; here the root-offset counts of root_character are re-keyed by
 # coroot pairings, Lambda + <h_j, beta>, the conversion the set-up check pins.
@@ -524,7 +556,7 @@ def test_random_lowering_words(data):
 def test_lambda_keys_match_root_keys(name):
     ctx = family(name)
     d = ctx.datum
-    energy = energy_propagate(ctx.tensor)
+    energy = _pair_energy(ctx.tensor)
     for node in level_one_nodes(d):
         pm = PathModel(ctx.graph, node, energy=energy)
         lam = _fundamental(d, node)
@@ -540,7 +572,7 @@ def test_lambda_keys_match_root_keys(name):
 @pytest.mark.parametrize("name", [t.name for t in swept_types(4)])
 def test_counts_are_truncations(name):
     ctx = family(name)
-    energy = energy_propagate(ctx.tensor)
+    energy = _pair_energy(ctx.tensor)
     for node in level_one_nodes(ctx.datum):
         pm = PathModel(ctx.graph, node, energy=energy)
         deep, deep_roots = pm.character(3), pm.root_character(3)
@@ -613,7 +645,7 @@ def test_oracle_cells_match_pairings_and_norms(name):
 @pytest.mark.parametrize("name", [t.name for t in swept_types(4)])
 def test_rows_leave_in_payload_order(name):
     ctx = family(name)
-    energy = energy_propagate(ctx.tensor)
+    energy = _pair_energy(ctx.tensor)
     for node in level_one_nodes(ctx.datum):
         pm = PathModel(ctx.graph, node, energy=energy)
         keys = list(pm.character(3))
